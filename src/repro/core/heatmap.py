@@ -15,7 +15,13 @@ import numpy as np
 
 from ..tracer.trace import FrameTrace
 
-__all__ = ["HEAT_GRADIENT", "Heatmap", "temperature_to_color", "color_to_temperature"]
+__all__ = [
+    "HEAT_GRADIENT",
+    "Heatmap",
+    "temperature_to_color",
+    "temperatures_to_colors",
+    "color_to_temperature",
+]
 
 #: NVIDIA-style heat gradient stops: position in [0, 1] -> RGB in [0, 1].
 #: 0 is coldest (dark blue), 1 is hottest (red), matching the DXR shader
@@ -37,6 +43,26 @@ def temperature_to_color(t: float) -> np.ndarray:
             f = 0.0 if p1 == p0 else (t - p0) / (p1 - p0)
             return np.array(c0) + f * (np.array(c1) - np.array(c0))
     return np.array(HEAT_GRADIENT[-1][1])
+
+
+_STOPS = np.array([p for p, _ in HEAT_GRADIENT], dtype=np.float64)
+_STOP_COLORS = np.array([c for _, c in HEAT_GRADIENT], dtype=np.float64)
+
+
+def temperatures_to_colors(temperatures: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`temperature_to_color`: shape ``S`` -> ``S + (3,)``.
+
+    Bit-equal to the scalar mapping: the same clamp (NaN -> 0), the same
+    segment (the first whose upper stop is ``>= t``) and the same
+    arithmetic, one array operation at a time.
+    """
+    t = np.asarray(temperatures, dtype=np.float64)
+    t = np.where(t > 0.0, np.minimum(t, 1.0), 0.0)
+    segment = np.searchsorted(_STOPS[1:], t, side="left")
+    p0 = _STOPS[segment]
+    f = (t - p0) / (_STOPS[segment + 1] - p0)
+    c0 = _STOP_COLORS[segment]
+    return c0 + f[..., None] * (_STOP_COLORS[segment + 1] - c0)
 
 
 def color_to_temperature(rgb: np.ndarray) -> float:
@@ -129,11 +155,7 @@ class Heatmap:
 
     def to_colors(self) -> np.ndarray:
         """Render the heatmap to an ``(H, W, 3)`` RGB image in [0, 1]."""
-        flat = self.temperatures.reshape(-1)
-        colors = np.empty((flat.size, 3), dtype=np.float64)
-        for i, t in enumerate(flat):
-            colors[i] = temperature_to_color(float(t))
-        return colors.reshape(self.height, self.width, 3)
+        return temperatures_to_colors(self.temperatures)
 
     def mean_temperature(self) -> float:
         """Average normalized temperature (how warm the scene is overall)."""

@@ -10,11 +10,12 @@ temperature-weighted distributions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .heatmap import Heatmap, color_to_temperature, temperature_to_color
+from .heatmap import Heatmap, color_to_temperature, temperatures_to_colors
 
 __all__ = ["QuantizedHeatmap", "quantize_heatmap", "kmeans"]
 
@@ -115,18 +116,19 @@ class QuantizedHeatmap:
         """Per-cluster warmth ``c'_j = 1 - c_j`` (equations (2)-(3))."""
         return 1.0 - self.coolness
 
+    def labels_of(self, pixels: list[tuple[int, int]]) -> np.ndarray:
+        """Quantized color index of each ``(px, py)`` in ``pixels``, in order."""
+        flat = np.fromiter(
+            itertools.chain.from_iterable(pixels), dtype=np.intp, count=2 * len(pixels)
+        )
+        return self.labels[flat[1::2], flat[0::2]]
+
     def color_histogram(
         self, pixels: list[tuple[int, int]] | None = None
     ) -> np.ndarray:
         """Pixel count per quantized color, optionally over a subset."""
-        counts = np.zeros(self.num_colors, dtype=np.int64)
-        if pixels is None:
-            values, occurrences = np.unique(self.labels, return_counts=True)
-            counts[values] = occurrences
-        else:
-            for px, py in pixels:
-                counts[self.labels[py, px]] += 1
-        return counts
+        labels = self.labels.reshape(-1) if pixels is None else self.labels_of(pixels)
+        return np.bincount(labels, minlength=self.num_colors).astype(np.int64, copy=False)
 
     def to_colors(self) -> np.ndarray:
         """Render the quantized map to an ``(H, W, 3)`` RGB image."""
@@ -143,10 +145,7 @@ def quantize_heatmap(
     by projecting it back onto the gradient.
     """
     h, w = heatmap.temperatures.shape
-    flat_t = heatmap.temperatures.reshape(-1)
-    colors = np.empty((flat_t.size, 3), dtype=np.float64)
-    for i, t in enumerate(flat_t):
-        colors[i] = temperature_to_color(float(t))
+    colors = temperatures_to_colors(heatmap.temperatures.reshape(-1))
     palette, labels = kmeans(colors, num_colors, seed=seed)
     coolness = np.array(
         [1.0 - color_to_temperature(c) for c in palette], dtype=np.float64

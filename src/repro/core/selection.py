@@ -82,12 +82,10 @@ def compute_fraction(
     """
     if not pixels:
         raise ValueError("cannot compute a traced fraction for an empty group")
-    labels = quantized.labels
-    coolness = quantized.coolness
-    total = 0.0
-    for px, py in pixels:
-        total += coolness[labels[py, px]]
-    fraction = total / len(pixels)
+    coolness = quantized.coolness[quantized.labels_of(pixels)]
+    # ``accumulate`` adds strictly left to right, so the fraction is
+    # bit-equal to a per-pixel loop (``sum`` would add pairwise).
+    fraction = float(np.add.accumulate(coolness)[-1]) / len(pixels)
     return min(max_fraction, max(min_fraction, fraction))
 
 

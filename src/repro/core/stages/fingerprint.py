@@ -45,7 +45,9 @@ def _feed(hasher, obj: Any) -> None:
         encoded = str(obj).encode()
         hasher.update(b"I%d:%s;" % (len(encoded), encoded))
     elif isinstance(obj, float):
-        encoded = repr(obj).encode()
+        # ``float(...)``: a subclass (``np.float64``) has a version-dependent
+        # repr, but must hash like the equal Python float.
+        encoded = repr(float(obj)).encode()
         hasher.update(b"F%d:%s;" % (len(encoded), encoded))
     elif isinstance(obj, str):
         encoded = obj.encode("utf-8")

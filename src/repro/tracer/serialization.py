@@ -89,10 +89,11 @@ def save_frame(frame: FrameTrace, path: str | Path) -> Path:
 
 
 def load_frame(path: str | Path) -> FrameTrace:
-    """Deserialize a ``.ztrace`` file back into a :class:`FrameTrace`.
+    """Deserialize a ``.ztrace`` file back into a sealed :class:`FrameTrace`.
 
     Raises:
-        ValueError: on a bad magic, unsupported version, or truncation.
+        ValueError: on a bad magic, unsupported version, truncation, or a
+            pixel outside the header's image plane.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
@@ -149,4 +150,7 @@ def load_frame(path: str | Path) -> FrameTrace:
             frame.pixels[(px, py)] = trace
     except struct.error as error:
         raise ValueError(f"{path}: truncated .ztrace body") from error
-    return frame
+    try:
+        return frame.seal()
+    except IndexError as error:
+        raise ValueError(f"{path}: pixel outside the image plane") from error

@@ -91,11 +91,28 @@ class PixelTrace:
         runtime (the paper profiles wall-clock on a hardware GPU), so the
         exact weights are not critical.
         """
-        return (
-            4.0 * self.total_nodes()
-            + 6.0 * self.total_tris()
-            + 1.0 * self.total_instructions()
-        )
+        # One pass over the segments (the three totals fused): every
+        # frame's cost map calls this once per pixel.
+        nodes = tris = 0
+        instructions = self.raygen_instructions
+        for segment in self.segments:
+            nodes += len(segment.nodes)
+            tris += len(segment.tris)
+            instructions += segment.shade_instructions
+        return 4.0 * nodes + 6.0 * tris + 1.0 * instructions
+
+
+class _SealedPixels(dict):
+    """The read-only pixel mapping of a sealed :class:`FrameTrace`."""
+
+    def _sealed(self, *args, **kwargs):
+        raise TypeError("frame trace is sealed; its pixels cannot change")
+
+    __setitem__ = __delitem__ = __ior__ = _sealed
+    clear = pop = popitem = setdefault = update = _sealed
+
+    def __reduce__(self):
+        return (type(self), (dict(self),))
 
 
 @dataclass
@@ -106,6 +123,11 @@ class FrameTrace:
     the full plane is the single most expensive artifact in the pipeline, so
     the harness caches one per (scene, resolution, spp) and every experiment
     replays it.
+
+    The tracers and the ``.ztrace`` loader :meth:`seal` the frames they
+    return: the dense cost map is built once, and the frame's pixels and
+    plane size can no longer change.  Hand-built frames stay mutable and
+    compute costs on demand.
     """
 
     width: int
@@ -118,15 +140,36 @@ class FrameTrace:
     #: from equality.
     backend: str = field(default="scalar", compare=False)
 
+    #: Read-only cost map of a sealed frame (a plain attribute, not a
+    #: field: it stays out of equality and fingerprints, and frames
+    #: pickled before sealing existed unpickle unsealed).
+    _costs = None
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("pixels", "width", "height") and self._costs is not None:
+            raise TypeError(f"frame trace is sealed; cannot set {name!r}")
+        super().__setattr__(name, value)
+
+    @property
+    def sealed(self) -> bool:
+        """Whether the frame's pixels are fixed and its cost map built."""
+        return self._costs is not None
+
+    def seal(self) -> "FrameTrace":
+        """Build the cost map once and freeze the pixels; returns ``self``."""
+        if self._costs is None:
+            costs = self._compute_cost_map()
+            costs.setflags(write=False)
+            self.pixels = _SealedPixels(self.pixels)
+            self._costs = costs
+        return self
+
     def get(self, px: int, py: int) -> PixelTrace:
         """Trace of pixel ``(px, py)``; raises ``KeyError`` if not traced."""
         return self.pixels[(px, py)]
 
-    def cost_map(self):
-        """Dense ``height x width`` array of per-pixel costs (0 = untraced).
-
-        Imported lazily to keep this module numpy-free for the dataclasses.
-        """
+    def _compute_cost_map(self):
+        # Imported lazily to keep this module numpy-free for the dataclasses.
         import numpy as np
 
         grid = np.zeros((self.height, self.width), dtype=np.float64)
@@ -134,6 +177,18 @@ class FrameTrace:
             grid[py, px] = trace.cost()
         return grid
 
+    def cost_map(self):
+        """Dense ``height x width`` array of per-pixel costs (0 = untraced)."""
+        if self._costs is not None:
+            return self._costs.copy()
+        return self._compute_cost_map()
+
     def total_cost(self) -> float:
-        """Sum of all traced pixels' costs."""
-        return sum(t.cost() for t in self.pixels.values())
+        """Sum of all traced pixels' costs, as a Python ``float``.
+
+        Costs are integer-valued and far below 2**53, so the sealed map's
+        array sum equals the left-to-right sum exactly.
+        """
+        if self._costs is not None:
+            return float(self._costs.sum())
+        return sum((t.cost() for t in self.pixels.values()), 0.0)

@@ -224,8 +224,8 @@ class FunctionalTracer:
     ) -> FrameTrace:
         """Trace a set of pixels (default: the whole plane).
 
-        Returns a :class:`FrameTrace`; radiance values are discarded here —
-        use :meth:`render_image` when colours are wanted.
+        Returns a sealed :class:`FrameTrace`; radiance values are discarded
+        here — use :meth:`render_image` when colours are wanted.
 
         With ``settings.tracing_backend == "packet"`` the work is delegated
         to the wavefront driver, which produces a byte-identical trace.
@@ -244,7 +244,7 @@ class FunctionalTracer:
         for px, py in pixels if pixels is not None else settings.all_pixels():
             trace, _ = self.trace_pixel(px, py)
             frame.pixels[(px, py)] = trace
-        return frame
+        return frame.seal()
 
     def render_image(self) -> np.ndarray:
         """Render the full plane to an ``(H, W, 3)`` float RGB image."""

@@ -488,8 +488,8 @@ class WavefrontTracer:
     ) -> FrameTrace:
         """Trace a set of pixels (default: the whole plane), batched.
 
-        The returned :class:`FrameTrace` is byte-identical to the scalar
-        tracer's, so traversal records are always collected and the
+        The returned (sealed) :class:`FrameTrace` is byte-identical to the
+        scalar tracer's, so traversal records are always collected and the
         path-prediction cache stays off.
         """
         settings = self.settings
@@ -520,7 +520,7 @@ class WavefrontTracer:
                     frame_pixels[(px_l[i], py_l[i])] = PixelTrace(
                         px_l[i], py_l[i], segments
                     )
-        return frame
+        return frame.seal()
 
     def occlusion_pass(
         self,

@@ -100,6 +100,13 @@ class TestErrorHandling:
         with pytest.raises(ValueError, match="truncated"):
             load_frame(path)
 
+    def test_pixel_outside_the_plane(self, tmp_path):
+        frame = FrameTrace(width=2, height=2, samples_per_pixel=1, scene_name="o")
+        frame.pixels[(5, 0)] = PixelTrace(px=5, py=0)
+        path = save_frame(frame, tmp_path / "o.ztrace")
+        with pytest.raises(ValueError, match="outside the image plane"):
+            load_frame(path)
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))

@@ -3,6 +3,7 @@ behaviour preservation of the refactored pipeline (golden values)."""
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core import Zatel, ZatelConfig
@@ -37,6 +38,12 @@ class TestStableHash:
         assert len(keys) == 5
         # Tuples and lists are both just sequences to the fingerprint.
         assert stable_hash([1]) == stable_hash((1,))
+
+    def test_numpy_float_hashes_like_python_float(self):
+        # The repr of a float subclass depends on the NumPy version; the
+        # hash must not (fleet bundle keys hash select-stage fractions).
+        assert stable_hash(np.float64(0.45)) == stable_hash(0.45)
+        assert stable_hash([np.float64(0.3), 0.6]) == stable_hash([0.3, 0.6])
 
     def test_rejects_arbitrary_objects(self):
         class Opaque:
