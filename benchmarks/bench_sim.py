@@ -9,6 +9,16 @@ once per scene outside the timed region) for three engines:
 * ``sharded`` — the epoch-synchronized parallel backend at each
   requested shard count.
 
+The reference is *not* a frozen copy of the simulator: it shares ``SM``,
+``RTUnit``, ``Cache`` and ``MSHRTable`` with the fast loop, so a change to
+the RT traversal or memory path speeds up (or slows down) both, and
+``fast_speedup`` only measures the event loop's own gain.  Each scene
+therefore also reports ``serial_vs_baseline``: the committed baseline's
+serial seconds over this run's, which is above 1 when the simulator got
+faster than the baseline (same-host runs only; it never gates).  The
+memory path's *output* is pinned separately by
+``tests/data/sim_stats_golden.json``.
+
 Correctness rides along with the timings and is what gates CI:
 
 * the fast loop must be *byte-identical* to the reference loop;
@@ -58,6 +68,15 @@ SHARD_COUNTS = (2, 4)
 #: Work-unit speedup the headline scene must reach at four shards.
 TARGET_WORK_UNIT_SPEEDUP = 2.0
 
+#: Committed payload whose serial seconds ``serial_vs_baseline`` divides.
+BASELINE = Path(__file__).parent / "baselines" / "BENCH_sim.baseline.json"
+
+
+def _baseline_serial_seconds() -> dict:
+    """Scene -> serial seconds in the committed baseline."""
+    payload = json.loads(BASELINE.read_text())
+    return {e["scene"]: e["serial"]["seconds"] for e in payload["scenes"]}
+
 
 def _compile(name: str, size: int):
     scene = make_scene(name)
@@ -91,7 +110,10 @@ def _drift(sharded, exact) -> dict:
     }
 
 
-def bench_scene(name: str, size: int, shard_counts, repeats: int) -> dict:
+def bench_scene(
+    name: str, size: int, shard_counts, repeats: int,
+    baseline_seconds: float | None = None,
+) -> dict:
     """One scene: fast vs reference identity, then each shard count."""
     scene, warps = _compile(name, size)
     sim = CycleSimulator(MOBILE_SOC, scene.addresses)
@@ -111,6 +133,9 @@ def bench_scene(name: str, size: int, shard_counts, repeats: int) -> dict:
         },
         "fast_identical": _stats_equal(fast_stats, ref_stats),
         "fast_speedup": ref_seconds / fast_seconds,
+        "serial_vs_baseline": (
+            baseline_seconds / fast_seconds if baseline_seconds else None
+        ),
         "sharded": {},
     }
 
@@ -150,6 +175,7 @@ def run(quick: bool) -> dict:
     scenes = (HEADLINE_SCENE,) if quick else (HEADLINE_SCENE,) + FULL_SCENES
     shard_counts = SHARD_COUNTS[-1:] if quick else SHARD_COUNTS
     repeats = 1 if quick else 3
+    baseline_seconds = _baseline_serial_seconds()
     payload = {
         "benchmark": "sim_backends",
         "quick": quick,
@@ -160,7 +186,10 @@ def run(quick: bool) -> dict:
         "drift_tolerance": dict(DRIFT_TOLERANCE),
         "target_work_unit_speedup": TARGET_WORK_UNIT_SPEEDUP,
         "scenes": [
-            bench_scene(name, SIZE, shard_counts, repeats) for name in scenes
+            bench_scene(
+                name, SIZE, shard_counts, repeats, baseline_seconds.get(name)
+            )
+            for name in scenes
         ],
     }
     headline = payload["scenes"][0]["sharded"][str(SHARD_COUNTS[-1])]
@@ -207,6 +236,11 @@ def _report(payload: dict) -> str:
             f"fast {e['serial']['seconds'] * 1e3:.1f}ms "
             f"({e['fast_speedup']:.2f}x, identical={e['fast_identical']})"
         )
+        if e["serial_vs_baseline"] is not None:
+            lines.append(
+                f"  serial vs baseline: {e['serial_vs_baseline']:.2f}x "
+                f"(baseline seconds / this run's)"
+            )
         for shards, s in sorted(e["sharded"].items(), key=lambda kv: int(kv[0])):
             lines.append(
                 f"  sharded x{shards} ({s['mode']}, {s['epochs']} epochs): "

@@ -12,7 +12,9 @@ Dispatches on the payload's ``benchmark`` field:
   same pattern against
   ``benchmarks/baselines/BENCH_sim.baseline.json``; correctness
   (fast-loop identity, exact counters, drift tolerance, deterministic
-  work-unit speedup) gates, wall-clock only ever warns.
+  work-unit speedup) gates, wall-clock only ever warns.  Each scene's
+  ``serial_vs_baseline`` (baseline serial seconds over the run's) is
+  printed on a PASS line, or a WARN line below 0.7x.
 
 For the tracer payload the build fails on anything that cannot be
 timing noise:
@@ -222,6 +224,13 @@ def compare_sim(current: dict, baseline: dict) -> _Report:
             report, f"{name} fast-loop speedup", entry["fast_speedup"],
             base["fast_speedup"],
         )
+        # The reference loop shares the memory-path components, so the
+        # fast-loop ratio cannot show a simulator-wide gain; this can.
+        if entry.get("serial_vs_baseline") is not None:
+            _warn_ratio(
+                report, f"{name} serial_vs_baseline",
+                entry["serial_vs_baseline"], 1.0,
+            )
         for shards, sharded in sorted(entry.get("sharded", {}).items()):
             base_sharded = base.get("sharded", {}).get(shards)
             if base_sharded is None:

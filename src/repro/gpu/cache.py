@@ -8,6 +8,7 @@ carry no data.  Addresses are pre-aligned to line granularity by the caller
 from __future__ import annotations
 
 from collections import OrderedDict
+from heapq import heappop, heappush
 
 from .config import CacheConfig
 from .telemetry import Counter, RatioGauge, StatGroup
@@ -53,10 +54,21 @@ class Cache:
         self._sets: list[OrderedDict[int, None]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
+        #: The only set of a single-set (fully-associative) cache, which
+        #: hot loops hoist out of their per-line set lookup; else None.
+        self.single_set = self._sets[0] if self.num_sets == 1 else None
         self.stats = CacheStats()
 
     def _set_index(self, line_addr: int) -> int:
         return (line_addr // self.config.line_bytes) % self.num_sets
+
+    def set_of(self, line_addr: int) -> OrderedDict[int, None]:
+        """The LRU set ``line_addr`` maps to (most-recent at the end).
+
+        Hot loops probe it directly: a hit is ``line in lru`` followed by
+        ``lru.move_to_end(line)``, a miss goes through :meth:`fill`.
+        """
+        return self._sets[self._set_index(line_addr)]
 
     def access(self, line_addr: int) -> bool:
         """Look up a line, filling it on miss.  Returns True on hit."""
@@ -65,11 +77,19 @@ class Cache:
         if line_addr in lru:
             lru.move_to_end(line_addr)
             return True
+        self.fill(lru, line_addr)
+        return False
+
+    def fill(self, lru: OrderedDict[int, None], line_addr: int) -> None:
+        """Count a miss and insert ``line_addr`` into its set ``lru``.
+
+        The caller has already counted the lookup and seen the miss; the
+        set's least-recently-used line is evicted if it overflows.
+        """
         self.stats.misses += 1
         lru[line_addr] = None
         if len(lru) > self.ways:
             lru.popitem(last=False)  # evict LRU
-        return False
 
     def probe(self, line_addr: int) -> bool:
         """Check residency without updating LRU order or statistics."""
@@ -93,6 +113,13 @@ class MSHRTable:
     outstanding *merges* (returns the pending completion instead of issuing
     a new fetch).  When all entries are busy, the requester stalls until the
     earliest entry retires.
+
+    Entries retire lazily, at the next lookup or allocation whose cycle
+    has reached their ready cycle.  A min-heap of ``(ready, seq, line)``
+    indexes them by ready cycle, so retiring costs a heap pop per retired
+    entry instead of a scan over the table.  A heap record is *stale* once
+    its line was dropped or re-allocated with another ready cycle; stale
+    records are skipped when they surface.
     """
 
     #: Upper bound on the stall charged for a full table.  In hardware a
@@ -107,13 +134,26 @@ class MSHRTable:
             raise ValueError("MSHR table needs at least one entry")
         self.num_entries = num_entries
         self._entries: dict[int, int] = {}
+        self._heap: list[tuple[int, int, int]] = []
+        self._seq = 0
         self.merges = 0
         self.stall_cycles = 0
 
     def _retire_before(self, cycle: int) -> None:
-        done = [line for line, ready in self._entries.items() if ready <= cycle]
-        for line in done:
-            del self._entries[line]
+        heap = self._heap
+        entries = self._entries
+        while heap and heap[0][0] <= cycle:
+            ready, _, line = heappop(heap)
+            if entries.get(line) == ready:
+                del entries[line]
+
+    def _earliest_ready(self) -> int:
+        """Smallest ready cycle in a non-empty table (drops stale tops)."""
+        heap = self._heap
+        entries = self._entries
+        while entries.get(heap[0][2]) != heap[0][0]:
+            heappop(heap)
+        return heap[0][0]
 
     def lookup(self, line_addr: int, cycle: int) -> int | None:
         """Pending completion cycle if the line's fetch is in flight."""
@@ -133,7 +173,7 @@ class MSHRTable:
         self._retire_before(cycle)
         alloc_cycle = cycle
         if len(self._entries) >= self.num_entries:
-            earliest = min(self._entries.values())
+            earliest = self._earliest_ready()
             stall = min(max(0, earliest - cycle), self.MAX_STALL)
             self.stall_cycles += stall
             alloc_cycle = cycle + stall
@@ -143,7 +183,10 @@ class MSHRTable:
             if len(self._entries) >= self.num_entries:
                 victim = min(self._entries, key=self._entries.get)  # type: ignore[arg-type]
                 del self._entries[victim]
-        self._entries[line_addr] = ready_cycle + (alloc_cycle - cycle)
+        ready = ready_cycle + (alloc_cycle - cycle)
+        self._entries[line_addr] = ready
+        heappush(self._heap, (ready, self._seq, line_addr))
+        self._seq += 1
         return alloc_cycle
 
     def outstanding(self) -> int:

@@ -12,6 +12,14 @@ Steps execute as individual simulator events (:class:`TraversalJob`), so
 concurrent warps' memory traffic interleaves in time — vital for modelling
 bandwidth contention instead of falsely serializing whole traversals.
 
+A job replays its op from a lazy *step schedule*: each lane's node (then
+triangle) indices map to cache-line addresses through one memo per
+``(AddressMap, line_bytes)``, and ``zip_longest`` over the lanes yields one
+step's lines at a time (``None`` for a lane that has finished).  The step
+deduplicates its lines in lane first-touch order and hands them to
+:meth:`~repro.gpu.sm.SM.load_lines`, which resolves L1 hits inline and only
+walks the MSHR/L2/DRAM path on a miss.
+
 Two properties of this model carry the paper's story:
 
 * **Divergence costs bandwidth** — a step fetches the *distinct* cache
@@ -25,6 +33,8 @@ Two properties of this model carry the paper's story:
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
+from itertools import chain, zip_longest
 
 from .telemetry import Counter, Histogram, NULL_BUS, StatGroup, TelemetryBus
 from .warp import TraceOp
@@ -97,15 +107,40 @@ class RTUnit:
         self.free_slots += 1
 
     def start_job(
-        self,
-        op: TraceOp,
-        node_address,
-        triangle_address,
-        line_bytes: int,
+        self, op: TraceOp, address_map, line_bytes: int
     ) -> "TraversalJob":
         """Create the stepping job for a warp's traversal."""
         self.stats.warps_processed += 1
-        return TraversalJob(self, op, node_address, triangle_address, line_bytes)
+        return TraversalJob(self, op, address_map, line_bytes)
+
+
+class _LineMemo(dict):
+    """Entity index -> line-aligned address, computed on first lookup."""
+
+    __slots__ = ("_address", "_line_bytes")
+
+    def __init__(self, address, line_bytes: int) -> None:
+        super().__init__()
+        self._address = address
+        self._line_bytes = line_bytes
+
+    def __missing__(self, index: int) -> int:
+        addr = self._address(index)
+        line = self[index] = addr - addr % self._line_bytes
+        return line
+
+
+@lru_cache(maxsize=8)
+def line_memos(address_map, line_bytes: int) -> tuple[_LineMemo, _LineMemo]:
+    """The (node, triangle) index -> line memos for one address layout.
+
+    Shared by every job and simulation using the same layout and line
+    size; they hold only the indices traversals actually touch.
+    """
+    return (
+        _LineMemo(address_map.node_address, line_bytes),
+        _LineMemo(address_map.triangle_address, line_bytes),
+    )
 
 
 class TraversalJob:
@@ -114,31 +149,36 @@ class TraversalJob:
     The simulator calls :meth:`advance` once per event; each call performs
     one traversal step's memory fetches and returns the cycle at which the
     step's results are available.  ``done`` flips after the final step.
+
+    Steps come from a lazy schedule: per lane, ``map`` over the memoized
+    index -> line lookup; ``zip_longest`` across lanes then yields one
+    tuple per step with ``None`` for finished lanes.  Node steps run
+    first, then triangle steps.
     """
 
     def __init__(
-        self,
-        unit: RTUnit,
-        op: TraceOp,
-        node_address,
-        triangle_address,
-        line_bytes: int,
+        self, unit: RTUnit, op: TraceOp, address_map, line_bytes: int
     ) -> None:
         self.unit = unit
-        self._node_address = node_address
-        self._triangle_address = triangle_address
-        self._line_bytes = line_bytes
-        self._node_lists = [n for n in op.per_thread_nodes if n is not None]
-        self._tri_lists = [t for t in op.per_thread_tris if t is not None]
+        node_lines, tri_lines = line_memos(address_map, line_bytes)
+        node_lists = [n for n in op.per_thread_nodes if n is not None]
+        tri_lists = [t for t in op.per_thread_tris if t is not None]
+        self._schedule = chain(
+            zip_longest(*[map(node_lines.__getitem__, n) for n in node_lists]),
+            zip_longest(*[map(tri_lines.__getitem__, t) for t in tri_lists]),
+        )
         self._node_steps = op.max_node_steps()
-        self._tri_steps = op.max_tri_steps()
+        self._steps = self._node_steps + op.max_tri_steps()
         self._step = 0
-        self.done = self._node_steps + self._tri_steps == 0
+        self.done = self._steps == 0
         # Hoisted per-step constants (advance() is the simulator's hottest
         # function; attribute chains through unit/sm/config add up).
         config = unit._sm.config
         self._prefetch_depth = config.rt_prefetch_depth
         self._pipeline_depth = config.rt_fetch_pipeline
+        # Prefetch looks ahead per lane, past the schedule's current step.
+        self._node_lists = node_lists
+        self._node_lines = node_lines
 
     def advance(self, cycle: float) -> float:
         """Run the next traversal step starting at ``cycle``.
@@ -151,40 +191,23 @@ class TraversalJob:
         unit = self.unit
         sm = unit._sm
         stats = unit.stats
-        line_bytes = self._line_bytes
-        mem_access = sm.mem_access
-        # line address -> data-ready cycle, deduplicated within the step
-        # (lanes converging on the same node fetch it once).  Fetches
-        # issue in lane order at first touch — the memory subsystem is
-        # stateful, so the dedup must not reorder them.
-        line_ready: dict[int, float] = {}
+        lanes = next(self._schedule)
+        # Distinct lines in lane first-touch order (lanes converging on
+        # the same node fetch it once).  The memory subsystem is
+        # stateful, so the dedup must not reorder the fetches.
+        lines = dict.fromkeys(lanes)
+        lines.pop(None, None)
         if self._step < self._node_steps:
-            step = self._step
-            active = 0
-            node_address = self._node_address
-            for nodes in self._node_lists:
-                if step < len(nodes):
-                    active += 1
-                    addr = node_address(nodes[step])
-                    line = addr - (addr % line_bytes)
-                    if line not in line_ready:
-                        line_ready[line] = mem_access(line, cycle)
+            active = len(lanes) - lanes.count(None)
             stats.traversal_steps += 1
             stats.active_ray_steps += active
             stats.active_lane_hist[
                 min(active, ACTIVE_LANE_BUCKETS - 1)
             ] += 1
-            stats.node_fetches += len(line_ready)
+            stats.node_fetches += len(lines)
         else:
-            step = self._step - self._node_steps
-            triangle_address = self._triangle_address
-            for tris in self._tri_lists:
-                if step < len(tris):
-                    addr = triangle_address(tris[step])
-                    line = addr - (addr % line_bytes)
-                    if line not in line_ready:
-                        line_ready[line] = mem_access(line, cycle)
-            stats.tri_fetches += len(line_ready)
+            stats.tri_fetches += len(lines)
+        slowest = sm.load_lines(lines, cycle)
 
         # Treelet-style prefetch: warm the lines the rays will need
         # ``rt_prefetch_depth`` steps from now (0 disables).  Prefetches
@@ -194,27 +217,23 @@ class TraversalJob:
         if depth > 0:
             ahead = self._step + depth
             if ahead < self._node_steps:
-                line_bytes_ = self._line_bytes
+                node_lines = self._node_lines
                 for nodes in self._node_lists:
                     if ahead < len(nodes):
-                        addr = self._node_address(nodes[ahead])
-                        if sm.prefetch(addr - (addr % line_bytes_), cycle):
-                            unit.stats.prefetches_issued += 1
+                        if sm.prefetch(node_lines[nodes[ahead]], cycle):
+                            stats.prefetches_issued += 1
 
         # The RT unit's fetch pipeline hides cache-hit latency: a step only
         # stalls the warp for the portion of its slowest fetch exceeding
         # the pipeline depth (DRAM fills, queueing storms).  Stalling the
         # *warp clock* matters: the next steps' fetches then issue after
         # the stall, so a cold-start bandwidth storm delays a warp once
-        # instead of taxing its every subsequent fetch.
-        pipeline_depth = self._pipeline_depth
-        stall = 0.0
-        for ready in line_ready.values():
-            extra = ready - cycle - pipeline_depth
-            if extra > stall:
-                stall = extra
+        # instead of taxing its every subsequent fetch.  Rounding is
+        # monotone, so the slowest line also gives the largest excess.
+        extra = slowest - cycle - self._pipeline_depth
+        stall = extra if extra > 0.0 else 0.0
         self._step += 1
-        self.done = self._step >= self._node_steps + self._tri_steps
+        self.done = self._step >= self._steps
         completion = cycle + unit.step_cycles + stall
         unit._bus.window(unit.component, "rt_busy", cycle, completion)
         return completion

@@ -24,10 +24,14 @@ epoch.  The engine's per-pop path is deliberately lean:
   ``window`` are no-op functions.
 
 :meth:`CycleSimulator.run_reference` preserves the original
-straight-line loop; both produce byte-identical statistics (pinned by
-``tests/data/golden_predict.json`` and the A/B suite in
-``tests/test_simulator_fastpath.py``), and the reference is what the
-simulator benchmark reports as "exact serial".
+straight-line *event loop*; both produce byte-identical statistics
+(the A/B suite in ``tests/test_simulator_fastpath.py``).  The two loops
+share the components — ``SM``, ``RTUnit``, ``Cache``, ``MSHRTable`` and
+the memory subsystem — so the A/B suite and the simulator benchmark's
+``fast_speedup`` only see the event loop.  The components' output is
+pinned by committed fixtures instead: ``tests/data/sim_stats_golden.json``
+(every statistic and a telemetry digest per run) and
+``tests/data/golden_predict.json``.
 
 Usage::
 
@@ -415,8 +419,9 @@ class CycleSimulator:
         """The original straight-line event loop, kept as the oracle.
 
         Byte-identical to :meth:`run` (asserted by the fast-path A/B
-        tests); the simulator benchmark times it as "exact serial" so
-        fast-path gains stay measured against a fixed implementation.
+        tests).  It drives the same ``SM``/``RTUnit``/``Cache``/``MSHRTable``
+        objects as :meth:`run`, so it checks and times the event loop
+        only; a memory-path change moves both loops alike.
         """
         start_time = time.perf_counter()
         config = self.config

@@ -69,6 +69,7 @@ class SM:
         ]
         self._next_issue_free = 0.0
         self._next_rt_unit = 0
+        self._l1_latency = config.l1d.latency
         self.stats = bus.register(self.component, SMStats())
         # Warm-slot memo for fetch_instructions: op slots whose icache
         # line is resident and can never be evicted again (see below).
@@ -127,19 +128,55 @@ class SM:
     # memory path (L1 -> MSHR -> shared subsystem)
     # ------------------------------------------------------------------
 
-    def mem_access(self, line_addr: int, cycle: float) -> float:
-        """Load a line; returns the data-ready cycle."""
-        self.stats.mem_accesses += 1
-        if self.l1d.access(line_addr):
-            return cycle + self.config.l1d.latency
-        # L1 miss detected after the tag-check latency.
-        miss_cycle = cycle + self.config.l1d.latency
+    def load_lines(self, lines, cycle: float) -> float:
+        """Load a collection of distinct lines issued together at ``cycle``.
+
+        Returns the slowest line's data-ready cycle (``-inf`` for no
+        lines).  An L1 hit is the inline LRU probe (``move_to_end``, ready
+        after the tag-check latency); only a miss calls :meth:`_l1_miss`.
+        The lookups are counted once per call rather than once per line:
+        telemetry snapshots only read counters between simulator events,
+        so they see the same values either way.
+        """
+        l1d = self.l1d
+        lru = l1d.single_set  # hoisted for the fully-associative L1D
+        set_of = l1d.set_of if lru is None else None
+        hit_ready = cycle + self._l1_latency
+        slowest = float("-inf")
+        for line in lines:
+            if set_of is not None:
+                lru = set_of(line)
+            if line in lru:
+                lru.move_to_end(line)
+                ready = hit_ready
+            else:
+                ready = self._l1_miss(lru, line, hit_ready)
+            if ready > slowest:
+                slowest = ready
+        count = len(lines)
+        l1d.stats.accesses += count
+        self.stats.mem_accesses += count
+        return slowest
+
+    def _l1_miss(self, lru, line_addr: int, miss_cycle: float) -> float:
+        """Fill a missed line into L1, then fetch it through the MSHR.
+
+        ``miss_cycle`` is when the miss is detected (after the tag-check
+        latency).  An in-flight fetch of the line merges; otherwise the
+        request goes to the shared memory subsystem and takes an MSHR
+        entry, stalling if the table is full.
+        """
+        self.l1d.fill(lru, line_addr)
         pending = self.mshr.lookup(line_addr, miss_cycle)
         if pending is not None:
             return max(pending, miss_cycle)
         completion = self.memory.access(line_addr, miss_cycle)
         alloc_cycle = self.mshr.allocate(line_addr, miss_cycle, completion)
         return completion + (alloc_cycle - miss_cycle)
+
+    def mem_access(self, line_addr: int, cycle: float) -> float:
+        """Load one line; returns the data-ready cycle."""
+        return self.load_lines((line_addr,), cycle)
 
     def prefetch(self, line_addr: int, cycle: float) -> bool:
         """Issue a non-blocking prefetch for a line.
@@ -183,12 +220,7 @@ class SM:
 
     def make_trace_job(self, unit, op: TraceOp, address_map):
         """Build the traversal job for an op on ``unit`` (slot already held)."""
-        return unit.start_job(
-            op,
-            address_map.node_address,
-            address_map.triangle_address,
-            self.config.l1d.line_bytes,
-        )
+        return unit.start_job(op, address_map, self.config.l1d.line_bytes)
 
     def execute_store(self, op: StoreOp, ready: float) -> float:
         """Issue framebuffer stores (write-through, fire-and-forget)."""

@@ -99,3 +99,29 @@ def test_speedup_improvement_passes(baseline):
         entry["rays_per_sec_speedup"] *= 1.5
     report = checker.compare(current, baseline, max_slowdown=0.30)
     assert not report.failed
+
+
+@pytest.fixture()
+def sim_baseline() -> dict:
+    return json.loads(checker.BASELINES_BY_KIND["sim_backends"].read_text())
+
+
+def test_sim_baseline_vs_itself_passes(sim_baseline):
+    report = checker.compare_sim(sim_baseline, sim_baseline)
+    assert not report.failed
+
+
+def test_sim_serial_vs_baseline_is_reported_and_never_gates(sim_baseline):
+    current = copy.deepcopy(sim_baseline)
+    current["scenes"][0]["serial_vs_baseline"] = 1.6
+    current["scenes"][1]["serial_vs_baseline"] = 0.5
+    report = checker.compare_sim(current, sim_baseline)
+    assert not report.failed
+    name0, name1 = (e["scene"] for e in current["scenes"][:2])
+    assert f"PASS  {name0} serial_vs_baseline: 1.60x (baseline 1.00x)" in (
+        report.lines
+    )
+    assert any(
+        line.startswith(f"WARN  {name1} serial_vs_baseline: 0.50x")
+        for line in report.lines
+    )

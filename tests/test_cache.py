@@ -136,3 +136,104 @@ class TestMSHR:
     def test_no_stall_when_space(self):
         mshr = MSHRTable(8)
         assert mshr.allocate(0, cycle=5, ready_cycle=50) == 5
+
+
+class ListScanMSHR:
+    """Reference MSHR model: retires by scanning every entry on each call.
+
+    The shipped table indexes entries with a heap; this is the plain
+    semantics it must reproduce, call for call.
+    """
+
+    def __init__(self, num_entries: int) -> None:
+        self.num_entries = num_entries
+        self.entries: dict[int, int] = {}
+        self.merges = 0
+        self.stall_cycles = 0
+
+    def _retire_before(self, cycle: int) -> None:
+        for line in [l for l, ready in self.entries.items() if ready <= cycle]:
+            del self.entries[line]
+
+    def lookup(self, line: int, cycle: int) -> int | None:
+        self._retire_before(cycle)
+        ready = self.entries.get(line)
+        if ready is not None:
+            self.merges += 1
+        return ready
+
+    def allocate(self, line: int, cycle: int, ready_cycle: int) -> int:
+        self._retire_before(cycle)
+        alloc_cycle = cycle
+        if len(self.entries) >= self.num_entries:
+            earliest = min(self.entries.values())
+            stall = min(max(0, earliest - cycle), MSHRTable.MAX_STALL)
+            self.stall_cycles += stall
+            alloc_cycle = cycle + stall
+            self._retire_before(alloc_cycle)
+            if len(self.entries) >= self.num_entries:
+                del self.entries[min(self.entries, key=self.entries.get)]
+        self.entries[line] = ready_cycle + (alloc_cycle - cycle)
+        return alloc_cycle
+
+
+#: One MSHR call: (is_allocate, line index, cycle, latency).  Cycles are
+#: drawn independently, so consecutive calls go backwards in time too.
+mshr_calls = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=800),
+        st.integers(min_value=0, max_value=700),
+    ),
+    max_size=60,
+)
+
+
+class TestMSHRAgainstListScan:
+    @staticmethod
+    def replay(num_entries, calls):
+        table, model = MSHRTable(num_entries), ListScanMSHR(num_entries)
+        for is_allocate, index, cycle, latency in calls:
+            line = index * 128
+            if is_allocate:
+                assert table.allocate(line, cycle, cycle + latency) == (
+                    model.allocate(line, cycle, cycle + latency)
+                )
+            else:
+                assert table.lookup(line, cycle) == model.lookup(line, cycle)
+            # Same live entries in the same order (the victim drop breaks
+            # ready-cycle ties by table order).
+            assert list(table._entries.items()) == list(model.entries.items())
+            assert table.outstanding() == len(model.entries)
+            assert table.merges == model.merges
+            assert table.stall_cycles == model.stall_cycles
+        return model
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=4), mshr_calls)
+    def test_property_matches_list_scan_model(self, num_entries, calls):
+        self.replay(num_entries, calls)
+
+    def test_full_table_stall_then_victim_drop(self):
+        model = self.replay(2, [
+            (True, 0, 0, 100),    # ready 100
+            (True, 1, 0, 900),    # ready 900: table full
+            (True, 2, 50, 400),   # stalls 50 to cycle 100, retires line 0
+            (False, 1, 10, 0),    # lookup back in time merges with line 1
+            (True, 3, 120, 500),  # full, earliest 500 past the cap: drops 2
+            (True, 1, 130, 300),  # full again: drops 3, rewrites 1 in place
+            (False, 3, 1000, 0),  # everything has retired
+        ])
+        assert model.stall_cycles == 50 + 2 * MSHRTable.MAX_STALL
+        assert model.merges == 1
+        assert not model.entries
+
+    def test_rewrite_to_a_later_ready_cycle_stays_outstanding(self):
+        model = self.replay(4, [
+            (True, 0, 0, 100),    # ready 100
+            (True, 0, 10, 190),   # rewritten in place: ready 200
+            (False, 0, 150, 0),   # the ready-100 record is stale: merges
+            (False, 0, 200, 0),   # retired
+        ])
+        assert model.merges == 1

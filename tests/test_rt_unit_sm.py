@@ -1,10 +1,14 @@
 """Tests for the RT unit's traversal jobs and the SM's resource models."""
 
-import pytest
+import dataclasses
 
-from repro.gpu import MOBILE_SOC, TraceOp
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.gpu import MOBILE_SOC, Cache, CacheConfig, TraceOp, line_of
 from repro.gpu.memory import MemorySubsystem
-from repro.gpu.rt_unit import RTUnit
+from repro.gpu.rt_unit import ACTIVE_LANE_BUCKETS, RTUnit, line_memos
 from repro.gpu.sm import SM
 from repro.gpu.warp import ComputeOp, StoreOp
 from repro.scene.scene import AddressMap
@@ -56,12 +60,15 @@ class TestMemAccess:
         assert miss - 0.0 > hit - miss
 
     def test_mshr_merges_concurrent_misses(self, sm):
-        first = sm.mem_access(256, 0.0)
-        # Second request to the same in-flight line merges: it completes no
-        # later than the first fetch (plus its own lookup offset).
+        # A prefetch puts the line in flight without filling L1, so the
+        # demand access misses L1 and merges with the pending fetch.
+        pending = MemorySubsystem(sm.config).access(256, 0.0)
+        assert sm.prefetch(256, 0.0)
         merged = sm.mem_access(256, 1.0)
-        assert merged <= first + sm.config.l1d.latency + 1.0
-        assert sm.mshr.merges >= 0  # line was inserted into L1 on first miss
+        assert sm.mshr.merges == 1
+        assert merged == pending  # the prefetch's completion, not a refetch
+        assert sm.mshr.outstanding() == 1
+        assert sm.memory.l2_stats().accesses == 1
 
     def test_access_counter(self, sm):
         before = sm.mem_accesses
@@ -193,3 +200,155 @@ class TestTraversalJob:
         cold_done, _ = run_job(sm, op, amap, start=0.0)
         warm_done, _ = run_job(sm, op, amap, start=cold_done)
         assert (cold_done - 0.0) >= (warm_done - cold_done)
+
+
+class TestLoadLines:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([0, 2, 4]),
+        st.lists(st.integers(min_value=0, max_value=24), max_size=120),
+    )
+    def test_property_l1_matches_cache_access(self, assoc, indices):
+        """The inline L1 probe plus fill keeps exactly ``Cache.access``'s
+        hits, misses and LRU order, for one set or several."""
+        l1d = CacheConfig(8 * 128, 128, assoc, 20)
+        config = dataclasses.replace(MOBILE_SOC, l1d=l1d)
+        sm = SM(0, config, MemorySubsystem(config))
+        reference = Cache(l1d)
+        for step, index in enumerate(indices):
+            line = index * 128
+            hit = reference.access(line)
+            ready = sm.mem_access(line, float(step))
+            assert (ready == step + l1d.latency) == hit
+        assert sm.l1d.stats == reference.stats
+        assert sm.l1d._sets == reference._sets
+        assert sm.mem_accesses == len(indices)
+
+    def test_batch_returns_slowest_and_counts_once_per_line(self, sm):
+        sm.mem_access(0, 0.0)  # warm line 0
+        slowest = sm.load_lines({0: None, 128: None}, 1000.0)
+        fresh = SM(0, sm.config, MemorySubsystem(sm.config))
+        assert slowest == fresh.mem_access(128, 1000.0)
+        assert sm.l1d.stats.accesses == 3 and sm.l1d.stats.misses == 2
+        assert sm.mem_accesses == 3
+
+    def test_empty_batch(self, sm):
+        assert sm.load_lines((), 5.0) == float("-inf")
+        assert sm.mem_accesses == 0
+
+
+class TestStepSchedule:
+    """The lazy per-step line schedule a traversal job replays."""
+
+    @staticmethod
+    def record_steps(sm, op, amap):
+        """Run ``op`` to completion; returns each step's lines as issued."""
+        steps = []
+        load_lines = sm.load_lines
+
+        def spy(lines, cycle):
+            steps.append(list(lines))
+            return load_lines(lines, cycle)
+
+        sm.load_lines = spy
+        _, unit = run_job(sm, op, amap)
+        return steps, unit
+
+    @staticmethod
+    def node_line(amap, index):
+        return line_of(amap.node_address(index), 128)
+
+    @staticmethod
+    def tri_line(amap, index):
+        return line_of(amap.triangle_address(index), 128)
+
+    def test_converging_lanes_fetch_once_in_lane_order(self, sm, amap):
+        # Nodes 0 and 1 share a 128B line; node 5 sits two lines up.
+        op = TraceOp(
+            per_thread_nodes=([5], [0], [5], [1], [2]),
+            per_thread_tris=([], [], [], [], []),
+        )
+        issued = []
+        access = sm.memory.access
+        sm.memory.access = lambda line, cycle: issued.append(line) or access(
+            line, cycle
+        )
+        steps, unit = self.record_steps(sm, op, amap)
+        first_touch = [self.node_line(amap, n) for n in (5, 0, 2)]
+        assert steps == [first_touch]
+        assert issued == first_touch  # cold misses reach memory in order
+        assert unit.stats.node_fetches == 3
+        assert sm.l1d.stats.accesses == 3
+
+    def test_ragged_and_none_lanes(self, sm, amap):
+        op = TraceOp(
+            per_thread_nodes=([0, 64, 128], None, [64], []),
+            per_thread_tris=(None, None, None, None),
+        )
+        steps, unit = self.record_steps(sm, op, amap)
+        line = lambda n: self.node_line(amap, n)  # noqa: E731
+        assert steps == [[line(0), line(64)], [line(64)], [line(128)]]
+        assert unit.stats.traversal_steps == 3
+        assert unit.stats.active_ray_steps == 2 + 1 + 1
+        hist = unit.stats.active_lane_hist
+        assert hist[2] == 1 and hist[1] == 2
+        assert sum(hist) == 3 and len(hist) == ACTIVE_LANE_BUCKETS
+
+    def test_triangle_phase_follows_node_steps(self, sm, amap):
+        op = TraceOp(
+            per_thread_nodes=([0], [0]),
+            per_thread_tris=([3, 4], [9]),
+        )
+        steps, unit = self.record_steps(sm, op, amap)
+        tri = lambda t: self.tri_line(amap, t)  # noqa: E731
+        assert steps == [
+            [self.node_line(amap, 0)],
+            list(dict.fromkeys([tri(3), tri(9)])),
+            [tri(4)],
+        ]
+        assert unit.stats.traversal_steps == 1
+        assert unit.stats.active_ray_steps == 2
+        assert unit.stats.tri_fetches == len(steps[1]) + len(steps[2])
+
+    def test_zero_step_job(self, sm, amap):
+        op = TraceOp(per_thread_nodes=([], None), per_thread_tris=([], None))
+        unit = sm.rt_units[0]
+        unit.try_acquire_slot()
+        job = sm.make_trace_job(unit, op, amap)
+        assert job.done
+        assert unit.stats.warps_processed == 1
+        with pytest.raises(RuntimeError):
+            job.advance(0.0)
+        unit.release_slot()
+
+    def test_prefetch_still_issues_per_lane(self, amap):
+        config = dataclasses.replace(MOBILE_SOC, rt_prefetch_depth=1)
+        sm = SM(0, config, MemorySubsystem(config))
+        calls = []
+        prefetch = sm.prefetch
+
+        def spy(line, cycle):
+            calls.append((line, cycle))
+            return prefetch(line, cycle)
+
+        sm.prefetch = spy
+        op = TraceOp(
+            per_thread_nodes=([0, 64], [0, 64], [0, 128], [0]),
+            per_thread_tris=([], [], [], []),
+        )
+        unit = sm.rt_units[0]
+        unit.try_acquire_slot()
+        job = sm.make_trace_job(unit, op, amap)
+        job.advance(0.0)
+        line = lambda n: self.node_line(amap, n)  # noqa: E731
+        # Step 0 looks one step ahead: one call per lane that has a node
+        # there, duplicates included; the repeat finds the line in flight.
+        assert calls == [(line(64), 0.0), (line(64), 0.0), (line(128), 0.0)]
+        assert unit.stats.prefetches_issued == 2
+
+    def test_line_memo_holds_touched_indices_only(self, amap):
+        nodes, tris = line_memos(amap, 128)
+        assert line_memos(AddressMap(), 128)[0] is nodes  # equal layouts share
+        assert nodes[3] == self.node_line(amap, 3)
+        assert tris[3] == self.tri_line(amap, 3)
+        assert 10_000_019 not in nodes
