@@ -1,39 +1,19 @@
-"""Cycle-simulator benchmark: fast serial loop vs reference vs sharded.
+"""Cycle-simulator benchmark: serial wall-clock seconds per scene.
 
 Times the cycle simulation *alone* (tracing and kernel compilation happen
-once per scene outside the timed region) for three engines:
+once per scene outside the timed region) and records each scene's
+deterministic ``cycles`` and ``work_units`` next to the seconds.
 
-* ``reference`` — the original straight-line event loop
-  (:meth:`~repro.gpu.simulator.CycleSimulator.run_reference`);
-* ``serial`` — the fast dispatch-table loop behind the default backend;
-* ``sharded`` — the epoch-synchronized parallel backend at each
-  requested shard count.
-
-The reference is *not* a frozen copy of the simulator: it shares ``SM``,
-``RTUnit``, ``Cache`` and ``MSHRTable`` with the fast loop, so a change to
-the RT traversal or memory path speeds up (or slows down) both, and
-``fast_speedup`` only measures the event loop's own gain.  Each scene
-therefore also reports ``serial_vs_baseline``: the committed baseline's
+Each scene also reports ``serial_vs_baseline``: the committed baseline's
 serial seconds over this run's, which is above 1 when the simulator got
 faster than the baseline (same-host runs only; it never gates).  The
-memory path's *output* is pinned separately by
+simulator's full output is pinned separately by
 ``tests/data/sim_stats_golden.json``.
 
-Correctness rides along with the timings and is what gates CI:
-
-* the fast loop must be *byte-identical* to the reference loop;
-* sharding must keep the additive counters exact and hold every
-  timing-derived metric inside the documented drift tolerance
-  (:data:`repro.gpu.parallel.DRIFT_TOLERANCE`);
-* the deterministic **work-unit speedup** (serial work over the largest
-  shard's work) must reach 2x at four shards on the headline scene —
-  the machine-independent stand-in for parallel speedup, since CI
-  containers may expose a single core.
-
-Wall-clock seconds and ratios are recorded but never gate.  Results are
-written to ``BENCH_sim.json``; CI compares them against
-``benchmarks/baselines/BENCH_sim.baseline.json`` via
-``check_bench_regression.py``.
+What gates CI is the exact ``cycles``/``work_units`` match against
+``benchmarks/baselines/BENCH_sim.baseline.json`` (checked by
+``check_bench_regression.py``); wall-clock seconds never gate.  Results
+are written to ``BENCH_sim.json``.
 
 .. code-block:: bash
 
@@ -47,26 +27,17 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
-from repro.gpu import MOBILE_SOC, CycleSimulator, ShardedCycleSimulator, compile_kernel
-from repro.gpu.parallel import DRIFT_TOLERANCE, EXACT_COUNTERS, plan_shards
+from repro.gpu import MOBILE_SOC, CycleSimulator, compile_kernel
 from repro.scene import make_scene
 from repro.tracer import FunctionalTracer, RenderSettings
 
-#: The headline scene/plane of the acceptance target (>= 2x work-unit
-#: speedup at four shards).
+#: The scene quick mode (CI) runs.
 HEADLINE_SCENE = "SPRNG"
 SIZE = 128
 #: Traversal-heavy scenes added in full (non ``--quick``) mode.
 FULL_SCENES = ("BUNNY", "SPNZA")
-
-#: Shard counts exercised in full mode; quick mode keeps only the last.
-SHARD_COUNTS = (2, 4)
-
-#: Work-unit speedup the headline scene must reach at four shards.
-TARGET_WORK_UNIT_SPEEDUP = 2.0
 
 #: Committed payload whose serial seconds ``serial_vs_baseline`` divides.
 BASELINE = Path(__file__).parent / "baselines" / "BENCH_sim.baseline.json"
@@ -98,117 +69,48 @@ def _best_of(repeats: int, fn, warps):
     return best, stats
 
 
-def _stats_equal(a, b) -> bool:
-    return replace(a, host_seconds=0.0) == replace(b, host_seconds=0.0)
-
-
-def _drift(sharded, exact) -> dict:
-    return {
-        name: abs(getattr(sharded, name) - getattr(exact, name))
-        / max(abs(getattr(exact, name)), 1e-12)
-        for name in DRIFT_TOLERANCE
-    }
-
-
 def bench_scene(
-    name: str, size: int, shard_counts, repeats: int,
-    baseline_seconds: float | None = None,
+    name: str, size: int, repeats: int, baseline_seconds: float | None = None,
 ) -> dict:
-    """One scene: fast vs reference identity, then each shard count."""
+    """One scene: best-of-``repeats`` serial seconds and the run's counts."""
     scene, warps = _compile(name, size)
     sim = CycleSimulator(MOBILE_SOC, scene.addresses)
-
-    ref_seconds, ref_stats = _best_of(repeats, sim.run_reference, warps)
-    fast_seconds, fast_stats = _best_of(repeats, sim.run, warps)
-    entry: dict = {
+    seconds, stats = _best_of(repeats, sim.run, warps)
+    return {
         "scene": name,
         "width": size,
         "height": size,
         "warps": len(warps),
-        "reference": {"seconds": ref_seconds},
         "serial": {
-            "seconds": fast_seconds,
-            "cycles": fast_stats.cycles,
-            "work_units": fast_stats.work_units,
-        },
-        "fast_identical": _stats_equal(fast_stats, ref_stats),
-        "fast_speedup": ref_seconds / fast_seconds,
-        "serial_vs_baseline": (
-            baseline_seconds / fast_seconds if baseline_seconds else None
-        ),
-        "sharded": {},
-    }
-
-    for shards in shard_counts:
-        config = replace(MOBILE_SOC, sim_backend="sharded", sim_shards=shards)
-        parallel = ShardedCycleSimulator(config, scene.addresses)
-        seconds, stats = _best_of(repeats, parallel.run, warps)
-        run = parallel.last_run
-        drift = _drift(stats, fast_stats)
-        entry["sharded"][str(shards)] = {
             "seconds": seconds,
-            "planned_shards": run["shards"],
-            "epochs": run["epochs"],
-            "mode": run["mode"],
             "cycles": stats.cycles,
             "work_units": stats.work_units,
-            "shard_work_units": run["shard_work_units"],
-            # Deterministic parallel-speedup proxy: the serial work
-            # divided by the critical path (the busiest shard).
-            "work_unit_speedup": fast_stats.work_units
-            / max(run["shard_work_units"]),
-            "wall_speedup": fast_seconds / seconds,
-            "exact_counters_match": all(
-                getattr(stats, field) == getattr(fast_stats, field)
-                for field in EXACT_COUNTERS
-            ),
-            "drift": drift,
-            "drift_ok": all(
-                drift[metric] <= DRIFT_TOLERANCE[metric] for metric in drift
-            ),
-        }
-    return entry
+        },
+        "serial_vs_baseline": (
+            baseline_seconds / seconds if baseline_seconds else None
+        ),
+    }
 
 
 def run(quick: bool) -> dict:
     """The whole experiment; ``quick`` trims scenes and repeats for CI."""
     scenes = (HEADLINE_SCENE,) if quick else (HEADLINE_SCENE,) + FULL_SCENES
-    shard_counts = SHARD_COUNTS[-1:] if quick else SHARD_COUNTS
     repeats = 1 if quick else 3
     baseline_seconds = _baseline_serial_seconds()
-    payload = {
-        "benchmark": "sim_backends",
+    return {
+        "benchmark": "cycle_sim",
         "quick": quick,
         "gpu": MOBILE_SOC.name,
-        "planned_shards_at_max": plan_shards(
-            replace(MOBILE_SOC, sim_shards=SHARD_COUNTS[-1])
-        ),
-        "drift_tolerance": dict(DRIFT_TOLERANCE),
-        "target_work_unit_speedup": TARGET_WORK_UNIT_SPEEDUP,
         "scenes": [
-            bench_scene(
-                name, SIZE, shard_counts, repeats, baseline_seconds.get(name)
-            )
+            bench_scene(name, SIZE, repeats, baseline_seconds.get(name))
             for name in scenes
         ],
     }
-    headline = payload["scenes"][0]["sharded"][str(SHARD_COUNTS[-1])]
-    payload["headline_work_unit_speedup"] = headline["work_unit_speedup"]
-    payload["identical"] = bool(
-        all(e["fast_identical"] for e in payload["scenes"])
-        and all(
-            s["exact_counters_match"] and s["drift_ok"]
-            for e in payload["scenes"]
-            for s in e["sharded"].values()
-        )
-        and payload["headline_work_unit_speedup"] >= TARGET_WORK_UNIT_SPEEDUP
-    )
-    return payload
 
 
 def profile_serial(out_path: str) -> None:
-    """cProfile the fast serial engine on the headline scene (nightly
-    artifact: where do cycle-sim milliseconds go)."""
+    """cProfile the simulator on the headline scene (nightly artifact:
+    where do cycle-sim milliseconds go)."""
     import cProfile
     import io
     import pstats
@@ -230,31 +132,17 @@ def profile_serial(out_path: str) -> None:
 def _report(payload: dict) -> str:
     lines = []
     for e in payload["scenes"]:
+        serial = e["serial"]
         lines.append(
             f"{e['scene']} {e['width']}x{e['height']} ({e['warps']} warps): "
-            f"reference {e['reference']['seconds'] * 1e3:.1f}ms, "
-            f"fast {e['serial']['seconds'] * 1e3:.1f}ms "
-            f"({e['fast_speedup']:.2f}x, identical={e['fast_identical']})"
+            f"{serial['seconds'] * 1e3:.1f}ms, cycles {serial['cycles']:.0f}, "
+            f"work units {serial['work_units']}"
         )
         if e["serial_vs_baseline"] is not None:
             lines.append(
                 f"  serial vs baseline: {e['serial_vs_baseline']:.2f}x "
                 f"(baseline seconds / this run's)"
             )
-        for shards, s in sorted(e["sharded"].items(), key=lambda kv: int(kv[0])):
-            lines.append(
-                f"  sharded x{shards} ({s['mode']}, {s['epochs']} epochs): "
-                f"{s['seconds'] * 1e3:.1f}ms wall, "
-                f"work-unit speedup {s['work_unit_speedup']:.2f}x, "
-                f"exact={s['exact_counters_match']}, "
-                f"drift_ok={s['drift_ok']} "
-                f"(cycles drift {s['drift']['cycles']:.3%})"
-            )
-    lines.append(
-        f"headline work-unit speedup at {SHARD_COUNTS[-1]} shards: "
-        f"{payload['headline_work_unit_speedup']:.2f}x "
-        f"(target {payload['target_work_unit_speedup']:.1f}x)"
-    )
     return "\n".join(lines)
 
 
@@ -262,15 +150,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="headline scene, max shard count only (the CI gating mode)",
+        help="headline scene only, one repeat (the CI mode)",
     )
     parser.add_argument(
         "--out", default="BENCH_sim.json", help="output JSON path"
     )
     parser.add_argument(
         "--profile", metavar="PATH", default=None,
-        help="also cProfile the fast serial engine and write the hot-path "
-             "report to PATH (nightly artifact)",
+        help="also cProfile the simulator and write the hot-path report "
+             "to PATH (nightly artifact)",
     )
     args = parser.parse_args(argv)
     payload = run(args.quick)
@@ -279,21 +167,17 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.out}")
     if args.profile:
         profile_serial(args.profile)
-    if not payload["identical"]:
-        print("DIVERGENCE: simulator backends disagree", file=sys.stderr)
-        return 1
     return 0
 
 
-def test_sim_backends(benchmark):
-    """Pytest entry: quick mode must hold every correctness gate."""
+def test_cycle_sim(benchmark):
+    """Pytest entry: quick mode reproduces the baseline's exact counts."""
     payload = benchmark.pedantic(lambda: run(quick=True), rounds=1, iterations=1)
-    assert all(e["fast_identical"] for e in payload["scenes"])
+    baseline = json.loads(BASELINE.read_text())
+    base = {e["scene"]: e["serial"] for e in baseline["scenes"]}
     for entry in payload["scenes"]:
-        for s in entry["sharded"].values():
-            assert s["exact_counters_match"]
-            assert s["drift_ok"]
-    assert payload["headline_work_unit_speedup"] >= TARGET_WORK_UNIT_SPEEDUP
+        for field in ("cycles", "work_units"):
+            assert entry["serial"][field] == base[entry["scene"]][field]
 
 
 if __name__ == "__main__":

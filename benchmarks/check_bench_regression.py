@@ -8,13 +8,13 @@ Dispatches on the payload's ``benchmark`` field:
       PYTHONPATH=src python benchmarks/bench_tracer.py --quick --out BENCH_tracer.json
       python benchmarks/check_bench_regression.py --current BENCH_tracer.json
 
-* ``sim_backends`` (``bench_sim.py``) — CI's ``sim-bench`` job runs the
+* ``cycle_sim`` (``bench_sim.py``) — CI's ``sim-bench`` job runs the
   same pattern against
-  ``benchmarks/baselines/BENCH_sim.baseline.json``; correctness
-  (fast-loop identity, exact counters, drift tolerance, deterministic
-  work-unit speedup) gates, wall-clock only ever warns.  Each scene's
-  ``serial_vs_baseline`` (baseline serial seconds over the run's) is
-  printed on a PASS line, or a WARN line below 0.7x.
+  ``benchmarks/baselines/BENCH_sim.baseline.json``; each scene's serial
+  ``cycles`` and ``work_units`` must match the baseline exactly, and
+  wall-clock only ever warns.  Each scene's ``serial_vs_baseline``
+  (baseline serial seconds over the run's) is printed on a PASS line, or
+  a WARN line below 0.7x.
 
 For the tracer payload the build fails on anything that cannot be
 timing noise:
@@ -54,7 +54,7 @@ DEFAULT_BASELINE = BASELINE_DIR / "BENCH_tracer.baseline.json"
 #: ``benchmark`` field -> committed baseline for that payload kind.
 BASELINES_BY_KIND = {
     "tracer_backends": BASELINE_DIR / "BENCH_tracer.baseline.json",
-    "sim_backends": BASELINE_DIR / "BENCH_sim.baseline.json",
+    "cycle_sim": BASELINE_DIR / "BENCH_sim.baseline.json",
 }
 
 #: Speedup ratios compared against the baseline, per scene entry.
@@ -159,10 +159,8 @@ def _warn_ratio(
 ) -> None:
     """Wall-clock ratio drift: informational only, never gates.
 
-    The sim benchmark's wall-clock numbers measure the runner (CI
-    containers may expose a single core, making parallel wall speedup
-    structurally unreachable); the deterministic work-unit speedup is
-    what gates instead.
+    The sim benchmark's wall-clock numbers measure the runner; the exact
+    deterministic counts are what gate instead.
     """
     if current < baseline * 0.7:
         report.warn(
@@ -176,33 +174,12 @@ def _warn_ratio(
 def compare_sim(current: dict, baseline: dict) -> _Report:
     """Checks for a ``bench_sim.py`` payload pair.
 
-    Everything the simulator computes is deterministic, so determinism
-    checks are *exact* comparisons against the committed baseline (JSON
+    Everything the simulator computes is deterministic, so ``cycles`` and
+    ``work_units`` must match the committed baseline *exactly* (JSON
     round-trips binary64 exactly); only wall-clock entries are treated
     as noise.
     """
     report = _Report()
-
-    if not current.get("identical", False):
-        report.fail(
-            "sim backends diverged (fast!=reference, counter drift, or "
-            "speedup below target; see bench_sim.py output)"
-        )
-    else:
-        report.ok("fast loop identical, counters exact, drift in tolerance")
-
-    target = current.get("target_work_unit_speedup", 2.0)
-    headline = current.get("headline_work_unit_speedup", 0.0)
-    if headline < target:
-        report.fail(
-            f"headline work-unit speedup {headline:.2f}x below the "
-            f"{target:.1f}x target"
-        )
-    else:
-        report.ok(
-            f"headline work-unit speedup {headline:.2f}x (target {target:.1f}x)"
-        )
-
     base_scenes = {e["scene"]: e for e in baseline.get("scenes", [])}
     for entry in current.get("scenes", []):
         name = entry["scene"]
@@ -210,7 +187,6 @@ def compare_sim(current: dict, baseline: dict) -> _Report:
         if base is None:
             report.warn(f"{name}: no baseline entry; skipping comparison")
             continue
-        # Deterministic serial results: exact or the model changed.
         for field in ("cycles", "work_units"):
             ours, theirs = entry["serial"][field], base["serial"][field]
             if ours != theirs:
@@ -220,37 +196,10 @@ def compare_sim(current: dict, baseline: dict) -> _Report:
                 )
             else:
                 report.ok(f"{name}/serial: {field} unchanged")
-        _warn_ratio(
-            report, f"{name} fast-loop speedup", entry["fast_speedup"],
-            base["fast_speedup"],
-        )
-        # The reference loop shares the memory-path components, so the
-        # fast-loop ratio cannot show a simulator-wide gain; this can.
         if entry.get("serial_vs_baseline") is not None:
             _warn_ratio(
                 report, f"{name} serial_vs_baseline",
                 entry["serial_vs_baseline"], 1.0,
-            )
-        for shards, sharded in sorted(entry.get("sharded", {}).items()):
-            base_sharded = base.get("sharded", {}).get(shards)
-            if base_sharded is None:
-                report.warn(f"{name} x{shards}: no baseline entry; skipping")
-                continue
-            for field in (
-                "cycles", "work_units", "shard_work_units", "epochs",
-                "work_unit_speedup", "drift",
-            ):
-                ours, theirs = sharded[field], base_sharded[field]
-                if ours != theirs:
-                    report.fail(
-                        f"{name} x{shards}: {field} {ours} != baseline "
-                        f"{theirs} — sharded backend no longer deterministic"
-                    )
-                else:
-                    report.ok(f"{name} x{shards}: {field} unchanged")
-            _warn_ratio(
-                report, f"{name} x{shards} wall speedup",
-                sharded["wall_speedup"], base_sharded["wall_speedup"],
             )
     return report
 
@@ -292,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if kind == "sim_backends":
+    if kind == "cycle_sim":
         report = compare_sim(current, baseline)
     else:
         report = compare(current, baseline, args.max_slowdown)

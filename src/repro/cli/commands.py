@@ -46,22 +46,6 @@ __all__ = [
 ]
 
 
-def _apply_sim_backend(gpu, args):
-    """Fold ``--sim-backend`` / ``--sim-shards`` overrides into a config.
-
-    The flags beat both the preset default and an INI file's
-    ``sim_backend`` key; absent flags leave the resolved config alone.
-    """
-    from dataclasses import replace
-
-    overrides = {}
-    if getattr(args, "sim_backend", None):
-        overrides["sim_backend"] = args.sim_backend
-    if getattr(args, "sim_shards", None):
-        overrides["sim_shards"] = args.sim_shards
-    return replace(gpu, **overrides) if overrides else gpu
-
-
 def _workload(args) -> Workload:
     name = args.scene.upper()
     if name not in SCENE_NAMES + EXTRA_SCENES:
@@ -153,7 +137,7 @@ def cmd_heatmap(args) -> int:
 def cmd_simulate(args) -> int:
     """Run the full cycle-level simulation and print Table I metrics."""
     workload = _workload(args)
-    gpu = _apply_sim_backend(resolve_gpu(args.gpu), args)
+    gpu = resolve_gpu(args.gpu)
     runner = shared_runner()
     stats = runner.full_sim(workload, gpu)
     print(stats.summary())
@@ -165,7 +149,7 @@ def cmd_predict(args) -> int:
     if getattr(args, "remote", None):
         return _cmd_predict_remote(args)
     workload = _workload(args)
-    gpu = _apply_sim_backend(resolve_gpu(args.gpu), args)
+    gpu = resolve_gpu(args.gpu)
     runner = shared_runner()
     scene = runner.scene(workload.scene_name)
     frame = runner.frame(workload)

@@ -104,23 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
 
-    def add_sim_backend_args(p: argparse.ArgumentParser):
-        p.add_argument(
-            "--sim-backend", choices=("serial", "sharded"), default=None,
-            help=(
-                "cycle-simulator backend: exact event loop (serial, the "
-                "default) or epoch-synchronized parallel SM shards "
-                "(sharded; deterministic, bounded timing drift)"
-            ),
-        )
-        p.add_argument(
-            "--sim-shards", type=int, default=None,
-            help=(
-                "shard count for --sim-backend sharded (clamped to a "
-                "divisor of gcd(SMs, memory partitions))"
-            ),
-        )
-
     render = subparsers.add_parser("render", help="render a scene to PPM")
     add_workload_args(render)
     render.add_argument("--out", default=None, help="output .ppm path")
@@ -143,13 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_args(simulate)
     simulate.add_argument("--gpu", default="mobile",
                           help="GPU preset: mobile or rtx2060")
-    add_sim_backend_args(simulate)
     simulate.set_defaults(func=cmd_simulate)
 
     predict = subparsers.add_parser("predict", help="run the Zatel pipeline")
     add_workload_args(predict)
     predict.add_argument("--gpu", default="mobile")
-    add_sim_backend_args(predict)
     predict.add_argument("--division", choices=("fine", "coarse"), default="fine")
     predict.add_argument(
         "--distribution", choices=("uniform", "lintmp", "exptmp"),

@@ -195,13 +195,6 @@ class ZatelResult:
     #: that chose the pixels (see :meth:`~repro.core.samplers.Sampler.
     #: provenance`).
     sampler: dict = field(default_factory=dict)
-    #: Cycle-simulator backend the group simulations ran on ("serial" =
-    #: the exact event loop, "sharded" = epoch-synchronized parallel
-    #: shards with bounded timing drift).  Provenance for audits; note
-    #: that configs whose SM/partition counts are coprime (all downscaled
-    #: predict GPUs) degenerate to one shard and are byte-identical to
-    #: serial either way.
-    sim_backend: str = "serial"
     #: ``workers > 1`` was requested but the platform has no ``fork``
     #: start method, so the group simulations ran serially in-process.
     #: Metrics are unaffected (groups are independent); only wall-clock

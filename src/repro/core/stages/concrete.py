@@ -31,7 +31,7 @@ from typing import Any
 
 from ...errors import DegradedResultError
 from ...gpu.frontend import compile_kernel
-from ...gpu.simulator import make_simulator
+from ...gpu.simulator import CycleSimulator
 from ..combine import (
     combine_degraded_metrics,
     combine_degraded_variances,
@@ -208,9 +208,9 @@ class SimulateGroupStage(Stage):
     # v3: stats carry a telemetry field (interval snapshots + timelines).
     # v4: predictions carry replicate counts + per-metric variances
     #     (pluggable sampling engine refactor).
-    # v5: simulators come from make_simulator (backend-selectable engine;
-    #     stats carry sim_backend provenance).
-    code_version = "5"
+    # v5: simulators were backend-selectable; stats carried the backend.
+    # v6: one cycle simulator; stats no longer carry a backend field.
+    code_version = "6"
     cacheable = True
 
     def __init__(self, predictor) -> None:
@@ -231,7 +231,7 @@ class SimulateGroupStage(Stage):
             return self._run_fleet(
                 ctx, frame, quantized, groups, scaled_gpu, fractions, scene
             )
-        simulator = make_simulator(scaled_gpu, scene.addresses)
+        simulator = CycleSimulator(scaled_gpu, scene.addresses)
         predictor = self.predictor
 
         def task(index: int, attempt: int):  # noqa: ARG001
@@ -304,8 +304,9 @@ class CombineStage(Stage):
     # artifacts never alias across the refactor).
     # v3: results carry combined variances + sampler provenance
     #     (pluggable sampling engine refactor).
-    # v4: results carry simulator-backend provenance (sim_backend).
-    code_version = "4"
+    # v4: results carried simulator-backend provenance.
+    # v5: one cycle simulator; results no longer carry a backend field.
+    code_version = "5"
 
     def __init__(
         self, quorum: int | None = None, sampler_provenance: dict | None = None
@@ -368,7 +369,6 @@ class CombineStage(Stage):
             failures=list(failures),
             variances=variances,
             sampler=dict(self.sampler_provenance or {}),
-            sim_backend=scaled_gpu.sim_backend,
         )
 
 
@@ -381,9 +381,9 @@ class SamplingSimulateStage(Stage):
 
     name = "sampling_simulate"
     # v2: stats carry a telemetry field (interval snapshots + timelines).
-    # v3: simulators come from make_simulator (backend-selectable engine;
-    #     stats carry sim_backend provenance).
-    code_version = "3"
+    # v3: simulators were backend-selectable; stats carried the backend.
+    # v4: one cycle simulator; stats no longer carry a backend field.
+    code_version = "4"
     cacheable = True
 
     def __init__(
@@ -425,7 +425,7 @@ class SamplingSimulateStage(Stage):
             seed=self.seed,
         )
         warps = compile_kernel(frame, pixels, scene.addresses, selected=selected)
-        stats = make_simulator(gpu, scene.addresses).run(warps)
+        stats = CycleSimulator(gpu, scene.addresses).run(warps)
         stats.backend = getattr(frame, "backend", "scalar")
         return SamplingPrediction(
             fraction=self.fraction,

@@ -122,7 +122,7 @@ def execute_lease(store: ArtifactStore, bundle_key: str, index: int) -> str:
     the deterministic key is always safe.
     """
     from ..scene.registry import resolve_scene
-    from ..gpu.simulator import make_simulator
+    from ..gpu.simulator import CycleSimulator
 
     bundle = store.get(bundle_key)
     if bundle is None:
@@ -138,7 +138,7 @@ def execute_lease(store: ArtifactStore, bundle_key: str, index: int) -> str:
     # A SceneSpec rebuilds recipes and sequence frames from scratch; a
     # bare string is the legacy library-name form.
     scene = resolve_scene(bundle["scene"])
-    simulator = make_simulator(bundle["scaled_gpu"], scene.addresses)
+    simulator = CycleSimulator(bundle["scaled_gpu"], scene.addresses)
     prediction = bundle["predictor"]._predict_group(
         index,
         groups[index],

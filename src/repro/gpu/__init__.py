@@ -8,8 +8,7 @@ from .frontend import compile_kernel
 from .interconnect import Interconnect
 from .memory import MemorySubsystem
 from .rt_unit import RTStats, RTUnit
-from .parallel import ShardedCycleSimulator
-from .simulator import CoreStats, CycleSimulator, SimEngine, make_simulator
+from .simulator import CoreStats, CycleSimulator
 from .sm import SM, SMStats
 from .stats import (
     EXTENDED_METRICS,
@@ -73,8 +72,6 @@ __all__ = [
     "SM",
     "SMStats",
     "ServiceStats",
-    "ShardedCycleSimulator",
-    "SimEngine",
     "SimulationStats",
     "StatGroup",
     "StoreOp",
@@ -90,7 +87,6 @@ __all__ = [
     "export_zperf",
     "line_of",
     "load_config",
-    "make_simulator",
     "load_zperf",
     "merge_simulation_stats",
     "preset",

@@ -135,21 +135,6 @@ class GPUConfig:
     #: Record component timeline windows (issue stalls, RT occupancy, L2
     #: bank and DRAM channel contention) for ``.zperf`` export.
     timeline_trace: bool = False
-    # --- simulator backend selection ---
-    #: Which cycle-simulator implementation runs this config: ``"serial"``
-    #: (exact, the default) or ``"sharded"`` (SM shards simulated in
-    #: parallel worker processes with epoch-synchronized contention —
-    #: deterministic, bounded timing drift; see docs/architecture.md).
-    sim_backend: str = "serial"
-    #: Shard count the sharded backend aims for.  Clamped down to the
-    #: largest divisor of gcd(num_sms, num_mem_partitions) so every shard
-    #: owns whole SMs and whole memory partitions; 1 falls back to the
-    #: exact serial engine.
-    sim_shards: int = 4
-    #: Cycles between cross-shard synchronization points of the sharded
-    #: backend.  Smaller epochs track contention more closely; larger
-    #: epochs synchronize (and message) less often.
-    sim_epoch_cycles: int = 2048
 
     def __post_init__(self) -> None:
         if self.num_sms <= 0 or self.num_mem_partitions <= 0:
@@ -163,15 +148,17 @@ class GPUConfig:
                 f"unknown warp scheduler {self.warp_scheduler!r}; "
                 "use 'gto' or 'lrr'"
             )
-        if self.sim_backend not in ("serial", "sharded"):
-            raise ValueError(
-                f"unknown sim backend {self.sim_backend!r}; "
-                "use 'serial' or 'sharded'"
-            )
-        if self.sim_shards < 1:
-            raise ValueError("sim_shards must be >= 1")
-        if self.sim_epoch_cycles < 1:
-            raise ValueError("sim_epoch_cycles must be >= 1")
+        # Zero RT units or issue width, or zero registers per thread,
+        # would crash the simulator; zero RT slots would park every warp
+        # forever and silently return a truncated run.
+        for name in (
+            "rt_units_per_sm", "rt_max_warps", "issue_width",
+            "registers_per_thread",
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)!r}"
+                )
 
     @property
     def resident_warps_per_sm(self) -> int:

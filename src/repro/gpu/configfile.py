@@ -51,13 +51,10 @@ _GPU_FIELDS = (
     "warp_scheduler",
     "telemetry_interval",
     "timeline_trace",
-    "sim_backend",
-    "sim_shards",
-    "sim_epoch_cycles",
 )
 
 #: ``[gpu]`` keys parsed as strings / booleans (everything else is int).
-_STR_FIELDS = ("name", "warp_scheduler", "sim_backend")
+_STR_FIELDS = ("name", "warp_scheduler")
 _BOOL_FIELDS = ("timeline_trace",)
 
 #: Cache-valued fields, each serialized as its own section.

@@ -86,22 +86,6 @@ class DRAMChannel:
             self._pending_end = max(self._pending_end, completion)
         return completion
 
-    def add_external_delay(self, cycle: float, delay: float) -> None:
-        """Push the data-bus busy horizon for traffic this channel never saw.
-
-        The sharded simulator backend gives each shard a private channel
-        partition, losing cross-shard queueing.  At every epoch boundary
-        it reinjects a bounded penalty derived from the other shards'
-        request counts by occupying the bus for ``delay`` cycles starting
-        no earlier than ``cycle`` — local requests then queue behind it,
-        exactly as they would behind foreign requests under shared-channel
-        FCFS.  Only the busy horizon moves: the foreign traffic's data and
-        pending cycles are accounted on its own shard's channels.
-        """
-        if delay <= 0:
-            return
-        self._busy_until = max(self._busy_until, cycle) + delay
-
     def finalize(self) -> None:
         """Close the open pending interval; call once at end of simulation."""
         if self._pending_end >= self._pending_start:

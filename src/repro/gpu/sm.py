@@ -22,7 +22,7 @@ from .config import GPUConfig
 from .memory import MemorySubsystem
 from .rt_unit import RTUnit
 from .telemetry import Counter, NULL_BUS, StatGroup, TelemetryBus
-from .warp import ComputeOp, StoreOp, TraceOp
+from .warp import StoreOp, TraceOp
 
 __all__ = ["SM", "SMStats"]
 
@@ -202,15 +202,6 @@ class SM:
     # ------------------------------------------------------------------
     # op execution
     # ------------------------------------------------------------------
-
-    def execute_compute(self, op: ComputeOp, ready: float, op_slot: int = 0) -> float:
-        """Issue a compute op; returns the warp's next-ready cycle."""
-        issue_cycles = op.issue_cycles()
-        if issue_cycles == 0:  # fully masked (shouldn't normally happen)
-            return ready
-        fetch = self.fetch_instructions(op_slot)
-        grant = self.reserve_issue(ready + fetch, issue_cycles)
-        return grant + issue_cycles + self.config.alu_latency
 
     def pick_rt_unit(self) -> "RTUnit":
         """Round-robin RT-unit selection for the next traceRayEXT."""

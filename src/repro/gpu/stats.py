@@ -107,10 +107,6 @@ class SimulationStats:
     #: or "packet").  Provenance only — backends are byte-identical, so
     #: it never affects any metric.
     backend: str = ""
-    #: Simulator backend that produced this run ("serial" or "sharded").
-    #: Provenance only, like ``backend`` — the serial backend is exact and
-    #: the sharded backend's drift is bounded and documented.
-    sim_backend: str = ""
     #: Deterministic simulation-work proxy (events processed); stands in
     #: for host wall-clock when computing speedups reproducibly.
     work_units: int = 0
@@ -213,9 +209,8 @@ class SimulationStats:
         like one run's statistics but mean nothing.
 
         Raises:
-            ValueError: if ``config_name``, ``backend`` / ``sim_backend``
-                (when both are set), ``warp_size`` or ``resident_limit``
-                disagree.
+            ValueError: if ``config_name``, ``backend`` (when both are
+                set), ``warp_size`` or ``resident_limit`` disagree.
         """
         for attr in ("config_name", "warp_size", "resident_limit"):
             mine, theirs = getattr(self, attr), getattr(other, attr)
@@ -228,15 +223,6 @@ class SimulationStats:
             raise ValueError(
                 "cannot merge SimulationStats from different tracing "
                 f"backends: {self.backend!r} != {other.backend!r}"
-            )
-        if (
-            self.sim_backend
-            and other.sim_backend
-            and self.sim_backend != other.sim_backend
-        ):
-            raise ValueError(
-                "cannot merge SimulationStats from different simulator "
-                f"backends: {self.sim_backend!r} != {other.sim_backend!r}"
             )
         self.cycles = max(self.cycles, other.cycles)
         for attr in (
@@ -263,8 +249,6 @@ class SimulationStats:
             setattr(self, attr, getattr(self, attr) + getattr(other, attr))
         if not self.backend:
             self.backend = other.backend
-        if not self.sim_backend:
-            self.sim_backend = other.sim_backend
         self.telemetry = None  # interval timelines don't merge meaningfully
         return self
 

@@ -124,12 +124,6 @@ class WarpState:
     #: the park-to-wake span becomes an ``rt_wait`` timeline window).
     parked_cycle: float = 0.0
     #: Precomputed per-op dispatch table (kind code + derived scalars),
-    #: attached by the fast event loop so the per-pop path neither walks
+    #: attached by the event loop so the per-pop path neither walks
     #: an ``isinstance`` chain nor recomputes lane reductions.
     program: tuple = ()
-
-    def done(self) -> bool:
-        return self.op_index >= len(self.task.ops)
-
-    def next_op(self) -> WarpOp:
-        return self.task.ops[self.op_index]

@@ -33,7 +33,7 @@ from ..core.stages.store import ArtifactStore
 from ..core.stages.sweep import SweepPlanner, SweepPoint, SweepResult
 from ..gpu.config import GPUConfig
 from ..gpu.frontend import compile_kernel
-from ..gpu.simulator import make_simulator
+from ..gpu.simulator import CycleSimulator
 from ..gpu.stats import SimulationStats
 from ..scene.registry import resolve_scene
 from ..scene.scene import Scene
@@ -46,12 +46,14 @@ __all__ = ["Workload", "Runner", "shared_runner", "DEFAULT_WIDTH", "DEFAULT_HEIG
 #: Bump to invalidate on-disk caches after model-affecting code changes.
 #: v9: pluggable sampling engine (sampler identity in stage fingerprints,
 #: results carry variances + sampler provenance).
-#: v10: backend-selectable cycle simulator (SimulationStats carries
-#: sim_backend provenance; older pickles lack the field).
+#: v10: backend-selectable cycle simulator (SimulationStats carried
+#: simulator-backend provenance).
 #: v11: first-class scene specs (scene identity is a SceneSpec — recipe
 #: knobs, seeds and sequence frames enter every fingerprint; scenes carry
 #: their spec and scene_fingerprint hashes it).
-CACHE_VERSION = 11
+#: v12: one cycle simulator (the sharded backend is gone, and with it
+#: the backend provenance field on SimulationStats and ZatelResult).
+CACHE_VERSION = 12
 
 DEFAULT_WIDTH = 128
 DEFAULT_HEIGHT = 128
@@ -158,7 +160,7 @@ class Runner:
             frame = self.frame(workload)
             pixels = workload.settings().all_pixels()
             warps = compile_kernel(frame, pixels, scene.addresses)
-            stats = make_simulator(gpu, scene.addresses).run(warps)
+            stats = CycleSimulator(gpu, scene.addresses).run(warps)
             stats.backend = getattr(frame, "backend", "scalar")
             return stats
 

@@ -75,10 +75,6 @@ def result_payload(
             for record in result.failures
         ],
         "serial_fallback": result.serial_fallback,
-        # Simulator-backend provenance: which cycle-sim engine produced
-        # the group runs ("serial" is exact; "sharded" has bounded,
-        # documented drift — see docs/architecture.md).
-        "sim_backend": result.sim_backend,
         "host_seconds": result.host_seconds,
     }
 

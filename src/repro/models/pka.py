@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..core.extrapolate import linear_extrapolate
 from ..gpu.config import GPUConfig
 from ..gpu.frontend import compile_kernel
-from ..gpu.simulator import make_simulator
+from ..gpu.simulator import CycleSimulator
 from ..gpu.stats import SimulationStats
 from ..scene.scene import Scene
 from ..tracer.trace import FrameTrace
@@ -71,7 +71,7 @@ class PKAProjection:
         pixels = [
             (px, py) for py in range(frame.height) for px in range(frame.width)
         ]
-        simulator = make_simulator(self.gpu_config, scene.addresses)
+        simulator = CycleSimulator(self.gpu_config, scene.addresses)
         checkpoints: list[tuple[float, float]] = []
         work = 0
         previous_rate: float | None = None

@@ -16,8 +16,7 @@ from repro.scene.vecmath import vec3
 from repro.tracer import FunctionalTracer, RenderSettings
 
 
-@pytest.fixture(scope="session")
-def small_scene() -> Scene:
+def make_small_scene() -> Scene:
     """A compact deterministic scene: floor, diffuse sphere, mirror box."""
     materials = MaterialTable()
     red = materials.add(diffuse(0.8, 0.2, 0.2))
@@ -31,9 +30,18 @@ def small_scene() -> Scene:
     return Scene(tris, camera, lights, materials, name="small", max_bounces=2)
 
 
+#: Render settings of :func:`small_settings` (a 32x32 full-plane frame).
+SMALL_SETTINGS = RenderSettings(width=32, height=32, samples_per_pixel=1, seed=0)
+
+
+@pytest.fixture(scope="session")
+def small_scene() -> Scene:
+    return make_small_scene()
+
+
 @pytest.fixture(scope="session")
 def small_settings() -> RenderSettings:
-    return RenderSettings(width=32, height=32, samples_per_pixel=1, seed=0)
+    return SMALL_SETTINGS
 
 
 @pytest.fixture(scope="session")

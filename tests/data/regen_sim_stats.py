@@ -1,13 +1,12 @@
 """Regenerate sim_stats_golden.json: full simulator output on fixed runs.
 
-``CycleSimulator.run_reference`` shares ``SM``, ``RTUnit``, ``Cache`` and
-``MSHRTable`` with the fast engine, so an A/B comparison between the two
-cannot see a change inside the memory path.  This fixture pins every
-``SimulationStats`` field, plus a digest of the telemetry snapshots and
-timeline events, for each library scene on both GPU presets under both
-warp schedulers, and for one telemetry+timeline run and one prefetching
-run.  Run only after an *intentional* timing-model change, and say so in
-the commit:
+This fixture is the simulator's oracle.  It pins every ``SimulationStats``
+field, plus a digest of the telemetry snapshots and timeline events, for
+each library scene on both GPU presets under both warp schedulers.  Extra
+runs cover telemetry+timeline capture under both schedulers, RT
+prefetching, and one RT slot per unit (heavy warp parking and waking).
+Run only after an *intentional* timing-model change, and say so in the
+commit:
 
     PYTHONPATH=src python tests/data/regen_sim_stats.py
 """
@@ -41,6 +40,11 @@ RUNS["SPNZA/rtx2060/telemetry"] = (
     "SPNZA", "rtx2060", {"telemetry_interval": 500, "timeline_trace": True},
 )
 RUNS["BUNNY/mobile/prefetch2"] = ("BUNNY", "mobile", {"rt_prefetch_depth": 2})
+RUNS["BUNNY/mobile/rtslots1"] = ("BUNNY", "mobile", {"rt_max_warps": 1})
+RUNS["SPNZA/rtx2060/telemetry-lrr"] = (
+    "SPNZA", "rtx2060",
+    {"telemetry_interval": 500, "timeline_trace": True, "warp_scheduler": "lrr"},
+)
 
 
 def trace_warps(scene_name: str) -> tuple:

@@ -103,7 +103,7 @@ def test_speedup_improvement_passes(baseline):
 
 @pytest.fixture()
 def sim_baseline() -> dict:
-    return json.loads(checker.BASELINES_BY_KIND["sim_backends"].read_text())
+    return json.loads(checker.BASELINES_BY_KIND["cycle_sim"].read_text())
 
 
 def test_sim_baseline_vs_itself_passes(sim_baseline):
@@ -124,4 +124,16 @@ def test_sim_serial_vs_baseline_is_reported_and_never_gates(sim_baseline):
     assert any(
         line.startswith(f"WARN  {name1} serial_vs_baseline: 0.50x")
         for line in report.lines
+    )
+
+
+@pytest.mark.parametrize("field", ["cycles", "work_units"])
+def test_sim_count_drift_fails(sim_baseline, field):
+    baseline = copy.deepcopy(sim_baseline)
+    baseline["scenes"][0]["serial"][field] += 1
+    report = checker.compare_sim(sim_baseline, baseline)
+    assert report.failed
+    name = sim_baseline["scenes"][0]["scene"]
+    assert any(
+        line.startswith(f"FAIL  {name}/serial: {field}") for line in report.lines
     )

@@ -58,6 +58,26 @@ class TestErrorHandling:
         with pytest.raises(ValueError, match="unknown"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["rt_units_per_sm", "rt_max_warps", "issue_width", "registers_per_thread"],
+    )
+    def test_zero_component_count_rejected_naming_the_field(self, name, tmp_path):
+        path = save_config(MOBILE_SOC, tmp_path / "g.ini")
+        old = f"{name} = {getattr(MOBILE_SOC, name)}\n"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, f"{name} = 0\n"))
+        with pytest.raises(ValueError, match=name):
+            load_config(path)
+
+    def test_retired_sim_backend_key_rejected(self, tmp_path):
+        path = save_config(MOBILE_SOC, tmp_path / "g.ini")
+        text = path.read_text().replace("[gpu]", "[gpu]\nsim_backend = serial", 1)
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"unknown \[gpu\] key 'sim_backend'"):
+            load_config(path)
+
     def test_invalid_values_rejected_by_validators(self, tmp_path):
         path = save_config(MOBILE_SOC, tmp_path / "g.ini")
         text = path.read_text().replace("num_sms = 8", "num_sms = 0")

@@ -1,5 +1,7 @@
 """Tests for GPU configurations and downscaling (paper Table II, §III-C)."""
 
+import dataclasses
+
 import pytest
 
 from repro.gpu import MOBILE_SOC, RTX_2060, CacheConfig, GPUConfig, preset
@@ -114,3 +116,17 @@ class TestDownscaling:
                 name="bad", num_sms=0, num_mem_partitions=1,
                 registers_per_sm=1024, max_warps_per_sm=4,
             )
+
+
+#: Component counts the simulator divides by or allocates per SM.
+COMPONENT_COUNTS = (
+    "rt_units_per_sm", "rt_max_warps", "issue_width", "registers_per_thread",
+)
+
+
+class TestComponentCounts:
+    @pytest.mark.parametrize("name", COMPONENT_COUNTS)
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_below_one_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(MOBILE_SOC, **{name: value})

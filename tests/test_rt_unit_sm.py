@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu import MOBILE_SOC, Cache, CacheConfig, TraceOp, line_of
+from repro.gpu import MOBILE_SOC, Cache, CacheConfig, CycleSimulator, TraceOp, line_of
 from repro.gpu.memory import MemorySubsystem
 from repro.gpu.rt_unit import ACTIVE_LANE_BUCKETS, RTUnit, line_memos
 from repro.gpu.sm import SM
-from repro.gpu.warp import ComputeOp, StoreOp
+from repro.gpu.warp import ComputeOp, StoreOp, WarpTask
 from repro.scene.scene import AddressMap
 
 
@@ -77,24 +77,37 @@ class TestMemAccess:
 
 
 class TestComputeExecution:
-    def test_latency_is_issue_plus_alu(self, sm):
-        op = ComputeOp((8, 8, 8))
-        # First issue pays a cold icache fetch; a second warp hitting the
-        # same op slot does not.
-        cold = sm.execute_compute(op, 0.0)
-        assert cold == sm.config.icache.latency + 8 + sm.config.alu_latency
-        warm_start = 1000.0
-        warm = sm.execute_compute(op, warm_start)
-        assert warm == warm_start + 8 + sm.config.alu_latency
+    """Compute ops timed by the event loop on a one-SM GPU."""
 
-    def test_masked_op_is_free(self, sm):
-        assert sm.execute_compute(ComputeOp((0, 0)), 5.0) == 5.0
+    config = dataclasses.replace(MOBILE_SOC, num_sms=1)
 
-    def test_distinct_op_slots_fetch_separately(self, sm):
-        sm.execute_compute(ComputeOp((4,)), 0.0, op_slot=0)
-        before = sm.icache.stats.misses
-        sm.execute_compute(ComputeOp((4,)), 0.0, op_slot=40)  # new line
-        assert sm.icache.stats.misses == before + 1
+    def run_ops(self, *ops):
+        task = WarpTask(warp_id=0, pixels=(), ops=list(ops))
+        return CycleSimulator(self.config, AddressMap()).run([task])
+
+    def test_latency_is_issue_plus_alu(self):
+        # The first op pays a cold icache fetch; the next op slot shares
+        # its icache line and does not.
+        op_cycles = 8 + self.config.alu_latency
+        cold = self.run_ops(ComputeOp((8, 8, 8)))
+        assert cold.cycles == self.config.icache.latency + op_cycles
+        both = self.run_ops(ComputeOp((8, 8, 8)), ComputeOp((8, 8, 8)))
+        assert both.cycles == self.config.icache.latency + 2 * op_cycles
+
+    def test_masked_op_is_free(self):
+        stats = self.run_ops(ComputeOp((0, 0)))
+        assert stats.cycles == 0.0
+        assert stats.issued_warp_instructions == 0
+
+    def test_distinct_op_slots_fetch_separately(self):
+        # 16-byte slots in 128-byte lines: slot 8 starts a new icache line
+        # and pays a second cold fetch.
+        slots_per_line = self.config.icache.line_bytes // 16
+        ops = [ComputeOp((4,)) for _ in range(slots_per_line + 1)]
+        stats = self.run_ops(*ops)
+        assert stats.cycles == 2 * self.config.icache.latency + len(ops) * (
+            4 + self.config.alu_latency
+        )
 
 
 class TestStoreExecution:

@@ -2,10 +2,11 @@
 
 ``tests/data/sim_stats_golden.json`` holds every ``SimulationStats`` field,
 plus a digest of the telemetry snapshots and timeline events, for each
-library scene at 24x24 on both GPU presets under both warp schedulers, and
-for one telemetry+timeline run and one prefetching run.  The A/B suite
-compares two event loops that share ``SM``, ``RTUnit``, ``Cache`` and
-``MSHRTable``, so only this fixture sees a change inside the memory path.
+library scene at 24x24 on both GPU presets under both warp schedulers.
+Extra runs cover telemetry+timeline capture under both schedulers, RT
+prefetching, and one RT slot per unit (the parking/wake FIFO under slot
+pressure).  It is the oracle for ``CycleSimulator.run``: the event loop,
+the RT units and the whole memory path.
 
 Regenerating (only after an *intentional* timing-model change)::
 

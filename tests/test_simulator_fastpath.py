@@ -1,16 +1,19 @@
-"""The fast event loop is byte-identical to the reference loop.
+"""The event loop's dispatch table, RT wait queue and icache memo.
 
-``CycleSimulator.run`` drives the restructured :class:`~repro.gpu.
-simulator.SimEngine` (per-op dispatch table, slim heap entries, batched
-telemetry clock, memoized icache fetches); ``run_reference`` preserves
-the original straight-line loop.  Every optimization is pinned here by
-full-stats A/B comparison — including telemetry snapshots and timeline
-events, which observe intermediate (not just final) counter state.
+``CycleSimulator.run`` pre-compiles each warp's ops into dispatch rows,
+parks warps on a per-RT-unit FIFO when every slot is taken, and memoizes
+warm icache slots.  Whole-run output is pinned by
+``tests/data/sim_stats_golden.json`` and, on the small test scene, by
+``tests/data/fastpath_reference.json`` (recorded from the original
+straight-line reference loop); these tests pin the pieces.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+import importlib.util
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,99 +24,58 @@ from repro.gpu.warp import ComputeOp, StoreOp, TraceOp, WarpTask
 from repro.tracer import FunctionalTracer, RenderSettings
 
 
-def _assert_identical(fast, ref):
-    """Full-field equality, ignoring only wall-clock and telemetry."""
-    fast = replace(fast, host_seconds=0.0)
-    ref = replace(ref, host_seconds=0.0)
-    fast_tel, ref_tel = fast.telemetry, ref.telemetry
-    fast.telemetry = ref.telemetry = None
-    if fast != ref:
-        diffs = {
-            f.name: (getattr(fast, f.name), getattr(ref, f.name))
-            for f in fields(fast)
-            if getattr(fast, f.name) != getattr(ref, f.name)
-        }
-        raise AssertionError(f"fast loop diverged from reference: {diffs}")
-    if ref_tel is not None:
-        assert fast_tel is not None
-        assert fast_tel.interval == ref_tel.interval
-        assert fast_tel.snapshots == ref_tel.snapshots
-        assert fast_tel.events == ref_tel.events
+DATA = Path(__file__).parent / "data"
+REFERENCE = json.loads((DATA / "fastpath_reference.json").read_text())
+
+_spec = importlib.util.spec_from_file_location(
+    "regen_fastpath_reference", DATA / "regen_fastpath_reference.py"
+)
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
 
 
-def _run_both(config, scene, warps_factory):
-    sim = CycleSimulator(config, scene.addresses)
-    return sim.run(warps_factory()), sim.run_reference(warps_factory())
+def _assert_matches_reference(run_id, scene, settings, frame):
+    """Every stats field and the telemetry digest equal the reference's."""
+    got = regen.simulate(run_id, scene, settings, frame)
+    want = REFERENCE["runs"][run_id]
+    diffs = {k: (got.get(k), want.get(k)) for k in got.keys() | want.keys()
+             if got.get(k) != want.get(k)}
+    assert not diffs, f"event loop diverged from reference: {diffs}"
 
 
 class TestFastPathIdentity:
+    def test_reference_covers_run_plan(self):
+        assert set(REFERENCE["runs"]) == set(regen.RUNS)
+
     @pytest.mark.parametrize("scheduler", ["gto", "lrr"])
     def test_byte_identical(self, small_scene, small_frame, small_settings, scheduler):
-        config = replace(MOBILE_SOC, warp_scheduler=scheduler)
+        _assert_matches_reference(scheduler, small_scene, small_settings, small_frame)
 
-        def warps():
-            return compile_kernel(
-                small_frame, small_settings.all_pixels(), small_scene.addresses
-            )
-
-        fast, ref = _run_both(config, small_scene, warps)
-        _assert_identical(fast, ref)
-
-    @pytest.mark.parametrize("scheduler", ["gto", "lrr"])
+    # LRR with telemetry is pinned by sim_stats_golden.json's telemetry-lrr run.
+    @pytest.mark.parametrize("scheduler", ["gto"])
     def test_byte_identical_with_telemetry(
         self, small_scene, small_frame, small_settings, scheduler
     ):
         # Interval snapshots observe counters mid-run: they pin the batched
-        # advance()/local-counter-flush protocol, not just the final sums.
-        config = replace(
-            MOBILE_SOC,
-            warp_scheduler=scheduler,
-            telemetry_interval=200,
-            timeline_trace=True,
-        )
-
-        def warps():
-            return compile_kernel(
-                small_frame, small_settings.all_pixels(), small_scene.addresses
-            )
-
-        fast, ref = _run_both(config, small_scene, warps)
-        _assert_identical(fast, ref)
-
-    def test_byte_identical_under_rt_slot_pressure(
-        self, small_scene, small_frame, small_settings
-    ):
-        # One RT slot per unit forces heavy parking/waking: pins the
-        # deque-based FIFO wake order of both loops against each other.
-        config = replace(MOBILE_SOC, rt_max_warps=1)
-
-        def warps():
-            return compile_kernel(
-                small_frame, small_settings.all_pixels(), small_scene.addresses
-            )
-
-        fast, ref = _run_both(config, small_scene, warps)
-        _assert_identical(fast, ref)
+        # telemetry clock and local-counter flushes, not just the final sums.
+        run_id = f"telemetry-{scheduler}"
+        assert REFERENCE["runs"][run_id]["telemetry"]["snapshots"]
+        assert REFERENCE["runs"][run_id]["telemetry"]["events"]
+        _assert_matches_reference(run_id, small_scene, small_settings, small_frame)
 
     def test_byte_identical_with_prefetch(
         self, small_scene, small_frame, small_settings
     ):
-        config = replace(MOBILE_SOC, rt_prefetch_depth=2)
+        _assert_matches_reference(
+            "prefetch2", small_scene, small_settings, small_frame
+        )
 
-        def warps():
-            return compile_kernel(
-                small_frame, small_settings.all_pixels(), small_scene.addresses
-            )
 
-        fast, ref = _run_both(config, small_scene, warps)
-        _assert_identical(fast, ref)
-
-    def test_empty_workload(self, small_scene):
-        sim = CycleSimulator(MOBILE_SOC, small_scene.addresses)
-        _assert_identical(sim.run([]), sim.run_reference([]))
-
-    def test_sets_sim_backend_provenance(self, small_full_stats):
-        assert small_full_stats.sim_backend == "serial"
+def test_empty_workload(small_scene):
+    stats = CycleSimulator(MOBILE_SOC, small_scene.addresses).run([])
+    assert stats.cycles == 0.0
+    assert stats.instructions == 0
+    assert stats.work_units == 0
 
 
 class TestCompileProgram:
@@ -158,20 +120,15 @@ class TestRTWaiterQueue:
     def test_fast_loop_uses_single_fifo_per_unit(
         self, small_scene, small_frame, small_settings
     ):
-        # After a full run every waiter must have been woken (drained).
-        from repro.gpu.simulator import SimEngine
-
+        # One slot per unit parks most trace ops; every parked warp must
+        # be woken and run to completion.
         warps = compile_kernel(
             small_frame, small_settings.all_pixels(), small_scene.addresses
         )
         config = replace(MOBILE_SOC, rt_max_warps=1)
-        engine = SimEngine(config, small_scene.addresses, warps)
-        engine.run_until(float("inf"))
-        engine.finish()
-        for sm in engine.sms:
-            for unit in sm.rt_units:
-                assert not unit.waiters
-                assert unit.free_slots == unit.max_warps
+        stats = CycleSimulator(config, small_scene.addresses).run(warps)
+        assert stats.instructions == sum(w.instruction_count() for w in warps)
+        assert stats.cycles > 0
 
 
 class TestIcacheWarmSlotMemo:
@@ -201,51 +158,8 @@ class TestIcacheWarmSlotMemo:
         assert beyond not in sm._warm_op_slots
 
 
-class TestSimEngineResumability:
-    def test_epoch_stepping_matches_single_shot(
-        self, small_scene, small_frame, small_settings
-    ):
-        # The sharded backend steps engines epoch by epoch; chunked
-        # run_until calls must replay the serial run exactly.
-        from repro.gpu.simulator import SimEngine
-
-        def warps():
-            return compile_kernel(
-                small_frame, small_settings.all_pixels(), small_scene.addresses
-            )
-
-        whole = SimEngine(MOBILE_SOC, small_scene.addresses, warps())
-        whole.run_until(float("inf"))
-        one_shot = whole.finish()
-
-        stepped = SimEngine(MOBILE_SOC, small_scene.addresses, warps())
-        limit = 256.0
-        while not stepped.done:
-            stepped.run_until(limit)
-            limit += 256.0
-        chunked = stepped.finish()
-
-        _assert_identical(one_shot, chunked)
-
-    def test_explicit_sm_placement(self, small_scene, small_frame, small_settings):
-        # Pinning every warp to SM 0 must match a 1-SM config's layout.
-        from repro.gpu.simulator import SimEngine
-
-        warps = compile_kernel(
-            small_frame, small_settings.all_pixels(), small_scene.addresses
-        )
-        engine = SimEngine(
-            MOBILE_SOC, small_scene.addresses, warps, sm_of_task=[0] * len(warps)
-        )
-        assert len(engine.queues[0]) + sum(
-            1 for _, _, s in engine.heap if s.sm_index == 0
-        ) == len(warps)
-        for queue in engine.queues[1:]:
-            assert not queue
-
-
 def test_trace_smoke_regression(small_scene):
-    """Timeline trace still renders from a fast-path run (zperf shape)."""
+    """Timeline trace still renders from a simulator run (zperf shape)."""
     settings = RenderSettings(width=16, height=16, samples_per_pixel=1, seed=3)
     frame = FunctionalTracer(small_scene, settings).trace_frame()
     warps = compile_kernel(frame, settings.all_pixels(), small_scene.addresses)
