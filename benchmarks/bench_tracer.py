@@ -4,7 +4,8 @@ Times both backends on library scenes — ``trace_frame`` (records on, the
 profiling path) and ``render_image`` (records off, path-prediction cache
 on) — verifies their outputs are *identical*, and measures the cold
 end-to-end ``Zatel.predict`` wall-clock (functional trace + prediction)
-per backend.  Results are written to ``BENCH_tracer.json``.
+per backend.  Each benched scene also records its best-of-3
+``build_bvh`` seconds.  Results are written to ``BENCH_tracer.json``.
 
 Run as a script (what CI's perf-smoke step does):
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from repro.core import Zatel
 from repro.gpu import MOBILE_SOC
-from repro.scene import make_scene
+from repro.scene import build_bvh, make_scene
 from repro.tracer import FunctionalTracer, RenderSettings
 
 #: The headline scene/plane of the acceptance target (>= 5x rays/sec).
@@ -39,6 +40,9 @@ SIZE = 128
 FULL_SCENES = ("BUNNY", "SPNZA")
 
 BACKENDS = ("scalar", "packet")
+
+#: ``build_bvh`` runs per scene; the best one is recorded.
+BUILD_REPEATS = 3
 
 
 def _total_rays(frame) -> int:
@@ -82,6 +86,12 @@ def bench_scene(name: str, size: int, repeats: int) -> dict:
     scene = make_scene(name)
     scene.packed_bvh  # build the SoA arrays outside the timed region
     entry: dict = {"scene": name, "width": size, "height": size, "spp": 1}
+    build_best = float("inf")
+    for _ in range(BUILD_REPEATS):
+        t0 = time.perf_counter()
+        build_bvh(scene.triangles)
+        build_best = min(build_best, time.perf_counter() - t0)
+    entry["build_seconds"] = build_best
     entry["identical"] = _check_identical(scene, size)
     for backend in BACKENDS:
         tracer = FunctionalTracer(scene, _settings(backend, size))
@@ -162,7 +172,8 @@ def _report(payload: dict) -> str:
             f"packet {e['packet']['rays_per_sec']:,.0f} rays/s "
             f"({e['rays_per_sec_speedup']:.1f}x trace, "
             f"{e['render_speedup']:.1f}x render, "
-            f"identical={e['identical']})"
+            f"identical={e['identical']}); "
+            f"build_bvh {e['build_seconds'] * 1e3:.1f} ms"
         )
     p = payload["predict"]
     lines.append(

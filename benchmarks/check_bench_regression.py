@@ -32,8 +32,9 @@ timing noise:
   batched backend moves them.
 
 **Non-gating (warning only):** speedup wobble inside the tolerance
-band.  Absolute seconds are never compared — they measure the runner,
-not the code.
+band, and each scene's ``build_vs_baseline`` (baseline ``build_bvh``
+seconds over the run's; a WARN line below 0.7x).  Absolute seconds are
+never gated on — they measure the runner, not the code.
 
 The baseline is regenerated on purpose (never silently) with::
 
@@ -132,6 +133,11 @@ def compare(current: dict, baseline: dict, max_slowdown: float) -> _Report:
                 report, f"{name} {ratio}", entry[ratio], base[ratio],
                 max_slowdown,
             )
+        if "build_seconds" in entry and "build_seconds" in base:
+            _warn_ratio(
+                report, f"{name} build_vs_baseline",
+                base["build_seconds"] / entry["build_seconds"], 1.0,
+            )
 
     predict, base_predict = current.get("predict"), baseline.get("predict")
     if predict and base_predict:
@@ -159,8 +165,8 @@ def _warn_ratio(
 ) -> None:
     """Wall-clock ratio drift: informational only, never gates.
 
-    The sim benchmark's wall-clock numbers measure the runner; the exact
-    deterministic counts are what gate instead.
+    Wall-clock numbers measure the runner; exact deterministic outputs
+    (counts, metrics, identities) are what gate instead.
     """
     if current < baseline * 0.7:
         report.warn(

@@ -13,9 +13,12 @@ Two build strategies are provided:
 * ``sah`` — binned surface-area-heuristic split (better trees for the
   clutter-heavy library scenes; the default).
 
-The traversal hot path is written in scalar Python floats rather than numpy:
-per-node numpy ops on 3-vectors cost microseconds each, which would dominate
-the multi-million-node-visit frame traces the experiments run.
+The build runs NumPy reductions over each node's primitives (a few
+thousand nodes per scene, each reducing many rows at once), and produces
+exactly the tree of a scalar per-primitive build.  The traversal hot path
+stays in scalar Python floats rather than numpy: per-node numpy ops on
+3-vectors cost microseconds each, which would dominate the
+multi-million-node-visit frame traces the experiments run.
 """
 
 from __future__ import annotations
@@ -91,47 +94,34 @@ class BVH:
 
     def _flatten(self) -> None:
         """Precompute scalar-tuple views of nodes/triangles for traversal."""
+        nodes = self.nodes
+        lo = np.array([node.bounds.lo for node in nodes], dtype=np.float64)
+        hi = np.array([node.bounds.hi for node in nodes], dtype=np.float64)
+        links = np.array(
+            [(node.left, node.right, node.first, node.count) for node in nodes]
+        )
         # Per-node: (lox, loy, loz, hix, hiy, hiz, left, right, first, count).
-        flat_nodes = []
-        for node in self.nodes:
-            lo, hi = node.bounds.lo, node.bounds.hi
-            flat_nodes.append(
-                (
-                    float(lo[0]), float(lo[1]), float(lo[2]),
-                    float(hi[0]), float(hi[1]), float(hi[2]),
-                    node.left, node.right, node.first, node.count,
-                )
-            )
-        self._flat_nodes = flat_nodes
+        self._flat_nodes = [
+            (*box, node.left, node.right, node.first, node.count)
+            for box, node in zip(np.hstack((lo, hi)).tolist(), nodes)
+        ]
         # Per-interior-node traversal-order hint: axis of largest child
         # centroid separation and whether the left child sits on its lower
         # side.  Leaves get (0, True) placeholders.
-        order_hints: list[tuple[int, bool]] = []
-        for node in self.nodes:
-            if node.is_leaf:
-                order_hints.append((0, True))
-                continue
-            lc = self.nodes[node.left].bounds.centroid()
-            rc = self.nodes[node.right].bounds.centroid()
-            sep = lc - rc
-            axis = int(np.argmax(np.abs(sep)))
-            order_hints.append((axis, bool(sep[axis] <= 0.0)))
-        self._order_hints = order_hints
+        centers = 0.5 * (lo + hi)  # AABB.centroid()
+        sep = centers[links[:, 0]] - centers[links[:, 1]]
+        axis = np.argmax(np.abs(sep), axis=1)
+        left_is_lower = sep[np.arange(len(nodes)), axis] <= 0.0
+        leaf = links[:, 3] > 0
+        axis[leaf] = 0
+        left_is_lower[leaf] = True
+        self._order_hints = list(zip(axis.tolist(), left_is_lower.tolist()))
         # Per-triangle Moller-Trumbore operands as scalars:
         # (v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z).
-        flat_tris = []
-        for tri in self.triangles:
-            v0, v1, v2 = tri.v0, tri.v1, tri.v2
-            e1 = v1 - v0
-            e2 = v2 - v0
-            flat_tris.append(
-                (
-                    float(v0[0]), float(v0[1]), float(v0[2]),
-                    float(e1[0]), float(e1[1]), float(e1[2]),
-                    float(e2[0]), float(e2[1]), float(e2[2]),
-                )
-            )
-        self._flat_tris = flat_tris
+        v0, v1, v2 = _stack_vertices(self.triangles)
+        self._flat_tris = list(
+            map(tuple, np.concatenate((v0, v1 - v0, v2 - v0), axis=1).tolist())
+        )
 
     @property
     def root(self) -> BVHNode:
@@ -346,136 +336,141 @@ def build_bvh(
 ) -> BVH:
     """Build a BVH over ``triangles``.
 
+    Each node is built with NumPy reductions over its primitives' rows.
+    The tree is defined by the scalar build (chained ``AABB.union``,
+    per-primitive SAH binning, stable list partitions); every step here
+    performs the same IEEE operations, or exact ones (min/max), so the tree
+    is identical node for node.
+
     Args:
         triangles: primitive list (not modified; the BVH stores a reference).
         method: ``"sah"`` (binned SAH) or ``"median"`` (longest-axis median).
         leaf_size: stop splitting at or below this many primitives.
 
     Raises:
-        ValueError: for an empty triangle list or unknown ``method``.
+        ValueError: for an empty triangle list, a triangle with a NaN or
+            infinite vertex, or an unknown ``method``.
     """
     if not triangles:
         raise ValueError("cannot build a BVH over zero triangles")
     if method not in ("sah", "median"):
         raise ValueError(f"unknown BVH build method: {method!r}")
+    verts = _stack_vertices(triangles)
+    bad = ~np.isfinite(verts).all(axis=(0, 2))
+    if bad.any():
+        raise ValueError(
+            f"triangle {int(np.argmax(bad))} has a non-finite vertex"
+        )
 
-    centroids = np.array([t.centroid() for t in triangles])
-    prim_bounds = [t.bounds() for t in triangles]
-    order = list(range(len(triangles)))
+    # One row per slot: (centroid, primitive lo, primitive hi), computed as
+    # Triangle.centroid() and Triangle.bounds() do.  Rows are permuted
+    # together with ``order`` as each node's slot range is partitioned.
+    v0, v1, v2 = verts
+    rows = np.concatenate(
+        (
+            (v0 + v1 + v2) / 3.0,
+            np.minimum(np.minimum(v0, v1), v2),
+            np.maximum(np.maximum(v0, v1), v2),
+        ),
+        axis=1,
+    ).astype(np.float64)
+    order = np.arange(len(triangles))
     nodes: list[BVHNode] = []
-
-    def bounds_of(slots: range) -> AABB:
-        b = AABB.empty()
-        for slot in slots:
-            b = b.union(prim_bounds[order[slot]])
-        return b
-
-    def centroid_bounds_of(slots: range) -> AABB:
-        b = AABB.empty()
-        for slot in slots:
-            b = b.union_point(centroids[order[slot]])
-        return b
 
     def build_range(first: int, count: int) -> int:
         """Recursively build the subtree over ``order[first:first+count]``."""
-        slots = range(first, first + count)
+        end = first + count
+        seg = rows[first:end]
+        # Reducing over axis 0 folds the rows in slot order with
+        # np.minimum/np.maximum, as the chained unions do, so even the sign
+        # of a zero bound matches.
+        low = seg.min(axis=0)
+        high = seg.max(axis=0)
         node_index = len(nodes)
-        nodes.append(BVHNode(bounds=bounds_of(slots)))
-        cb = centroid_bounds_of(slots)
-        too_small = count <= leaf_size
+        # Copies, so a node does not keep its 9-wide reductions alive.
+        node = BVHNode(bounds=AABB(low[3:6].copy(), high[6:9].copy()))
+        nodes.append(node)
+        extent = high[:3] - low[:3]
         # All centroids coincident: no split can separate them.
-        degenerate = bool(np.all(cb.hi - cb.lo < 1e-12))
-        if too_small or degenerate:
-            nodes[node_index].first = first
-            nodes[node_index].count = count
+        if count <= leaf_size or bool(np.all(extent < 1e-12)):
+            node.first = first
+            node.count = count
             return node_index
 
-        if method == "median":
-            mid = _median_split(order, centroids, first, count, cb)
+        axis = int(np.argmax(extent))
+        split = None
+        if method == "sah":
+            split = _sah_partition(
+                seg[:, axis], low[axis], extent[axis], seg[:, 3:6], seg[:, 6:9]
+            )
+        if split is None:  # median build, or SAH found no finite cost
+            perm = np.argsort(seg[:, axis], kind="stable")
+            mid = first + count // 2
         else:
-            mid = _sah_split(order, centroids, prim_bounds, first, count, cb)
-        left = build_range(first, mid - first)
-        right = build_range(mid, first + count - mid)
-        nodes[node_index].left = left
-        nodes[node_index].right = right
+            perm, left_count = split
+            mid = first + left_count
+        rows[first:end] = seg[perm]
+        order[first:end] = order[first:end][perm]
+        node.left = build_range(first, mid - first)
+        node.right = build_range(mid, end - mid)
         return node_index
 
     build_range(0, len(triangles))
-    return BVH(triangles, nodes, order)
+    return BVH(triangles, nodes, order.tolist())
 
 
-def _median_split(
-    order: list[int],
-    centroids: np.ndarray,
-    first: int,
-    count: int,
-    centroid_bounds: AABB,
-) -> int:
-    """Partition ``order[first:first+count]`` at the centroid median."""
-    axis = centroid_bounds.longest_axis()
-    segment = order[first : first + count]
-    segment.sort(key=lambda i: centroids[i][axis])
-    order[first : first + count] = segment
-    return first + count // 2
+def _stack_vertices(triangles: list[Triangle]) -> np.ndarray:
+    """The triangles' vertices as a (3, N, 3) array: ``v0``, ``v1``, ``v2``."""
+    return np.array([(t.v0, t.v1, t.v2) for t in triangles]).transpose(1, 0, 2)
 
 
-def _sah_split(
-    order: list[int],
-    centroids: np.ndarray,
-    prim_bounds: list[AABB],
-    first: int,
-    count: int,
-    centroid_bounds: AABB,
-) -> int:
-    """Binned SAH partition; falls back to median when SAH finds no win."""
-    axis = centroid_bounds.longest_axis()
-    lo = float(centroid_bounds.lo[axis])
-    hi = float(centroid_bounds.hi[axis])
-    extent = hi - lo
-    if extent < 1e-12:
-        return _median_split(order, centroids, first, count, centroid_bounds)
+def _sah_partition(
+    keys: np.ndarray,
+    lo: float,
+    extent: float,
+    prim_lo: np.ndarray,
+    prim_hi: np.ndarray,
+) -> tuple[np.ndarray, int] | None:
+    """Binned SAH over one node's rows.
 
-    # Bin primitives by centroid.
-    bin_counts = [0] * _SAH_BINS
-    bin_bounds = [AABB.empty() for _ in range(_SAH_BINS)]
-    tri_bins: dict[int, int] = {}
-    for slot in range(first, first + count):
-        tri = order[slot]
-        b = min(
-            _SAH_BINS - 1,
-            int(_SAH_BINS * (float(centroids[tri][axis]) - lo) / extent),
-        )
-        tri_bins[tri] = b
-        bin_counts[b] += 1
-        bin_bounds[b] = bin_bounds[b].union(prim_bounds[tri])
+    Returns the stable permutation putting the left side first and the left
+    side's size, or ``None`` when no candidate plane has a finite cost.
+    ``keys`` are the centroids on the split axis, ``lo``/``extent`` their
+    range.
+    """
+    # Same IEEE operations as ``int(8 * (c - lo) / extent)``; truncation
+    # matches int() because c >= lo.  A centroid at the top lands in bin 7.
+    bins = np.minimum(
+        _SAH_BINS - 1, (_SAH_BINS * (keys - lo) / extent).astype(np.int64)
+    )
+    box_lo = np.full((_SAH_BINS, 3), _INF)
+    box_hi = np.full((_SAH_BINS, 3), -_INF)
+    np.minimum.at(box_lo, bins, prim_lo)
+    np.maximum.at(box_hi, bins, prim_hi)
+    # Candidate i splits bins [0, i] from [i + 1, 8).  The lowest centroid
+    # is in bin 0 and the highest in bin 7, so no side is ever empty.
+    left_count = np.cumsum(np.bincount(bins, minlength=_SAH_BINS))[:-1]
+    right_count = len(keys) - left_count
+    left_area = _surface_areas(
+        np.minimum.accumulate(box_lo)[:-1], np.maximum.accumulate(box_hi)[:-1]
+    )
+    right_area = _surface_areas(
+        np.minimum.accumulate(box_lo[::-1])[-2::-1],
+        np.maximum.accumulate(box_hi[::-1])[-2::-1],
+    )
+    cost = left_count * left_area + right_count * right_area
+    # A strict ``<`` sweep from +inf: the first minimal finite cost wins
+    # (a NaN cost, from an overflowing extent, never does).
+    cost[~(cost < _INF)] = _INF
+    plane = int(np.argmin(cost))
+    if cost[plane] == _INF:
+        return None
+    left = bins <= plane
+    perm = np.concatenate((np.flatnonzero(left), np.flatnonzero(~left)))
+    return perm, int(np.count_nonzero(left))
 
-    # Sweep candidate split planes between bins, minimizing SAH cost.
-    best_cost = math.inf
-    best_plane = -1
-    for plane in range(1, _SAH_BINS):
-        left_count = sum(bin_counts[:plane])
-        right_count = count - left_count
-        if left_count == 0 or right_count == 0:
-            continue
-        left_box = AABB.empty()
-        for b in range(plane):
-            left_box = left_box.union(bin_bounds[b])
-        right_box = AABB.empty()
-        for b in range(plane, _SAH_BINS):
-            right_box = right_box.union(bin_bounds[b])
-        cost = (
-            left_count * left_box.surface_area()
-            + right_count * right_box.surface_area()
-        )
-        if cost < best_cost:
-            best_cost = cost
-            best_plane = plane
-    if best_plane < 0:
-        return _median_split(order, centroids, first, count, centroid_bounds)
 
-    # Stable partition of the slot range by bin side.
-    segment = order[first : first + count]
-    left_side = [t for t in segment if tri_bins[t] < best_plane]
-    right_side = [t for t in segment if tri_bins[t] >= best_plane]
-    order[first : first + count] = left_side + right_side
-    return first + len(left_side)
+def _surface_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`AABB.surface_area` of non-empty boxes (same operations)."""
+    d = hi - lo
+    return 2.0 * (d[:, 0] * d[:, 1] + d[:, 1] * d[:, 2] + d[:, 2] * d[:, 0])

@@ -1,12 +1,15 @@
-"""BVH construction and traversal tests, including the brute-force oracle."""
+"""BVH construction and traversal tests, including the brute-force oracle
+and the scalar reference build the NumPy builder must reproduce."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scene.bvh import BVH, TraversalRecord, build_bvh
-from repro.scene.geometry import Ray, Triangle
+from repro.scene.bvh import BVH, BVHNode, TraversalRecord, build_bvh
+from repro.scene.geometry import AABB, Ray, Triangle
 from repro.scene.meshes import icosphere, random_blob_field
 from repro.scene.vecmath import vec3
 
@@ -195,3 +198,266 @@ class TestSceneMeshes:
         assert (expected is None) == (actual is None)
         if expected:
             assert actual.primitive_index == expected.primitive_index
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference build.  This is the builder the tree is defined by:
+# chained AABB unions per node, per-primitive SAH binning with the strict-<
+# plane sweep, and stable list partitions.  ``build_bvh`` must reproduce it
+# node for node.
+# ---------------------------------------------------------------------------
+
+_SAH_BINS = 8
+
+
+def reference_build(triangles, method, leaf_size):
+    """``(nodes, primitive_order)`` from the scalar build."""
+    centroids = np.array([t.centroid() for t in triangles])
+    prim_bounds = [t.bounds() for t in triangles]
+    order = list(range(len(triangles)))
+    nodes = []
+
+    def union_of(slots, boxes):
+        b = AABB.empty()
+        for slot in slots:
+            b = b.union(boxes[order[slot]])
+        return b
+
+    def build_range(first, count):
+        slots = range(first, first + count)
+        node_index = len(nodes)
+        nodes.append(BVHNode(bounds=union_of(slots, prim_bounds)))
+        cb = AABB.empty()
+        for slot in slots:
+            cb = cb.union_point(centroids[order[slot]])
+        if count <= leaf_size or bool(np.all(cb.hi - cb.lo < 1e-12)):
+            nodes[node_index].first = first
+            nodes[node_index].count = count
+            return node_index
+        if method == "median":
+            mid = _reference_median(order, centroids, first, count, cb)
+        else:
+            mid = _reference_sah(order, centroids, prim_bounds, first, count, cb)
+        nodes[node_index].left = build_range(first, mid - first)
+        nodes[node_index].right = build_range(mid, first + count - mid)
+        return node_index
+
+    build_range(0, len(triangles))
+    return nodes, order
+
+
+def _reference_median(order, centroids, first, count, centroid_bounds):
+    axis = centroid_bounds.longest_axis()
+    segment = order[first : first + count]
+    segment.sort(key=lambda i: centroids[i][axis])
+    order[first : first + count] = segment
+    return first + count // 2
+
+
+def _reference_sah(order, centroids, prim_bounds, first, count, centroid_bounds):
+    axis = centroid_bounds.longest_axis()
+    lo = float(centroid_bounds.lo[axis])
+    extent = float(centroid_bounds.hi[axis]) - lo
+    if extent < 1e-12:
+        return _reference_median(order, centroids, first, count, centroid_bounds)
+    bin_counts = [0] * _SAH_BINS
+    bin_bounds = [AABB.empty() for _ in range(_SAH_BINS)]
+    tri_bins = {}
+    for slot in range(first, first + count):
+        tri = order[slot]
+        b = min(
+            _SAH_BINS - 1,
+            int(_SAH_BINS * (float(centroids[tri][axis]) - lo) / extent),
+        )
+        tri_bins[tri] = b
+        bin_counts[b] += 1
+        bin_bounds[b] = bin_bounds[b].union(prim_bounds[tri])
+    best_cost = math.inf
+    best_plane = -1
+    for plane in range(1, _SAH_BINS):
+        left_count = sum(bin_counts[:plane])
+        right_count = count - left_count
+        if left_count == 0 or right_count == 0:
+            continue
+        left_box = AABB.empty()
+        for b in range(plane):
+            left_box = left_box.union(bin_bounds[b])
+        right_box = AABB.empty()
+        for b in range(plane, _SAH_BINS):
+            right_box = right_box.union(bin_bounds[b])
+        cost = (
+            left_count * left_box.surface_area()
+            + right_count * right_box.surface_area()
+        )
+        if cost < best_cost:
+            best_cost = cost
+            best_plane = plane
+    if best_plane < 0:
+        return _reference_median(order, centroids, first, count, centroid_bounds)
+    segment = order[first : first + count]
+    left_side = [t for t in segment if tri_bins[t] < best_plane]
+    right_side = [t for t in segment if tri_bins[t] >= best_plane]
+    order[first : first + count] = left_side + right_side
+    return first + len(left_side)
+
+
+def reference_flatten(triangles, nodes):
+    """``(_flat_nodes, _order_hints, _flat_tris)`` from scalar loops."""
+    flat_nodes = [
+        (
+            *(float(x) for x in node.bounds.lo),
+            *(float(x) for x in node.bounds.hi),
+            node.left, node.right, node.first, node.count,
+        )
+        for node in nodes
+    ]
+    hints = []
+    for node in nodes:
+        if node.is_leaf:
+            hints.append((0, True))
+            continue
+        sep = nodes[node.left].bounds.centroid() - nodes[node.right].bounds.centroid()
+        axis = int(np.argmax(np.abs(sep)))
+        hints.append((axis, bool(sep[axis] <= 0.0)))
+    flat_tris = [
+        tuple(float(x) for x in (*t.v0, *(t.v1 - t.v0), *(t.v2 - t.v0)))
+        for t in triangles
+    ]
+    return flat_nodes, hints, flat_tris
+
+
+def assert_same_tree(triangles, bvh, method, leaf_size):
+    ref_nodes, ref_order = reference_build(triangles, method, leaf_size)
+    assert bvh.primitive_order == ref_order
+    assert [(n.left, n.right, n.first, n.count) for n in bvh.nodes] == [
+        (n.left, n.right, n.first, n.count) for n in ref_nodes
+    ]
+    # Bytes, not ==, so the sign of every zero bound is pinned too.
+    for node, ref in zip(bvh.nodes, ref_nodes):
+        assert node.bounds.lo.tobytes() == ref.bounds.lo.tobytes()
+        assert node.bounds.hi.tobytes() == ref.bounds.hi.tobytes()
+    # repr pins the sign of zeros and the Python scalar types.
+    flat_nodes, hints, flat_tris = reference_flatten(triangles, ref_nodes)
+    assert repr(bvh._flat_nodes) == repr(flat_nodes)
+    assert repr(bvh._order_hints) == repr(hints)
+    assert repr(bvh._flat_tris) == repr(flat_tris)
+
+
+# A coarse grid makes duplicate vertices, coincident centroids, centroids on
+# bin edges and tied SAH costs common; -0.0 exercises zero-sign ties.
+_grid = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+_coord = st.one_of(_grid, st.floats(-10.0, 10.0, allow_nan=False))
+_vertex = st.tuples(_coord, _coord, _coord)
+
+
+@st.composite
+def triangle_soups(draw):
+    """Small triangle lists, optionally with duplicates and a flat axis.
+
+    Some soups are copies of one triangle at integer offsets along x, which
+    makes different SAH partitions tie in cost.
+    """
+    if draw(st.booleans()):
+        shape = draw(st.tuples(_vertex, _vertex, _vertex))
+        offsets = draw(st.lists(st.integers(0, 8), min_size=1, max_size=24))
+        corners = [
+            tuple((x + dx, y, z) for x, y, z in shape) for dx in offsets
+        ]
+    else:
+        corners = draw(
+            st.lists(st.tuples(_vertex, _vertex, _vertex), min_size=1, max_size=40)
+        )
+    corners += draw(st.lists(st.sampled_from(corners), max_size=12))
+    flat_axis = draw(st.sampled_from([None, 0, 1, 2]))
+    tris = []
+    for corner in corners:
+        verts = [np.array(v, dtype=np.float64) for v in corner]
+        if flat_axis is not None:
+            for v in verts:
+                v[flat_axis] = 0.5
+        tris.append(Triangle(*verts))
+    return tris
+
+
+class TestMatchesScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        triangle_soups(),
+        st.sampled_from(["sah", "median"]),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_property_identical_tree(self, tris, method, leaf_size):
+        bvh = build_bvh(tris, method=method, leaf_size=leaf_size)
+        assert_same_tree(tris, bvh, method, leaf_size)
+
+    @pytest.mark.parametrize("method", ["sah", "median"])
+    def test_random_scene(self, method):
+        tris = random_triangles(np.random.default_rng(42), 300)
+        assert_same_tree(tris, build_bvh(tris, method=method), method, 4)
+
+    def test_sah_cost_tie_keeps_first_plane(self):
+        # Centroids at x = 0, 4 and 8 fill bins 0, 4 and 7 (c == hi lands
+        # in bin 7).  Splits {0}|{4, 8} and {0, 4}|{8} cost exactly the
+        # same; the strict-< sweep keeps the first.
+        tris = [
+            Triangle(vec3(x - 1, 0, 0), vec3(x + 1, 0, 0), vec3(x, 1, 0))
+            for x in (8, 0, 4)
+        ]
+        bvh = build_bvh(tris, leaf_size=1)
+        assert_same_tree(tris, bvh, "sah", 1)
+        assert bvh.nodes[bvh.root.left].count == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_costs_fall_back_to_median(self):
+        # A triangle spanning +-1e308 in x has an infinite box width; flat
+        # in z, every box holding it has surface area inf * 0 = NaN.  A
+        # NaN cost never wins the sweep, so every plane loses and the
+        # node falls back to the median split.
+        tris = [Triangle(vec3(-1e308, 0, 0), vec3(1e308, 0, 0), vec3(0, 1, 0))]
+        tris += [
+            Triangle(vec3(0, y, 0), vec3(1, y, 0), vec3(0, y + 1, 0))
+            for y in (0, 2, 3, 5, 6, 8)
+        ]
+        assert_same_tree(tris, build_bvh(tris, leaf_size=1), "sah", 1)
+
+    def test_signed_zero_bounds(self):
+        # Both zero signs on every node's low face: the bounds keep the
+        # sign the chained union fold keeps.
+        tris = [
+            Triangle(vec3(s * 0.0, s * 0.0, 0), vec3(x, 1, 0), vec3(x, 0, 1))
+            for x in range(1, 9)
+            for s in (1.0, -1.0)
+        ]
+        for method in ("sah", "median"):
+            bvh = build_bvh(tris, method=method, leaf_size=1)
+            assert_same_tree(tris, bvh, method, 1)
+
+
+def _ten_triangles():
+    return [
+        Triangle(vec3(i, 0, 0), vec3(i + 1, 0, 0), vec3(i, 1, 0))
+        for i in range(10)
+    ]
+
+
+# Triangle() itself warns while computing the normal of an infinite vertex.
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteVertices:
+    @pytest.mark.parametrize("method", ["sah", "median"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejected_naming_the_triangle(self, method, bad):
+        tris = _ten_triangles()
+        tris[3] = Triangle(vec3(3, 0, 0), vec3(4, bad, 0), vec3(3, 1, 0))
+        tris[7] = Triangle(vec3(7, 0, bad), vec3(8, 0, 0), vec3(7, 1, 0))
+        with pytest.raises(ValueError, match="triangle 3 has a non-finite vertex"):
+            build_bvh(tris, method=method)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_small_list_rejected(self, bad):
+        # Two triangles build a single leaf: nothing downstream would fail.
+        tris = [
+            Triangle(vec3(bad, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0)),
+            Triangle(vec3(0, 0, 1), vec3(1, 0, 1), vec3(0, 1, 1)),
+        ]
+        with pytest.raises(ValueError, match="triangle 0"):
+            build_bvh(tris)
