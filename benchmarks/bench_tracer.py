@@ -5,7 +5,9 @@ profiling path) and ``render_image`` (records off, path-prediction cache
 on) — verifies their outputs are *identical*, and measures the cold
 end-to-end ``Zatel.predict`` wall-clock (functional trace + prediction)
 per backend.  Each benched scene also records its best-of-3
-``build_bvh`` seconds.  Results are written to ``BENCH_tracer.json``.
+``build_bvh`` seconds and ``frame_bytes_per_entry``: the bytes a
+packet-traced frame retains (tracemalloc) per node or triangle record
+entry.  Results are written to ``BENCH_tracer.json``.
 
 Run as a script (what CI's perf-smoke step does):
 
@@ -21,9 +23,11 @@ same experiment runs once and asserts equivalence the same way.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +78,29 @@ def _check_identical(scene, size: int) -> bool:
     )
 
 
+def _frame_bytes_per_entry(scene, size: int) -> float:
+    """Bytes a packet-traced frame retains per node or triangle entry.
+
+    Measured with tracemalloc after ``gc.collect()``; the scene's packed
+    BVH must already be built (it is shared by every frame).
+    """
+    tracer = FunctionalTracer(scene, _settings("packet", size))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        frame = tracer.trace_frame()
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = sum(
+        len(s.nodes) + len(s.tris)
+        for trace in frame.pixels.values()
+        for s in trace.segments
+    )
+    return retained / entries
+
+
 def bench_scene(name: str, size: int, repeats: int) -> dict:
     """Trace and render one scene with both backends; best-of-N timings.
 
@@ -81,8 +108,6 @@ def bench_scene(name: str, size: int, repeats: int) -> dict:
     stale frame (hundreds of thousands of live segment objects would
     skew the garbage collector against whichever backend runs second).
     """
-    import gc
-
     scene = make_scene(name)
     scene.packed_bvh  # build the SoA arrays outside the timed region
     entry: dict = {"scene": name, "width": size, "height": size, "spp": 1}
@@ -93,6 +118,7 @@ def bench_scene(name: str, size: int, repeats: int) -> dict:
         build_best = min(build_best, time.perf_counter() - t0)
     entry["build_seconds"] = build_best
     entry["identical"] = _check_identical(scene, size)
+    entry["frame_bytes_per_entry"] = _frame_bytes_per_entry(scene, size)
     for backend in BACKENDS:
         tracer = FunctionalTracer(scene, _settings(backend, size))
         gc.collect()
@@ -173,7 +199,8 @@ def _report(payload: dict) -> str:
             f"({e['rays_per_sec_speedup']:.1f}x trace, "
             f"{e['render_speedup']:.1f}x render, "
             f"identical={e['identical']}); "
-            f"build_bvh {e['build_seconds'] * 1e3:.1f} ms"
+            f"build_bvh {e['build_seconds'] * 1e3:.1f} ms; "
+            f"frame {e['frame_bytes_per_entry']:.1f} B/entry"
         )
     p = payload["predict"]
     lines.append(

@@ -32,9 +32,12 @@ timing noise:
   batched backend moves them.
 
 **Non-gating (warning only):** speedup wobble inside the tolerance
-band, and each scene's ``build_vs_baseline`` (baseline ``build_bvh``
-seconds over the run's; a WARN line below 0.7x).  Absolute seconds are
-never gated on — they measure the runner, not the code.
+band, each scene's ``build_vs_baseline`` (baseline ``build_bvh``
+seconds over the run's; a WARN line below 0.7x), and each scene's
+``frame_bytes_vs_baseline`` (baseline ``frame_bytes_per_entry`` over the
+run's, likewise).  Absolute seconds are never gated on — they measure
+the runner, not the code — and retained bytes shift with the Python
+version.
 
 The baseline is regenerated on purpose (never silently) with::
 
@@ -138,6 +141,12 @@ def compare(current: dict, baseline: dict, max_slowdown: float) -> _Report:
                 report, f"{name} build_vs_baseline",
                 base["build_seconds"] / entry["build_seconds"], 1.0,
             )
+        if "frame_bytes_per_entry" in entry and "frame_bytes_per_entry" in base:
+            _warn_ratio(
+                report, f"{name} frame_bytes_vs_baseline",
+                base["frame_bytes_per_entry"] / entry["frame_bytes_per_entry"],
+                1.0,
+            )
 
     predict, base_predict = current.get("predict"), baseline.get("predict")
     if predict and base_predict:
@@ -163,10 +172,11 @@ def compare(current: dict, baseline: dict, max_slowdown: float) -> _Report:
 def _warn_ratio(
     report: _Report, label: str, current: float, baseline: float
 ) -> None:
-    """Wall-clock ratio drift: informational only, never gates.
+    """Wall-clock or memory ratio drift: informational only, never gates.
 
-    Wall-clock numbers measure the runner; exact deterministic outputs
-    (counts, metrics, identities) are what gate instead.
+    Wall-clock numbers measure the runner, and retained bytes the Python
+    build; exact deterministic outputs (counts, metrics, identities) are
+    what gate instead.
     """
     if current < baseline * 0.7:
         report.warn(

@@ -19,6 +19,8 @@ masked everywhere else.
 
 from __future__ import annotations
 
+from array import array
+
 from ..scene.scene import AddressMap
 from ..tracer.ptx import FILTER_EXIT_INSTRUCTIONS
 from ..tracer.trace import FrameTrace
@@ -99,8 +101,8 @@ def _compile_warp(
         (len(t.segments) for t in traces if t is not None), default=0
     )
     for seg_index in range(max_segments):
-        nodes: list[list[int] | None] = [None] * warp_size
-        tris: list[list[int] | None] = [None] * warp_size
+        nodes: list[array | None] = [None] * warp_size
+        tris: list[array | None] = [None] * warp_size
         shade = [0] * warp_size
         for lane in range(lanes):
             trace = traces[lane]

@@ -9,12 +9,14 @@ list of warp-level ops compiled from its threads' pixel traces
   for the *maximum* lane count (SIMT lock-step), and the instruction
   statistic adds the *sum* (per-thread instruction counting).
 * :class:`TraceOp` — a ``traceRayEXT`` hand-off to the SM's RT unit; each
-  lane carries the BVH node / triangle index sequences its ray will touch.
+  lane carries the BVH node / triangle index sequences its ray will touch
+  (the segment's ``array('I')`` records, shared rather than copied).
 * :class:`StoreOp` — the framebuffer write-back at shader exit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 __all__ = ["ComputeOp", "TraceOp", "StoreOp", "WarpOp", "WarpTask", "WarpState"]
@@ -40,10 +42,14 @@ class ComputeOp:
 
 @dataclass
 class TraceOp:
-    """A warp's ray-traversal op; ``None`` lanes have no ray this bounce."""
+    """A warp's ray-traversal op; ``None`` lanes have no ray this bounce.
 
-    per_thread_nodes: tuple[list[int] | None, ...]
-    per_thread_tris: tuple[list[int] | None, ...]
+    Each live lane's entry is an index sequence: the traced segment's
+    ``array('I')`` record, or any list of ints in hand-built ops.
+    """
+
+    per_thread_nodes: tuple[Sequence[int] | None, ...]
+    per_thread_tris: tuple[Sequence[int] | None, ...]
 
     def active_lanes(self) -> int:
         return sum(1 for n in self.per_thread_nodes if n is not None)

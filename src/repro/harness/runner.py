@@ -53,7 +53,9 @@ __all__ = ["Workload", "Runner", "shared_runner", "DEFAULT_WIDTH", "DEFAULT_HEIG
 #: their spec and scene_fingerprint hashes it).
 #: v12: one cycle simulator (the sharded backend is gone, and with it
 #: the backend provenance field on SimulationStats and ZatelResult).
-CACHE_VERSION = 12
+#: v13: traversal records are ``array('I')`` and frames pickle by column,
+#: so list-backed frame pickles are never read back.
+CACHE_VERSION = 13
 
 DEFAULT_WIDTH = 128
 DEFAULT_HEIGHT = 128

@@ -4,7 +4,8 @@ The BVH is the acceleration structure every ray walks, and — crucially for
 this reproduction — the *node indices a ray visits* are what the GPU timing
 model replays through the cache hierarchy.  Traversal therefore optionally
 records visited node indices and tested primitive indices into a
-:class:`TraversalRecord`.
+:class:`TraversalRecord`, as compact ``array('I')`` (uint32) buffers that
+travel unchanged through the frame trace to the simulator.
 
 Two build strategies are provided:
 
@@ -24,6 +25,7 @@ multi-million-node-visit frame traces the experiments run.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,11 @@ _SAH_BINS = 8
 _LEAF_SIZE = 4
 
 _INF = float("inf")
+
+# Traversal records are uint32 arrays; the ``.ztrace`` writer and the
+# columnar frame pickle copy their raw bytes as 4-byte indices.
+if array("I").itemsize != 4:
+    raise ImportError("traversal records need a 4-byte array('I') item")
 
 
 @dataclass
@@ -64,13 +71,15 @@ class BVHNode:
 class TraversalRecord:
     """Trace of one ray's walk through the BVH.
 
-    ``nodes_visited`` lists node indices in visit order; ``tris_tested``
-    lists primitive indices whose intersection test actually ran.  These feed
-    the shader model and the GPU timing simulator's memory streams.
+    ``nodes_visited`` holds node indices in visit order; ``tris_tested``
+    holds primitive indices whose intersection test actually ran.  Both are
+    ``array('I')`` (uint32, about 4 B an entry against some 35 B for a list
+    of Python ints), the same type the packet kernels emit.  These feed the
+    shader model and the GPU timing simulator's memory streams.
     """
 
-    nodes_visited: list[int] = field(default_factory=list)
-    tris_tested: list[int] = field(default_factory=list)
+    nodes_visited: array = field(default_factory=lambda: array("I"))
+    tris_tested: array = field(default_factory=lambda: array("I"))
 
 
 class BVH:

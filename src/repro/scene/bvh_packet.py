@@ -46,6 +46,8 @@ occlusion *answer* is unchanged either way: a validated hit is a real hit.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .bvh import BVH, TraversalRecord
@@ -63,9 +65,10 @@ class BatchIntersection:
     """Closest-hit results for a batch of rays (SoA).
 
     ``t``/``tri`` are per-ray arrays (``tri == -1`` means miss);
-    ``nodes``/``tris`` are per-ray Python lists of visited node / tested
-    triangle indices in scalar visit order (``None`` when records were not
-    requested).
+    ``nodes``/``tris`` are per-ray ``array('I')`` records of visited node /
+    tested triangle indices in scalar visit order (the type
+    :class:`~repro.scene.bvh.TraversalRecord` holds), or ``None`` when
+    records were not requested.
     """
 
     __slots__ = ("t", "tri", "nodes", "tris")
@@ -80,8 +83,9 @@ class BatchIntersection:
 class BatchOcclusion:
     """Any-hit results for a batch of shadow rays (SoA).
 
-    ``occluded`` is a per-ray bool array; ``nodes``/``tris`` as in
-    :class:`BatchIntersection`; ``hit_leaf`` records, for occluded rays,
+    ``occluded`` is a per-ray bool array; ``nodes``/``tris`` are per-ray
+    ``array('I')`` records as in :class:`BatchIntersection` (a triangle
+    record stops at the first hit); ``hit_leaf`` records, for occluded rays,
     the leaf node whose triangle produced the hit (-1 otherwise) — the
     training signal for :class:`PathPredictionCache`.
     """
@@ -104,21 +108,22 @@ def _gather_rays(rays: list[Ray]):
     return origins, dirs, t_min, t_max
 
 
-def _assemble_records(steps, ray_count: int) -> list[list[int]]:
-    """Turn per-step (ray_ids, values) arrays into per-ray ordered lists.
+def _assemble_records(steps, ray_count: int) -> list[array]:
+    """Turn per-step (ray_ids, values) arrays into per-ray ``array('I')``.
 
     Steps were appended in traversal order and each ray contributes its
     values in-order within a step, so a stable sort by ray id yields every
-    ray's scalar-identical visit sequence.  One bulk ``tolist`` plus plain
-    list slicing beats ``np.split`` (which materializes thousands of array
-    views) by a wide margin on frame-sized batches.
+    ray's scalar-identical visit sequence.  The sorted values become one
+    uint32 ``array`` through a single byte copy, and slicing it hands each
+    ray its own compact record: no per-entry Python ints, and far fewer
+    objects than ``np.split`` views.
     """
     if not steps:
-        return [[] for _ in range(ray_count)]
+        return [array("I") for _ in range(ray_count)]
     ray_ids = np.concatenate([s[0] for s in steps])
     values = np.concatenate([s[1] for s in steps])
     order = np.argsort(ray_ids, kind="stable")
-    flat = values[order].tolist()
+    flat = array("I", values[order].astype(np.uint32).tobytes())
     bounds = np.cumsum(np.bincount(ray_ids, minlength=ray_count)).tolist()
     out = []
     start = 0
@@ -229,8 +234,8 @@ class PackedBVH:
         each ray in turn.
         """
         n = origins.shape[0]
-        nodes_out: list[list[int]] | None = None
-        tris_out: list[list[int]] | None = None
+        nodes_out: list[array] | None = None
+        tris_out: list[array] | None = None
 
         # Zero direction components hit the scalar backend's ±inf slab
         # corner cases; delegate those rays to it verbatim.
@@ -247,8 +252,8 @@ class PackedBVH:
         best_t = t_max.copy()
         best_tri = np.full(n, -1, dtype=np.int64)
         if want_records:
-            nodes_out = [[] for _ in range(n)]
-            tris_out = [[] for _ in range(n)]
+            nodes_out = [array("I") for _ in range(n)]
+            tris_out = [array("I") for _ in range(n)]
         for i in np.nonzero(scalar_mask)[0]:
             ray = Ray(
                 origin=origins[i], direction=dirs[i],
@@ -411,14 +416,14 @@ class PackedBVH:
         n = origins.shape[0]
         occluded = np.zeros(n, dtype=bool)
         hit_leaf = np.full(n, -1, dtype=np.int64)
-        nodes_out: list[list[int]] | None = None
-        tris_out: list[list[int]] | None = None
+        nodes_out: list[array] | None = None
+        tris_out: list[array] | None = None
 
         scalar_mask = np.any(dirs == 0.0, axis=1)
         if scalar_mask.any():
             if want_records:
-                nodes_out = [[] for _ in range(n)]
-                tris_out = [[] for _ in range(n)]
+                nodes_out = [array("I") for _ in range(n)]
+                tris_out = [array("I") for _ in range(n)]
             for i in np.nonzero(scalar_mask)[0]:
                 ray = Ray(
                     origin=origins[i], direction=dirs[i],
@@ -475,8 +480,8 @@ class PackedBVH:
                     tris_out = _assemble_records(tri_steps, n)
                 else:
                     if nodes_out is None:
-                        nodes_out = [[] for _ in range(n)]
-                        tris_out = [[] for _ in range(n)]
+                        nodes_out = [array("I") for _ in range(n)]
+                        tris_out = [array("I") for _ in range(n)]
                     for local, lst in enumerate(
                         _assemble_records(node_steps, pending.size)
                     ):
@@ -488,8 +493,8 @@ class PackedBVH:
             if cache is not None and keys is not None:
                 cache.train(keys, occ_p, leaf_p)
         elif want_records and nodes_out is None:
-            nodes_out = [[] for _ in range(n)]
-            tris_out = [[] for _ in range(n)]
+            nodes_out = [array("I") for _ in range(n)]
+            tris_out = [array("I") for _ in range(n)]
         return BatchOcclusion(occluded, nodes_out, tris_out, hit_leaf)
 
     def _traverse_any(self, origins, dirs, t_min, t_max, want_records):

@@ -17,29 +17,55 @@ small, versioned, compressed binary format:
                            node indices..., tri indices...
 
 All integers are little-endian; indices are u32 (BVHs beyond 4G nodes are
-beyond this simulator anyway).
+beyond this simulator anyway).  A segment's index records are written and
+read as the raw bytes of its ``array('I')`` records, byteswapped only on
+big-endian hosts.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import sys
 import zlib
+from array import array
 from pathlib import Path
 
-from .trace import FrameTrace, PixelTrace, RaySegment, SegmentKind
+from .trace import KIND_CODES, KINDS, FrameTrace, PixelTrace, RaySegment
 
 __all__ = ["save_frame", "load_frame", "FORMAT_VERSION"]
 
 _MAGIC = b"ZTRC"
 FORMAT_VERSION = 1
 
-_KIND_CODES = {kind: code for code, kind in enumerate(SegmentKind)}
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+#: Records are host-order ``array('I')``; the format is little-endian.
+_SWAP = sys.byteorder == "big"
+
+
+def _record_bytes(record: array) -> bytes:
+    """A record's indices as little-endian u32 bytes."""
+    if _SWAP:
+        record = array("I", record)
+        record.byteswap()
+    return record.tobytes()
+
+
+def _record(view: memoryview) -> array:
+    """The ``array('I')`` record packed as little-endian u32 in ``view``."""
+    record = array("I")
+    record.frombytes(view)
+    if _SWAP:
+        record.byteswap()
+    return record
 
 
 def save_frame(frame: FrameTrace, path: str | Path) -> Path:
-    """Serialize ``frame`` to ``path`` in the ``.ztrace`` format."""
+    """Serialize ``frame`` to ``path`` in the ``.ztrace`` format.
+
+    Raises:
+        ValueError: naming the file and pixel, when a value does not fit
+            its field (e.g. more than 65535 shade instructions).
+    """
     header = json.dumps(
         {
             "width": frame.width,
@@ -54,26 +80,30 @@ def save_frame(frame: FrameTrace, path: str | Path) -> Path:
 
     chunks: list[bytes] = []
     for (px, py), trace in frame.pixels.items():
-        chunks.append(
-            struct.pack(
-                "<HHHH", px, py, trace.raygen_instructions, len(trace.segments)
-            )
-        )
-        for segment in trace.segments:
+        try:
             chunks.append(
                 struct.pack(
-                    "<BBHII",
-                    _KIND_CODES[segment.kind],
-                    1 if segment.hit else 0,
-                    segment.shade_instructions,
-                    len(segment.nodes),
-                    len(segment.tris),
+                    "<HHHH", px, py, trace.raygen_instructions, len(trace.segments)
                 )
             )
-            chunks.append(
-                struct.pack(f"<{len(segment.nodes)}I", *segment.nodes)
-            )
-            chunks.append(struct.pack(f"<{len(segment.tris)}I", *segment.tris))
+            for segment in trace.segments:
+                chunks.append(
+                    struct.pack(
+                        "<BBHII",
+                        KIND_CODES[segment.kind],
+                        1 if segment.hit else 0,
+                        segment.shade_instructions,
+                        len(segment.nodes),
+                        len(segment.tris),
+                    )
+                )
+                chunks.append(_record_bytes(segment.nodes))
+                chunks.append(_record_bytes(segment.tris))
+        except struct.error as error:
+            raise ValueError(
+                f"{path}: pixel ({px}, {py}) does not fit the .ztrace "
+                f"format: {error}"
+            ) from error
     body = zlib.compress(b"".join(chunks), level=6)
     header_z = zlib.compress(header, level=6)
 
@@ -92,64 +122,86 @@ def load_frame(path: str | Path) -> FrameTrace:
     """Deserialize a ``.ztrace`` file back into a sealed :class:`FrameTrace`.
 
     Raises:
-        ValueError: on a bad magic, unsupported version, truncation, or a
-            pixel outside the header's image plane.
+        ValueError: naming the file, on a bad magic, an unsupported
+            version, a truncated or corrupt stream, trailing bytes, an
+            unknown segment kind, a repeated pixel, or a pixel outside the
+            header's image plane.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a .ztrace file")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported .ztrace version {version} "
-            f"(supported: {FORMAT_VERSION})"
-        )
-    offset = 8
-    (header_len,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    header = json.loads(zlib.decompress(raw[offset : offset + header_len]))
-    offset += header_len
-    (body_len,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    body = zlib.decompress(raw[offset : offset + body_len])
+    try:
+        (version,) = struct.unpack_from("<I", raw, 4)
+        if version != FORMAT_VERSION:
+            raise ValueError(
+                f"{path}: unsupported .ztrace version {version} "
+                f"(supported: {FORMAT_VERSION})"
+            )
+        offset = 8
+        (header_len,) = struct.unpack_from("<I", raw, offset)
+        offset += 4
+        header = json.loads(zlib.decompress(raw[offset : offset + header_len]))
+        offset += header_len
+        (body_len,) = struct.unpack_from("<I", raw, offset)
+        offset += 4
+        body = memoryview(zlib.decompress(raw[offset : offset + body_len]))
+    except (struct.error, zlib.error, json.JSONDecodeError) as error:
+        raise ValueError(f"{path}: truncated or corrupt .ztrace file") from error
+    if offset + body_len != len(raw):
+        raise ValueError(f"{path}: trailing bytes after the .ztrace body")
 
-    frame = FrameTrace(
-        width=header["width"],
-        height=header["height"],
-        samples_per_pixel=header["spp"],
-        scene_name=header["scene"],
-        # Files written before the key existed were all scalar-traced.
-        backend=header.get("backend", "scalar"),
-    )
+    try:
+        frame = FrameTrace(
+            width=header["width"],
+            height=header["height"],
+            samples_per_pixel=header["spp"],
+            scene_name=header["scene"],
+            # Files written before the key existed were all scalar-traced.
+            backend=header.get("backend", "scalar"),
+        )
+        declared = header["pixels"]
+    except KeyError as error:
+        raise ValueError(f"{path}: .ztrace header lacks {error}") from error
+    pixels = frame.pixels
     cursor = 0
     try:
-        for _ in range(header["pixels"]):
+        for _ in range(declared):
             px, py, raygen, n_segments = struct.unpack_from("<HHHH", body, cursor)
             cursor += 8
+            if (px, py) in pixels:
+                raise ValueError(f"{path}: pixel ({px}, {py}) appears twice")
             trace = PixelTrace(px=px, py=py, raygen_instructions=raygen)
             for _ in range(n_segments):
                 kind_code, hit, shade, n_nodes, n_tris = struct.unpack_from(
                     "<BBHII", body, cursor
                 )
-                cursor += 12
-                nodes = list(
-                    struct.unpack_from(f"<{n_nodes}I", body, cursor)
-                )
-                cursor += 4 * n_nodes
-                tris = list(struct.unpack_from(f"<{n_tris}I", body, cursor))
-                cursor += 4 * n_tris
+                if kind_code >= len(KINDS):
+                    raise ValueError(
+                        f"{path}: unknown segment kind {kind_code} at "
+                        f"pixel ({px}, {py})"
+                    )
+                nodes_end = cursor + 12 + 4 * n_nodes
+                tris_end = nodes_end + 4 * n_tris
+                if tris_end > len(body):
+                    raise struct.error("record runs past the body")
                 trace.segments.append(
                     RaySegment(
-                        kind=_CODE_KINDS[kind_code],
-                        nodes=nodes,
-                        tris=tris,
-                        hit=bool(hit),
-                        shade_instructions=shade,
+                        KINDS[kind_code],
+                        _record(body[cursor + 12 : nodes_end]),
+                        _record(body[nodes_end:tris_end]),
+                        bool(hit),
+                        shade,
                     )
                 )
-            frame.pixels[(px, py)] = trace
+                cursor = tris_end
+            pixels[(px, py)] = trace
     except struct.error as error:
         raise ValueError(f"{path}: truncated .ztrace body") from error
+    if cursor != len(body):
+        raise ValueError(
+            f"{path}: {len(body) - cursor} trailing bytes after the "
+            f"{declared} declared pixels"
+        )
     try:
         return frame.seal()
     except IndexError as error:

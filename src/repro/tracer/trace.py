@@ -14,10 +14,18 @@ Every pixel's op pattern is strictly alternating::
 
 which lets warps of 32 pixels execute in lock-step with a shrinking active
 mask, exactly like SIMT reconvergence at shader exit.
+
+Every ray's traversal record (``RaySegment.nodes`` / ``.tris``) is an
+``array('I')`` of uint32 indices, from the tracer through to the
+simulator: a frame holds millions of entries, and a uint32 costs 4 bytes
+where a list entry (pointer plus int object) costs about 35.  A frame pickles as flat
+columns (see :meth:`FrameTrace.__reduce__`) rather than as millions of
+small objects.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,25 +41,52 @@ class SegmentKind(Enum):
     BOUNCE = "bounce"
 
 
+#: Segment kinds by their small-integer code (``.ztrace`` and pickles).
+KINDS = tuple(SegmentKind)
+KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+
+
+def _as_record(values, name: str) -> array:
+    """``values`` as a uint32 ``array``; ``ValueError`` names the field."""
+    try:
+        return array("I", values)
+    except OverflowError as error:
+        raise ValueError(
+            f"RaySegment.{name}: every index must lie in [0, 2**32)"
+        ) from error
+
+
 @dataclass
 class RaySegment:
     """One ray's walk through the scene.
 
     Attributes:
         kind: the ray's role (primary/shadow/reflection/diffuse bounce).
-        nodes: BVH node indices visited, in order.
-        tris: triangle indices whose intersection test executed.
+        nodes: BVH node indices visited, in order, as ``array('I')``.
+        tris: triangle indices whose intersection test executed, as
+            ``array('I')``.
         hit: whether the ray found an intersection (for shadow rays:
             whether it was occluded).
         shade_instructions: ALU instructions the shader runs after this
             segment returns (hit/miss shading, next-ray setup).
+
+    Any other sequence given for ``nodes``/``tris`` (a hand-built list,
+    say) is converted to ``array('I')``; an index outside ``[0, 2**32)``
+    raises ``ValueError``.  Tracer output is already an array and passes
+    through as is.
     """
 
     kind: SegmentKind
-    nodes: list[int]
-    tris: list[int]
+    nodes: array
+    tris: array
     hit: bool
     shade_instructions: int
+
+    def __post_init__(self) -> None:
+        if type(self.nodes) is not array or self.nodes.typecode != "I":
+            self.nodes = _as_record(self.nodes, "nodes")
+        if type(self.tris) is not array or self.tris.typecode != "I":
+            self.tris = _as_record(self.tris, "tris")
 
     def traversal_steps(self) -> int:
         """Number of BVH node visits (the RT unit's work for this ray)."""
@@ -128,6 +163,9 @@ class FrameTrace:
     return: the dense cost map is built once, and the frame's pixels and
     plane size can no longer change.  Hand-built frames stay mutable and
     compute costs on demand.
+
+    A frame pickles as flat columns (:meth:`__reduce__`); the harness
+    frame cache and the artifact store go through it.
     """
 
     width: int
@@ -164,6 +202,54 @@ class FrameTrace:
             self._costs = costs
         return self
 
+    def __reduce__(self):
+        """Pickle as flat columns, not one object graph per pixel and ray.
+
+        Per pixel: ``px``, ``py``, raygen instructions and segment count.
+        Per segment: kind code, hit, shade instructions, node count and
+        triangle count.  Plus one concatenated ``nodes`` buffer and one
+        ``tris`` buffer, which unpickling slices back into each segment's
+        records in the original pixel and segment order.  A sealed
+        frame's cost map travels with it, so the frame unpickles sealed;
+        an unsealed frame stays unsealed.  Each pixel's trace is rebuilt
+        with its key's coordinates.
+        """
+        keys = list(self.pixels)
+        traces = list(self.pixels.values())
+        segments = [s for trace in traces for s in trace.segments]
+        pixel_columns = (
+            array("q", [x for x, _ in keys]),
+            array("q", [y for _, y in keys]),
+            array("q", [t.raygen_instructions for t in traces]),
+            array("q", [len(t.segments) for t in traces]),
+        )
+        segment_columns = (
+            array("B", [KIND_CODES[s.kind] for s in segments]),
+            array("B", [1 if s.hit else 0 for s in segments]),
+            array("q", [s.shade_instructions for s in segments]),
+            array("q", [len(s.nodes) for s in segments]),
+            array("q", [len(s.tris) for s in segments]),
+        )
+        nodes, tris = array("I"), array("I")
+        for segment in segments:
+            nodes.extend(segment.nodes)
+            tris.extend(segment.tris)
+        header = (
+            self.width, self.height, self.samples_per_pixel,
+            self.scene_name, self.backend,
+        )
+        return (
+            _frame_from_columns,
+            (
+                header,
+                pixel_columns,
+                segment_columns,
+                nodes,
+                tris,
+                self._costs,
+            ),
+        )
+
     def get(self, px: int, py: int) -> PixelTrace:
         """Trace of pixel ``(px, py)``; raises ``KeyError`` if not traced."""
         return self.pixels[(px, py)]
@@ -192,3 +278,42 @@ class FrameTrace:
         if self._costs is not None:
             return float(self._costs.sum())
         return sum((t.cost() for t in self.pixels.values()), 0.0)
+
+
+def _frame_from_columns(
+    header, pixel_columns, segment_columns, nodes, tris, costs
+) -> FrameTrace:
+    """Rebuild a frame pickled by :meth:`FrameTrace.__reduce__`."""
+    width, height, samples_per_pixel, scene_name, backend = header
+    frame = FrameTrace(
+        width, height, samples_per_pixel, scene_name, backend=backend
+    )
+    segments = []
+    node_at = tri_at = 0
+    for code, hit, shade, node_count, tri_count in zip(
+        *(column.tolist() for column in segment_columns)
+    ):
+        node_end = node_at + node_count
+        tri_end = tri_at + tri_count
+        segments.append(
+            RaySegment(
+                KINDS[code], nodes[node_at:node_end], tris[tri_at:tri_end],
+                bool(hit), shade,
+            )
+        )
+        node_at, tri_at = node_end, tri_end
+    pixels = frame.pixels
+    segment_at = 0
+    for x, y, raygen, count in zip(
+        *(column.tolist() for column in pixel_columns)
+    ):
+        segment_end = segment_at + count
+        pixels[(x, y)] = PixelTrace(
+            x, y, segments[segment_at:segment_end], raygen
+        )
+        segment_at = segment_end
+    if costs is not None:
+        costs.setflags(write=False)
+        frame.pixels = _SealedPixels(pixels)
+        frame._costs = costs
+    return frame

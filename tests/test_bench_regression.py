@@ -115,6 +115,21 @@ def test_build_vs_baseline_is_reported_and_never_gates(baseline):
         )
 
 
+def test_frame_bytes_vs_baseline_is_reported_and_never_gates(baseline):
+    name = baseline["scenes"][0]["scene"]
+    assert baseline["scenes"][0]["frame_bytes_per_entry"] > 0
+    for factor, prefix in ((0.5, "PASS"), (4.0, "WARN")):
+        current = copy.deepcopy(baseline)
+        current["scenes"][0]["frame_bytes_per_entry"] *= factor
+        report = checker.compare(current, baseline, max_slowdown=0.30)
+        assert not report.failed
+        ratio = 1.0 / factor
+        assert (
+            f"{prefix}  {name} frame_bytes_vs_baseline: {ratio:.2f}x"
+            in "\n".join(report.lines)
+        )
+
+
 @pytest.fixture()
 def sim_baseline() -> dict:
     return json.loads(checker.BASELINES_BY_KIND["cycle_sim"].read_text())

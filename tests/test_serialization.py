@@ -108,6 +108,122 @@ class TestErrorHandling:
             load_frame(path)
 
 
+def _write_ztrace(path, body: bytes, pixels: int) -> None:
+    """A well-formed ``.ztrace`` container around a hand-packed body."""
+    import json
+    import zlib
+
+    header = zlib.compress(
+        json.dumps(
+            {"width": 4, "height": 4, "spp": 1, "scene": "x", "pixels": pixels}
+        ).encode()
+    )
+    body_z = zlib.compress(body)
+    path.write_bytes(
+        b"ZTRC"
+        + struct.pack("<I", FORMAT_VERSION)
+        + struct.pack("<I", len(header))
+        + header
+        + struct.pack("<I", len(body_z))
+        + body_z
+    )
+
+
+def _pixel(px, py, segments=()) -> bytes:
+    """One packed pixel; ``segments`` are ``(kind code, nodes, tris)``."""
+    out = struct.pack("<HHHH", px, py, 24, len(segments))
+    for kind, nodes, tris in segments:
+        out += struct.pack("<BBHII", kind, 1, 10, len(nodes), len(tris))
+        out += struct.pack(f"<{len(nodes)}I", *nodes)
+        out += struct.pack(f"<{len(tris)}I", *tris)
+    return out
+
+
+class TestMalformedFiles:
+    """Every malformed file is a ``ValueError`` naming the file."""
+
+    def test_hand_packed_body_loads(self, tmp_path):
+        path = tmp_path / "ok.ztrace"
+        _write_ztrace(path, _pixel(0, 0, [(0, [0, 2], [7])]) + _pixel(1, 0), 2)
+        frame = load_frame(path)
+        assert len(frame.pixels) == 2
+        assert list(frame.get(0, 0).segments[0].nodes) == [0, 2]
+
+    def test_trailing_bytes_after_declared_pixels(self, tmp_path):
+        path = tmp_path / "trail.ztrace"
+        _write_ztrace(path, _pixel(0, 0) + _pixel(1, 0), 1)
+        with pytest.raises(ValueError, match=r"trail\.ztrace.*trailing bytes"):
+            load_frame(path)
+
+    def test_trailing_bytes_after_the_body(self, small_frame, tmp_path):
+        path = save_frame(small_frame, tmp_path / "tail.ztrace")
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ValueError, match=r"tail\.ztrace.*trailing bytes"):
+            load_frame(path)
+
+    def test_repeated_pixel(self, tmp_path):
+        path = tmp_path / "dup.ztrace"
+        _write_ztrace(path, _pixel(1, 1) + _pixel(1, 1), 2)
+        with pytest.raises(ValueError, match=r"dup\.ztrace.*\(1, 1\) appears twice"):
+            load_frame(path)
+
+    def test_unknown_segment_kind(self, tmp_path):
+        path = tmp_path / "kind.ztrace"
+        _write_ztrace(path, _pixel(0, 0, [(9, [0], [])]), 1)
+        with pytest.raises(ValueError, match=r"kind\.ztrace.*unknown segment kind 9"):
+            load_frame(path)
+
+    def test_record_running_past_the_body(self, tmp_path):
+        path = tmp_path / "short.ztrace"
+        _write_ztrace(path, _pixel(0, 0, [(0, [0, 1, 2], [])])[:-4], 1)
+        with pytest.raises(ValueError, match=r"short\.ztrace.*truncated"):
+            load_frame(path)
+
+    @pytest.mark.parametrize("keep", [6, 20, -10])
+    def test_truncated_file(self, small_frame, tmp_path, keep):
+        path = save_frame(small_frame, tmp_path / "cut.ztrace")
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=r"cut\.ztrace.*truncated"):
+            load_frame(path)
+
+    def test_save_rejects_shade_beyond_u16_naming_the_pixel(self, tmp_path):
+        frame = FrameTrace(width=4, height=4, samples_per_pixel=1, scene_name="s")
+        trace = PixelTrace(px=2, py=3)
+        trace.segments.append(
+            RaySegment(SegmentKind.PRIMARY, [0], [], True, 65_536)
+        )
+        frame.pixels[(2, 3)] = trace
+        path = tmp_path / "big.ztrace"
+        with pytest.raises(ValueError, match=r"big\.ztrace: pixel \(2, 3\)"):
+            save_frame(frame, path)
+        assert not path.exists()
+
+
+class TestRecordBytes:
+    def test_loaded_records_are_uint32_arrays(self, small_frame, tmp_path):
+        from array import array
+
+        loaded = load_frame(save_frame(small_frame, tmp_path / "a.ztrace"))
+        for trace in loaded.pixels.values():
+            for segment in trace.segments:
+                assert type(segment.nodes) is array
+                assert segment.nodes.typecode == segment.tris.typecode == "I"
+
+    def test_body_is_the_packed_little_endian_layout(self, tmp_path):
+        import zlib
+
+        frame = FrameTrace(width=4, height=4, samples_per_pixel=1, scene_name="x")
+        trace = PixelTrace(px=0, py=0)
+        trace.segments.append(
+            RaySegment(SegmentKind.PRIMARY, [0, 2, 2**32 - 1], [7], True, 10)
+        )
+        frame.pixels[(0, 0)] = trace
+        raw = save_frame(frame, tmp_path / "le.ztrace").read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        body = zlib.decompress(raw[16 + header_len :])
+        assert body == _pixel(0, 0, [(0, [0, 2, 2**32 - 1], [7])])
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_property_synthetic_roundtrip(tmp_path_factory, seed):
