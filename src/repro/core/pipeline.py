@@ -202,7 +202,6 @@ class ZatelResult:
     #: execution notes — like ``host_seconds``, it describes this run,
     #: not the cached artifact.
     serial_fallback: bool = False
-    _extra: dict = field(default_factory=dict)
 
     @property
     def coverage(self) -> float:
@@ -357,11 +356,12 @@ class Zatel:
         )
         graph, terminal = self.build_graph(scene, frame, quorum=policy.quorum)
         result: ZatelResult = graph.resolve(terminal, ctx).value
-        result.host_seconds = time.perf_counter() - start_time
-        result.serial_fallback = bool(
-            ctx.execution_notes.get("serial_fallback", False)
+        # The store owns ``result``; this call's execution notes go on a copy.
+        return dataclasses.replace(
+            result,
+            host_seconds=time.perf_counter() - start_time,
+            serial_fallback=bool(ctx.execution_notes.get("serial_fallback", False)),
         )
-        return result
 
     # ------------------------------------------------------------------
 

@@ -65,18 +65,39 @@ def kmeans(
         dist = np.sum((points - centroids[i]) ** 2, axis=1)
         np.minimum(closest_sq, dist, out=closest_sq)
 
+    # A heatmap's colors lie on a 1-D gradient with few distinct values, so
+    # the assignment runs once per distinct point (equal bytes) and is
+    # scattered back: a point's distances depend only on its own
+    # coordinates, so the labels are exactly the per-point ones.  Seeding
+    # and the update step keep the full point set, and with it their RNG
+    # draws and summation order.
+    rows = np.ascontiguousarray(points)
+    row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(
+        row_bytes.reshape(-1), return_index=True, return_inverse=True
+    )
+    distinct = points[first]
+    distinct_labels = np.zeros(distinct.shape[0], dtype=np.int64)
     labels = np.zeros(n, dtype=np.int64)
     for iteration in range(max_iterations):
-        # Assignment step (vectorized distance matrix N x k).
+        # Assignment step (vectorized distance matrix M x k, M distinct).
         distances = np.sum(
-            (points[:, None, :] - centroids[None, :, :]) ** 2, axis=2
+            (distinct[:, None, :] - centroids[None, :, :]) ** 2, axis=2
         )
         new_labels = np.argmin(distances, axis=1)
-        if iteration > 0 and np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
+        if iteration == 0:
+            changed = range(k)
+        else:
+            moved = new_labels != distinct_labels
+            if not moved.any():
+                break
+            # A cluster no point entered or left keeps the same members in
+            # the same order, and so the same mean.
+            changed = np.union1d(distinct_labels[moved], new_labels[moved])
+        distinct_labels = new_labels
+        labels = new_labels[inverse]
         # Update step; empty clusters keep their previous centroid.
-        for c in range(k):
+        for c in changed:
             members = points[labels == c]
             if members.shape[0] > 0:
                 centroids[c] = members.mean(axis=0)

@@ -15,6 +15,13 @@ A :class:`Stage` is one typed step of the Zatel methodology with
 memoization: a node whose key is already in the store is a cache hit and
 its stage never runs.  :class:`StageCounters` records exactly that
 distinction, which the sweep-dedup tests assert on.
+
+Resolution is demand-driven, from the sink down.  Because a node's key
+is computable without running anything (:meth:`StageNode.
+fingerprint_static`), :meth:`StageGraph.resolve` probes the store for a
+node *before* expanding its dependencies; on a hit nothing upstream is
+resolved.  A warm predict therefore reads its one persisted result and
+runs no stage.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ __all__ = [
     "StageCounters",
     "StageGraph",
     "StageNode",
+    "UnresolvedInputError",
     "source",
 ]
 
@@ -157,12 +165,20 @@ class Stage(ABC):
         """Compute the output value from resolved input values."""
 
     def execute(self, ctx: StageContext, inputs: dict[str, Artifact]) -> Artifact:
-        """Run with fingerprint memoization through ``ctx.store``."""
+        """Run with fingerprint memoization through ``ctx.store``.
+
+        An input may be *unresolved* (its key without a value) when the
+        graph probed this stage's output before resolving upstream.  Such
+        a call is only ever served from the store: on a miss it raises
+        :class:`UnresolvedInputError` instead of running.
+        """
         key = self.fingerprint({name: a.key for name, a in inputs.items()})
         cached = ctx.store.get(key, default=_MISSING)
         if cached is not _MISSING:
             ctx.counters.record_hit(self.name)
             return Artifact(key, cached)
+        if any(a.value is _UNRESOLVED for a in inputs.values()):
+            raise UnresolvedInputError(self.name)
         ctx.counters.record_execution(self.name)
         value = self.run(ctx, **{name: a.value for name, a in inputs.items()})
         ctx.store.put(
@@ -172,6 +188,18 @@ class Stage(ABC):
 
 
 _MISSING = object()
+
+#: Value of an input artifact whose upstream node was not resolved.
+_UNRESOLVED = object()
+
+
+class UnresolvedInputError(LookupError):
+    """A store-only :meth:`Stage.execute` call missed the store.
+
+    The probed artifact vanished between the probe and the lookup (a
+    concurrent ``forget`` or corrupt-entry deletion); the graph then
+    resolves the dependencies and runs the stage normally.
+    """
 
 
 class StageNode:
@@ -196,12 +224,22 @@ class StageNode:
         """
         if cache is None:
             cache = {}
-        node_id = id(self)
-        if node_id not in cache:
-            cache[node_id] = self.stage.fingerprint(
-                {name: self.input_key(cache, name) for name in self.inputs}
+        # Iterative post-order, so deep chains cannot overflow the stack.
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if id(node) in cache:
+                stack.pop()
+                continue
+            missing = [d for d in node.dependencies() if id(d) not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            cache[id(node)] = node.stage.fingerprint(
+                {name: node.input_key(cache, name) for name in node.inputs}
             )
-        return cache[node_id]
+        return cache[id(self)]
 
     def dependencies(self) -> list["StageNode"]:
         return [n for n in self.inputs.values() if isinstance(n, StageNode)]
@@ -224,7 +262,15 @@ class StageGraph:
         ctx: StageContext,
         resolved: dict[int, Artifact] | None = None,
     ) -> Artifact:
-        """Execute ``node`` (and transitively its dependencies).
+        """Execute ``node``, resolving only the dependencies it needs.
+
+        Sink first: before a node's dependencies are expanded, its static
+        fingerprint is probed in ``ctx.store``.  On a hit the node is
+        executed with key-only inputs for the upstream nodes it skipped;
+        ``execute`` recomputes the same key and records the hit, and
+        nothing upstream is resolved.  If that lookup misses after all,
+        the dependencies are resolved and the stage runs as usual; a
+        stage never runs on an unresolved input.
 
         ``resolved`` memoizes per-call so shared upstream nodes run once
         even before the store's fingerprint memoization kicks in.
@@ -233,26 +279,31 @@ class StageGraph:
         """
         if resolved is None:
             resolved = {}
+        keys: dict[int, str] = {}
         stack: list[tuple[StageNode, bool]] = [(node, False)]
         while stack:
             current, ready = stack.pop()
             if id(current) in resolved:
                 continue
             if not ready:
-                stack.append((current, True))
-                for dep in current.dependencies():
-                    if id(dep) not in resolved:
-                        stack.append((dep, False))
-                continue
-            inputs = {
-                name: (
-                    upstream
-                    if isinstance(upstream, Artifact)
-                    else resolved[id(upstream)]
-                )
-                for name, upstream in current.inputs.items()
-            }
-            resolved[id(current)] = current.stage.execute(ctx, inputs)
+                pending = [
+                    d for d in current.dependencies() if id(d) not in resolved
+                ]
+                if pending:
+                    if ctx.store.contains(current.fingerprint_static(keys)):
+                        try:
+                            resolved[id(current)] = current.stage.execute(
+                                ctx, _inputs_of(current, resolved, keys)
+                            )
+                            continue
+                        except UnresolvedInputError:
+                            pass
+                    stack.append((current, True))
+                    stack.extend((dep, False) for dep in pending)
+                    continue
+            resolved[id(current)] = current.stage.execute(
+                ctx, _inputs_of(current, resolved, keys)
+            )
         return resolved[id(node)]
 
     def topological_levels(self) -> list[list[StageNode]]:
@@ -276,3 +327,18 @@ class StageGraph:
         for node in self.nodes:
             levels.setdefault(node_depth(node), []).append(node)
         return [levels[d] for d in sorted(levels)]
+
+
+def _inputs_of(
+    node: StageNode, resolved: dict[int, Artifact], keys: dict[int, str]
+) -> dict[str, Artifact]:
+    """``node``'s input artifacts; unresolved upstream nodes as key only."""
+    inputs = {}
+    for name, upstream in node.inputs.items():
+        if isinstance(upstream, Artifact):
+            inputs[name] = upstream
+        elif id(upstream) in resolved:
+            inputs[name] = resolved[id(upstream)]
+        else:
+            inputs[name] = Artifact(upstream.fingerprint_static(keys), _UNRESOLVED)
+    return inputs

@@ -18,7 +18,8 @@ stage               computes
 ``SimulateGroup-    per-group downscaled simulation + extrapolation
 Stage``             through the fault-tolerant executor (steps 5-6)
 ``CombineStage``    quorum check + cross-group combination into a
-                    :class:`~repro.core.pipeline.ZatelResult` (step 7)
+                    :class:`~repro.core.pipeline.ZatelResult` (step 7),
+                    persisted so a warm predict reads only it
 ``SamplingSimulate- the sampling-only baseline's single full-GPU
 Stage``             sampled simulation (Section IV-D)
 ==================  ====================================================
@@ -294,11 +295,17 @@ class SimulateGroupStage(Stage):
 class CombineStage(Stage):
     """Step 7: quorum check, degraded renormalization, final combination.
 
-    Produces the :class:`~repro.core.pipeline.ZatelResult` (with
-    ``host_seconds`` left at zero for the driver to fill in).
+    Produces the :class:`~repro.core.pipeline.ZatelResult`, with the
+    execution fields ``host_seconds`` and ``serial_fallback`` left at
+    their defaults.  The result is the graph's sink and is persisted, so
+    a warm predict reads this one artifact and runs no stage; drivers
+    fill the execution fields in on a copy, never on the stored object.
+    A degraded result is kept in memory only (:meth:`should_cache`).
     """
 
     name = "combine"
+    # Bump whenever the ZatelResult / GroupPrediction layout changes: the
+    # result is persisted, so a stale pickle must never be read back.
     # v2: combination goes through the telemetry metric registry's
     # semantics-aware aggregator (arithmetic unchanged; bumped so cached
     # artifacts never alias across the refactor).
@@ -306,7 +313,9 @@ class CombineStage(Stage):
     #     (pluggable sampling engine refactor).
     # v4: results carried simulator-backend provenance.
     # v5: one cycle simulator; results no longer carry a backend field.
-    code_version = "5"
+    # v6: results are persisted (cacheable), degraded ones excepted.
+    code_version = "6"
+    cacheable = True
 
     def __init__(
         self, quorum: int | None = None, sampler_provenance: dict | None = None
@@ -318,6 +327,10 @@ class CombineStage(Stage):
 
     def params(self) -> Any:
         return (self.quorum, self.sampler_provenance)
+
+    def should_cache(self, result: Any) -> bool:
+        # Renormalized over survivors: execution noise, not content.
+        return not result.degraded
 
     def run(self, ctx: StageContext, simulated, groups, scaled, heatmap, quantized, gpu):  # noqa: ARG002
         from ..pipeline import ZatelResult

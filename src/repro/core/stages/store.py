@@ -95,14 +95,24 @@ class ArtifactStore:
         return default if value is _MISSING else value
 
     def contains(self, key: str) -> bool:
-        return self._lookup(key) is not _MISSING
+        """Whether ``key`` is stored; a persisted hit is loaded into the memo.
+
+        A probe, not a lookup: it counts only the disk load it makes
+        (``disk_hits``), never a miss or a memory hit, because the caller
+        follows a hit with the :meth:`get` that counts.
+        """
+        return self._lookup(key, count=False) is not _MISSING
 
     def put(self, key: str, value: Any, persist: bool = True) -> None:
         """Store ``value`` under ``key``.
 
-        ``persist=False`` keeps it in the in-process memo only — used for
-        cheap artifacts (partitions, fractions) that are faster to
-        recompute than to unpickle.
+        ``persist=False`` keeps it in the in-process memo only.  Stages
+        use it for cheap artifacts (downscaled configs, partitions,
+        fractions) that are faster to recompute than to unpickle, and for
+        results tainted by execution faults (a degraded simulation or
+        prediction), which must never shadow a clean artifact on disk.
+        A warm predict does not recompute the cheap ones either: it reads
+        the persisted combined result and resolves nothing upstream.
         """
         self._memo[key] = value
         self.stats.writes += 1
@@ -141,23 +151,27 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
 
-    def _lookup(self, key: str) -> Any:
+    def _lookup(self, key: str, count: bool = True) -> Any:
         if key in self._memo:
-            self.stats.memory_hits += 1
+            self.stats.memory_hits += count
             return self._memo[key]
         if self.root is None:
-            self.stats.misses += 1
+            self.stats.misses += count
             return _MISSING
         path = self.path_for(key)
-        if not path.exists():
-            self.stats.misses += 1
+        try:
+            # Open directly: an entry another process deletes between an
+            # existence check and the open would otherwise crash the get.
+            handle = path.open("rb")
+        except FileNotFoundError:
+            self.stats.misses += count
             return _MISSING
         try:
-            with path.open("rb") as handle:
+            with handle:
                 value = pickle.load(handle)
         except _CORRUPT_PICKLE_ERRORS as error:
             self.stats.corrupt += 1
-            self.stats.misses += 1
+            self.stats.misses += count
             logger.warning(
                 "%s",
                 CacheCorruptionError(

@@ -21,6 +21,7 @@ harness already maintains.  :class:`ServiceRunner` is that entry point:
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 from ..core.executor import ExecutionPolicy
@@ -157,9 +158,11 @@ class ServiceRunner:
         predict_start = time.perf_counter()
         result: ZatelResult = graph.resolve(terminal, ctx).value
         predict_seconds = time.perf_counter() - predict_start
-        result.host_seconds = time.perf_counter() - start
-        result.serial_fallback = bool(
-            ctx.execution_notes.get("serial_fallback", False)
+        # The store owns ``result``; this call's execution notes go on a copy.
+        result = dataclasses.replace(
+            result,
+            host_seconds=time.perf_counter() - start,
+            serial_fallback=bool(ctx.execution_notes.get("serial_fallback", False)),
         )
 
         if stats is not None:

@@ -96,8 +96,10 @@ class TestPerPointDedup:
         self, small_scene, small_frame, tmp_path
     ):
         """A second sweep over a re-opened disk store re-executes none of
-        the expensive (cacheable) stages; only the cheap memory-only
-        ones (downscale, partition, select, combine) recompute."""
+        the expensive (cacheable) stages, and the persisted combine
+        result is a hit too; only the cheap memory-only ones (downscale,
+        partition, select) recompute, since the planner runs by levels
+        rather than probing from the sink."""
         store = ArtifactStore(tmp_path)
         points = [SweepPoint("small", MOBILE_SOC)]
         first = SweepPlanner(store=store).run(
