@@ -33,7 +33,6 @@ SAMPLESHEET = {
         "size": 16,
         "spp": 1,
         "seed": 0,
-        "backend": "packet",
         "gpus": ["mobile"],
     },
     "points": [

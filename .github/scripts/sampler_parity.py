@@ -1,7 +1,7 @@
 """Sampler-parity gate, run by CI's sampler-parity job.
 
 Two contracts of the pluggable sampling engine, checked on the golden
-workload (SPRNG 24x24, spp 1, seed 0, packet backend, Mobile SoC):
+workload (SPRNG 24x24, spp 1, seed 0, Mobile SoC):
 
 1. **Byte identity.** The default ``heatmap`` sampler is the paper's
    pipeline — its prediction must equal every metric pinned in
@@ -52,7 +52,6 @@ def main() -> int:
             height=settings["size"],
             samples_per_pixel=settings["spp"],
             seed=settings["seed"],
-            tracing_backend=settings["backend"],
         ),
     ).trace_frame()
 

@@ -4,7 +4,7 @@ Boots the real service as a subprocess (via :mod:`smoke_common`), then
 checks the acceptance contract from the outside, over plain HTTP:
 
 1. a ``POST /predict`` for the golden workload (SPRNG, 24x24, spp 1,
-   seed 0, packet backend, mobile GPU) returns metrics **exactly**
+   seed 0, mobile GPU) returns metrics **exactly**
    equal to ``tests/data/golden_predict.json`` — the served path and
    the CLI path must be the same computation;
 2. repeating the identical request is an observable cache hit: the

@@ -42,8 +42,7 @@ GOLDEN = REPO / "tests" / "data" / "golden_predict.json"
 #: The golden workload every byte-identity gate runs (matches the
 #: ``meta`` block pinned in golden_predict.json; verified at load time).
 GOLDEN_REQUEST = {
-    "scene": "SPRNG", "size": 24, "spp": 1, "seed": 0,
-    "backend": "packet", "gpu": "mobile",
+    "scene": "SPRNG", "size": 24, "spp": 1, "seed": 0, "gpu": "mobile",
 }
 
 #: Where SmokeServer tees server output; CI uploads this directory as an
@@ -56,10 +55,9 @@ def load_golden() -> dict:
     :data:`GOLDEN_REQUEST` so the two cannot drift apart silently."""
     golden = json.loads(GOLDEN.read_text())
     meta = golden["meta"]
-    pinned = (meta["size"], meta["spp"], meta["seed"], meta["backend"])
+    pinned = (meta["size"], meta["spp"], meta["seed"])
     requested = (
-        GOLDEN_REQUEST["size"], GOLDEN_REQUEST["spp"],
-        GOLDEN_REQUEST["seed"], GOLDEN_REQUEST["backend"],
+        GOLDEN_REQUEST["size"], GOLDEN_REQUEST["spp"], GOLDEN_REQUEST["seed"],
     )
     assert pinned == requested, (
         f"GOLDEN_REQUEST drifted from golden meta: {meta}"

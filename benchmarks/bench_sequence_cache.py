@@ -1,6 +1,6 @@
 """Cross-frame path-prediction cache carry-over (campaign engine).
 
-The campaign engine threads the wavefront tracer's
+The campaign engine threads the tracer's
 ``PathPredictionCache`` from frame ``k`` of an animated sequence into
 frame ``k+1`` (rebound to the new BVH, stale leaves pruned).  This
 benchmark quantifies what that buys: for each frame of an orbiting
@@ -19,8 +19,7 @@ carry-over can only ever add confirmed hits — never wrong answers.
 from repro.scene.animation import SceneSequence
 from repro.scene.bvh_packet import PathPredictionCache
 from repro.scene.registry import resolve_scene
-from repro.tracer.tracer import RenderSettings
-from repro.tracer.wavefront import WavefrontTracer
+from repro.tracer.tracer import FunctionalTracer, RenderSettings
 from repro.harness import format_table, save_result
 
 FRAMES = 4
@@ -28,10 +27,7 @@ SIZE = 32
 
 
 def _settings() -> RenderSettings:
-    return RenderSettings(
-        width=SIZE, height=SIZE, samples_per_pixel=1, seed=0,
-        tracing_backend="packet",
-    )
+    return RenderSettings(width=SIZE, height=SIZE, samples_per_pixel=1, seed=0)
 
 
 def test_sequence_cache_carry(benchmark):
@@ -51,7 +47,7 @@ def test_sequence_cache_carry(benchmark):
         carried_cache = None
         for spec in sequence.frame_specs():
             scene = resolve_scene(spec)
-            tracer = WavefrontTracer(scene, _settings())
+            tracer = FunctionalTracer(scene, _settings())
 
             cold = tracer.occlusion_pass(PathPredictionCache(scene.packed_bvh))
             # The carried cache is one object threaded across frames, so

@@ -16,28 +16,23 @@ Dispatches on the payload's ``benchmark`` field:
   (baseline serial seconds over the run's) is printed on a PASS line, or
   a WARN line below 0.7x.
 
-For the tracer payload the build fails on anything that cannot be
-timing noise:
+For the tracer payload the build fails only on what cannot be timing
+noise:
 
 **Gating (exit 1):**
 
-* correctness drift — a backend pair stops producing identical
-  traces/images, or the end-to-end prediction metrics change from the
-  baseline's (the model is deterministic: same spec, same numbers, on
-  any machine);
-* ray-count drift — the traced workload itself changed size;
-* a *relative* slowdown beyond ``--max-slowdown`` (default 30%): the
-  packet-vs-scalar speedup ratios are same-machine ratios, so a CI
-  runner being slow overall cancels out — only a real regression in the
-  batched backend moves them.
+* prediction-metric drift — the end-to-end prediction metrics change
+  from the baseline's (the model is deterministic: same spec, same
+  numbers, on any machine);
+* ray-count drift — the traced workload itself changed size.
 
-**Non-gating (warning only):** speedup wobble inside the tolerance
-band, each scene's ``build_vs_baseline`` (baseline ``build_bvh``
-seconds over the run's; a WARN line below 0.7x), and each scene's
-``frame_bytes_vs_baseline`` (baseline ``frame_bytes_per_entry`` over the
-run's, likewise).  Absolute seconds are never gated on — they measure
-the runner, not the code — and retained bytes shift with the Python
-version.
+**Non-gating (warning only):** each scene's ``build_vs_baseline``
+(baseline ``build_bvh`` seconds over the run's; a WARN line below
+0.7x), and each scene's ``frame_bytes_vs_baseline`` (baseline
+``frame_bytes_per_entry`` over the run's, likewise).  Absolute seconds
+are never gated on — they measure the runner, not the code — and
+retained bytes shift with the Python version.  Byte identity of the
+tracer with its scalar reference is a test, not a benchmark gate.
 
 The baseline is regenerated on purpose (never silently) with::
 
@@ -61,9 +56,6 @@ BASELINES_BY_KIND = {
     "cycle_sim": BASELINE_DIR / "BENCH_sim.baseline.json",
 }
 
-#: Speedup ratios compared against the baseline, per scene entry.
-SCENE_RATIOS = ("rays_per_sec_speedup", "render_speedup")
-
 
 class _Report:
     """Collects PASS/WARN/FAIL lines; FAIL is what gates."""
@@ -85,36 +77,9 @@ class _Report:
         self.lines.append(f"FAIL  {message}")
 
 
-def _check_ratio(
-    report: _Report, label: str, current: float, baseline: float,
-    max_slowdown: float,
-) -> None:
-    """Gate on a relative speedup ratio dropping out of the band."""
-    floor = baseline * (1.0 - max_slowdown)
-    if current < floor:
-        report.fail(
-            f"{label}: {current:.2f}x is >{max_slowdown:.0%} below "
-            f"baseline {baseline:.2f}x (floor {floor:.2f}x)"
-        )
-    elif current < baseline:
-        report.warn(
-            f"{label}: {current:.2f}x below baseline {baseline:.2f}x "
-            f"(within {max_slowdown:.0%} tolerance; timing noise)"
-        )
-    else:
-        report.ok(f"{label}: {current:.2f}x (baseline {baseline:.2f}x)")
-
-
-def compare(current: dict, baseline: dict, max_slowdown: float) -> _Report:
+def compare(current: dict, baseline: dict) -> _Report:
     """All checks for one current-vs-baseline payload pair."""
     report = _Report()
-
-    # -- correctness: exact, machine-independent, always gating ---------
-    if not current.get("identical", False):
-        report.fail("backends diverged (current payload identical=false)")
-    else:
-        report.ok("scalar and packet backends byte-identical")
-
     base_scenes = {e["scene"]: e for e in baseline.get("scenes", [])}
     for entry in current.get("scenes", []):
         name = entry["scene"]
@@ -122,20 +87,14 @@ def compare(current: dict, baseline: dict, max_slowdown: float) -> _Report:
         if base is None:
             report.warn(f"{name}: no baseline entry; skipping comparison")
             continue
-        for backend in ("scalar", "packet"):
-            rays, base_rays = entry[backend]["rays"], base[backend]["rays"]
-            if rays != base_rays:
-                report.fail(
-                    f"{name}/{backend}: traced {rays} rays, baseline "
-                    f"{base_rays} — workload drifted"
-                )
-            else:
-                report.ok(f"{name}/{backend}: {rays} rays (unchanged)")
-        for ratio in SCENE_RATIOS:
-            _check_ratio(
-                report, f"{name} {ratio}", entry[ratio], base[ratio],
-                max_slowdown,
+        rays, base_rays = entry["packet"]["rays"], base["packet"]["rays"]
+        if rays != base_rays:
+            report.fail(
+                f"{name}: traced {rays} rays, baseline {base_rays} "
+                "— workload drifted"
             )
+        else:
+            report.ok(f"{name}: {rays} rays (unchanged)")
         if "build_seconds" in entry and "build_seconds" in base:
             _warn_ratio(
                 report, f"{name} build_vs_baseline",
@@ -150,8 +109,6 @@ def compare(current: dict, baseline: dict, max_slowdown: float) -> _Report:
 
     predict, base_predict = current.get("predict"), baseline.get("predict")
     if predict and base_predict:
-        if not predict.get("identical_metrics", False):
-            report.fail("predict: scalar/packet metric drift within the run")
         if predict["metrics"] != base_predict["metrics"]:
             drifted = sorted(
                 k for k in predict["metrics"]
@@ -162,10 +119,6 @@ def compare(current: dict, baseline: dict, max_slowdown: float) -> _Report:
             )
         else:
             report.ok("predict: metrics match the committed baseline exactly")
-        _check_ratio(
-            report, "predict end-to-end speedup", predict["speedup"],
-            base_predict["speedup"], max_slowdown,
-        )
     return report
 
 
@@ -233,13 +186,6 @@ def main(argv: list[str] | None = None) -> int:
             "the current payload's 'benchmark' field)"
         ),
     )
-    parser.add_argument(
-        "--max-slowdown", type=float, default=0.30, metavar="FRACTION",
-        help=(
-            "gating threshold for relative speedup-ratio drops "
-            "(default 0.30 = 30%%; smaller drops only warn)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     current = json.loads(Path(args.current).read_text())
@@ -260,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     if kind == "cycle_sim":
         report = compare_sim(current, baseline)
     else:
-        report = compare(current, baseline, args.max_slowdown)
+        report = compare(current, baseline)
     print("\n".join(report.lines))
     if report.failed:
         print("\nbench-regression: FAILED (see FAIL lines above)",

@@ -18,7 +18,6 @@ from ..core import (
     ZatelConfig,
     quantize_heatmap,
 )
-from ..core.extrapolate import fit_power_law
 from ..gpu import METRICS, compile_kernel
 from ..gpu.configfile import resolve_gpu
 from ..harness import (
@@ -41,7 +40,6 @@ __all__ = [
     "cmd_simulate",
     "cmd_predict",
     "cmd_serve",
-    "cmd_sweep",
     "cmd_campaign",
 ]
 
@@ -56,7 +54,6 @@ def _workload(args) -> Workload:
     return Workload(
         name, width=args.size, height=args.size,
         samples_per_pixel=args.spp, seed=args.seed,
-        backend=getattr(args, "backend", "packet"),
     )
 
 
@@ -239,7 +236,6 @@ def _cmd_predict_remote(args) -> int:
         "size": args.size,
         "spp": args.spp,
         "seed": args.seed,
-        "backend": args.backend,
         "gpu": args.gpu,
         "division": args.division,
         "distribution": args.distribution,
@@ -401,9 +397,7 @@ def _print_predict_json(args, workload, gpu, runner, result) -> int:
 
     from ..harness.service import result_payload
 
-    payload = result_payload(
-        workload.scene_name, workload.backend, gpu.name, result
-    )
+    payload = result_payload(workload.scene_name, gpu.name, result)
     if args.compare:
         full = runner.full_sim(workload, gpu)
         errors = metric_errors(result.metrics, full)
@@ -511,76 +505,6 @@ def cmd_inspect(args) -> int:
     print(f"  triangle tests     {tris}")
     print(f"  shader instructions {instructions}")
     print(f"  total cost proxy   {frame.total_cost():.0f}")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    """§IV-D in miniature: error and speedup per traced percentage.
-
-    Deprecated alias: the sweep is now a one-point-per-percentage
-    sampling-mode samplesheet executed by the campaign engine, so its
-    profile/quantize stages deduplicate through the same planner (and
-    the same shared store) every other campaign uses.  Output and
-    numbers are unchanged; prefer ``campaign run`` for multi-scene or
-    multi-GPU grids.
-    """
-    from ..core.stages.campaign import parse_samplesheet
-    from ..errors import SimulationError
-
-    workload = _workload(args)
-    gpu = resolve_gpu(args.gpu)
-    runner = shared_runner()
-    full = runner.full_sim(workload, gpu)
-
-    percentages = [int(p) for p in args.percentages.split(",") if p.strip()]
-    document = {
-        "campaign": {
-            "name": f"sweep-{workload.scene_name.lower()}",
-            "size": args.size,
-            "spp": args.spp,
-            "seed": args.seed,
-            "backend": workload.backend,
-            "gpus": [args.gpu],
-        },
-        "points": [
-            {
-                "scene": workload.scene_name,
-                "mode": "sampling",
-                "fraction": perc / 100.0,
-                "config": {"seed": args.seed},
-            }
-            for perc in percentages
-        ],
-    }
-    result = runner.campaign(parse_samplesheet(document))
-
-    rows = []
-    speedups = []
-    for perc, outcome in zip(percentages, result.outcomes):
-        if not outcome.ok:
-            raise SimulationError(
-                f"sweep point at {perc}% failed: {outcome.error}"
-            )
-        prediction = outcome.value
-        errors = metric_errors(prediction.metrics, full)
-        speedup = prediction.speedup_vs(full)
-        speedups.append(speedup)
-        rows.append([f"{perc}%", errors["cycles"], errors["ipc"], speedup])
-    print(
-        format_table(
-            ["traced", "cycles err %", "ipc err %", "speedup x"], rows,
-            title=f"sampling sweep on {workload.scene_name} / {gpu.name}",
-            precision=1,
-        )
-    )
-    if len(percentages) >= 2:
-        a, b = fit_power_law(
-            [float(p) for p in percentages], speedups
-        )
-        print(f"fitted speedup(perc) = {a:.1f} * perc^{b:.2f} "
-              "(paper eq. 4: 181 * perc^-1.15)")
-    print("note: `sweep` is a deprecated alias over the campaign engine "
-          "(see `campaign run --help`)")
     return 0
 
 

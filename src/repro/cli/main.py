@@ -11,8 +11,6 @@ Subcommands cover the workflows a downstream user runs most:
 ``simulate``   run the full cycle-level simulation and print Table I
 ``predict``    run the Zatel pipeline (optionally validating against a
                full simulation)
-``sweep``      the accuracy/speedup trade-off sweep of §IV-D (now a thin
-               alias over the campaign engine)
 ``campaign``   run a TOML/JSON samplesheet of scene recipes x GPU grids
                as one deduplicated DAG with QC gates (``campaign run``),
                locally or against a service (``POST /campaigns``); poll a
@@ -52,7 +50,6 @@ from .commands import (
     cmd_scenes,
     cmd_serve,
     cmd_simulate,
-    cmd_sweep,
     cmd_trace,
     cmd_worker,
 )
@@ -96,13 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="image plane side length")
         p.add_argument("--spp", type=int, default=1, help="samples per pixel")
         p.add_argument("--seed", type=int, default=0, help="trace RNG seed")
-        p.add_argument(
-            "--backend", choices=("packet", "scalar"), default="packet",
-            help=(
-                "tracing backend: batched wavefront kernels (packet) or "
-                "one ray at a time (scalar); traces are byte-identical"
-            ),
-        )
 
     render = subparsers.add_parser("render", help="render a scene to PPM")
     add_workload_args(render)
@@ -220,22 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     predict.set_defaults(func=cmd_predict)
-
-    sweep = subparsers.add_parser(
-        "sweep",
-        help=(
-            "accuracy/speedup sweep over traced fractions (§IV-D); "
-            "deprecated alias: runs as a one-point-per-percentage "
-            "campaign (prefer `campaign run` for grids)"
-        ),
-    )
-    add_workload_args(sweep)
-    sweep.add_argument("--gpu", default="mobile")
-    sweep.add_argument(
-        "--percentages", default="10,20,30,40,50,60,70,80,90",
-        help="comma-separated traced percentages",
-    )
-    sweep.set_defaults(func=cmd_sweep)
 
     campaign = subparsers.add_parser(
         "campaign",

@@ -561,9 +561,6 @@ class Zatel:
                 frame, pixels, _addresses_of(scene), selected=subset
             )
             stats = simulator.run(warps)
-            # Provenance: which tracing backend produced the replayed trace
-            # (getattr: traces cached before the field existed are "scalar").
-            stats.backend = getattr(frame, "backend", "scalar")
             estimates.append(linear_extrapolate(stats, subset_fraction))
             work += stats.work_units
         assert stats is not None
@@ -611,11 +608,7 @@ class Zatel:
         warps = compile_kernel(
             frame, pixels, _addresses_of(scene), selected=selected
         )
-        stats = simulator.run(warps)
-        # Provenance: which tracing backend produced the replayed trace
-        # (getattr: traces cached before the field existed are "scalar").
-        stats.backend = getattr(frame, "backend", "scalar")
-        return stats, len(selected)
+        return simulator.run(warps), len(selected)
 
 
 def _addresses_of(scene: Scene):

@@ -4,7 +4,7 @@ A *campaign* generalizes the :class:`~.sweep.SweepPlanner` grid from
 "library scenes x GPU configs" to the full scene vocabulary of
 :class:`~repro.scene.spec.SceneSpec` — library names, procedural recipes
 with knobs and seeds, and frames of animated sequences — crossed with
-GPU configs, methodology configs, samplers and backends, loaded from a
+GPU configs, methodology configs and samplers, loaded from a
 declarative TOML/JSON *samplesheet* and executed as one deduplicated
 stage DAG over a shared artifact store.
 
@@ -15,7 +15,7 @@ Three things distinguish a campaign from a plain sweep:
   knobs share one cached scene (and their profile/quantize stages dedup
   by content fingerprint) while a changed knob or seed never collides;
 * **sequences** — an animated row expands into per-frame points that
-  execute in frame-ordered *waves*, and the wavefront tracer's
+  execute in frame-ordered *waves*, and the tracer's
   :class:`~repro.scene.bvh_packet.PathPredictionCache` is threaded from
   frame ``k`` into frame ``k+1`` (rebound to the new BVH, stale leaves
   pruned), so cross-frame ray coherence shows up as a measured
@@ -160,7 +160,7 @@ class CampaignPoint:
 
     The sweep-level fields (``gpu``, ``config``, ``mode``, ``fraction``)
     mean exactly what they do on :class:`~.sweep.SweepPoint`; the
-    workload fields (``size``/``spp``/``seed``/``backend``) locate the
+    workload fields (``size``/``spp``/``seed``) locate the
     frame trace, and ``row`` ties sequence frames expanded from the same
     samplesheet row together for QC-gate propagation and cache
     carry-over.
@@ -174,7 +174,6 @@ class CampaignPoint:
     size: int = 64
     spp: int = 1
     seed: int = 0
-    backend: str = "packet"
     gates: QCGates = QCGates()
     row: int = 0
 
@@ -188,7 +187,7 @@ class CampaignPoint:
         """
         return (
             f"{self.spec.fingerprint()}:{self.size}x{self.size}"
-            f"x{self.spp}:s{self.seed}:{self.backend}"
+            f"x{self.spp}:s{self.seed}"
         )
 
     def sweep_point(self) -> SweepPoint:
@@ -243,7 +242,6 @@ def campaign_fingerprint(campaign: Campaign) -> str:
                 point.size,
                 point.spp,
                 point.seed,
-                point.backend,
                 point.gates,
                 point.row,
             )
@@ -256,13 +254,12 @@ def campaign_fingerprint(campaign: Campaign) -> str:
 # samplesheet parsing
 # ----------------------------------------------------------------------
 
-_CAMPAIGN_KEYS = {"name", "size", "spp", "seed", "backend", "gpus", "qc"}
+_CAMPAIGN_KEYS = {"name", "size", "spp", "seed", "gpus", "qc"}
 _ROW_KEYS = {
     "scene", "gpu", "gpus", "mode", "fraction",
-    "size", "spp", "seed", "backend", "config", "qc",
+    "size", "spp", "seed", "config", "qc",
 }
 _QC_KEYS = {"min_coverage", "max_ci_half_width", "on_violation"}
-_BACKENDS = ("packet", "scalar")
 
 
 def _parse_qc(value: Any, where: str) -> QCGates:
@@ -323,11 +320,11 @@ def parse_samplesheet(data: Any, name: str = "campaign") -> Campaign:
     """Validate a samplesheet document into a :class:`Campaign`.
 
     The document is a mapping with an optional ``campaign`` table of
-    defaults (``name``, ``size``, ``spp``, ``seed``, ``backend``,
-    ``gpus``, ``qc``) and a required non-empty ``points`` list.  Every
-    row takes a ``scene`` (library name string, ``{"recipe": ...}``
-    object or ``{"sequence": ...}`` object that expands to per-frame
-    points), an optional ``gpu``/``gpus`` override, ``mode``/``fraction``
+    defaults (``name``, ``size``, ``spp``, ``seed``, ``gpus``, ``qc``)
+    and a required non-empty ``points`` list.  Every row takes a
+    ``scene`` (library name string, ``{"recipe": ...}`` object or
+    ``{"sequence": ...}`` object that expands to per-frame points), an
+    optional ``gpu``/``gpus`` override, ``mode``/``fraction``
     as on sweeps, workload coordinates, a ``config`` object of
     :class:`~repro.core.pipeline.ZatelConfig` knobs and a ``qc`` gate
     object.  Unknown keys anywhere are rejected with the offending row
@@ -360,7 +357,6 @@ def parse_samplesheet(data: Any, name: str = "campaign") -> Campaign:
     default_size = _check_int(defaults.get("size", 64), "size", "campaign")
     default_spp = _check_int(defaults.get("spp", 1), "spp", "campaign")
     default_seed = _check_int(defaults.get("seed", 0), "seed", "campaign", 0)
-    default_backend = defaults.get("backend", "packet")
     default_gpus = defaults.get("gpus", ["mobile"])
     default_qc = _parse_qc(defaults.get("qc", {}), "campaign")
 
@@ -400,12 +396,6 @@ def parse_samplesheet(data: Any, name: str = "campaign") -> Campaign:
         size = _check_int(row.get("size", default_size), "size", where)
         spp = _check_int(row.get("spp", default_spp), "spp", where)
         seed = _check_int(row.get("seed", default_seed), "seed", where, 0)
-        backend = row.get("backend", default_backend)
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"{where}: unknown backend {backend!r}; available: "
-                f"{', '.join(_BACKENDS)}"
-            )
         config = _parse_config(row["config"], where) if "config" in row else None
         gates = _parse_qc(row["qc"], where) if "qc" in row else default_qc
         for gpu_name in gpu_names:
@@ -426,7 +416,6 @@ def parse_samplesheet(data: Any, name: str = "campaign") -> Campaign:
                             size=size,
                             spp=spp,
                             seed=seed,
-                            backend=backend,
                             gates=gates,
                             row=index,
                         )
@@ -495,8 +484,8 @@ class CampaignOutcome:
     error: str | None = None
     verdict: str = "pass"
     violations: list[str] = field(default_factory=list)
-    #: Cross-frame prediction-cache stats for sequence frames on the
-    #: packet backend: lookups/hits/carried_hits/hit_rate/entries.
+    #: Cross-frame prediction-cache stats for sequence frames:
+    #: lookups/hits/carried_hits/hit_rate/entries.
     sequence: dict | None = None
 
     @property
@@ -555,8 +544,8 @@ class CampaignPlanner:
     GPU configs of the same scene profile and quantize once, and work
     repeated across waves resolves as cache hits.  Between waves the
     planner evaluates QC gates (failing or degrading downstream frames
-    of the same row) and threads the wavefront path-prediction cache
-    from each packet-backend sequence frame into the next.
+    of the same row) and threads the tracer's path-prediction cache
+    from each sequence frame into the next.
 
     Args:
         store: shared artifact store (defaults to in-memory).
@@ -597,7 +586,6 @@ class CampaignPlanner:
             height=point.size,
             samples_per_pixel=point.spp,
             seed=point.seed,
-            tracing_backend=point.backend,
         )
         return FunctionalTracer(scene, settings).trace_frame()
 
@@ -680,10 +668,8 @@ class CampaignPlanner:
                     sweep_result.outcomes[sweep_point],
                     chain_verdict.get(point.chain_key()),
                 )
-                if (
-                    point.spec.kind == "frame"
-                    and point.backend == "packet"
-                    and outcome.verdict in ("pass", "degraded")
+                if point.spec.kind == "frame" and outcome.verdict in (
+                    "pass", "degraded"
                 ):
                     carry = self._sequence_pass(
                         scenes[point.scene_token()],
@@ -756,26 +742,22 @@ class CampaignPlanner:
             point.size,
             point.spp,
             point.seed,
-            point.backend,
         )
 
         def compute() -> dict:
             from ...scene.bvh_packet import PathPredictionCache
-            from ...tracer.tracer import RenderSettings
-            from ...tracer.wavefront import WavefrontTracer
+            from ...tracer.tracer import FunctionalTracer, RenderSettings
 
             settings = RenderSettings(
                 width=point.size,
                 height=point.size,
                 samples_per_pixel=point.spp,
                 seed=point.seed,
-                tracing_backend="packet",
             )
             cache = PathPredictionCache(scene.packed_bvh)
             if prev_table:
                 cache.table = dict(prev_table)
-            tracer = WavefrontTracer(scene, settings)
-            tracer.occlusion_pass(cache)
+            FunctionalTracer(scene, settings).occlusion_pass(cache)
             return {
                 "frame": point.spec.frame,
                 "lookups": cache.lookups,

@@ -211,7 +211,8 @@ class SimulateGroupStage(Stage):
     #     (pluggable sampling engine refactor).
     # v5: simulators were backend-selectable; stats carried the backend.
     # v6: one cycle simulator; stats no longer carry a backend field.
-    code_version = "6"
+    # v7: one tracer; stats no longer carry a tracing-backend field.
+    code_version = "7"
     cacheable = True
 
     def __init__(self, predictor) -> None:
@@ -314,7 +315,8 @@ class CombineStage(Stage):
     # v4: results carried simulator-backend provenance.
     # v5: one cycle simulator; results no longer carry a backend field.
     # v6: results are persisted (cacheable), degraded ones excepted.
-    code_version = "6"
+    # v7: one tracer; group stats no longer carry a tracing-backend field.
+    code_version = "7"
     cacheable = True
 
     def __init__(
@@ -396,7 +398,8 @@ class SamplingSimulateStage(Stage):
     # v2: stats carry a telemetry field (interval snapshots + timelines).
     # v3: simulators were backend-selectable; stats carried the backend.
     # v4: one cycle simulator; stats no longer carry a backend field.
-    code_version = "4"
+    # v5: one tracer; stats no longer carry a tracing-backend field.
+    code_version = "5"
     cacheable = True
 
     def __init__(
@@ -439,7 +442,6 @@ class SamplingSimulateStage(Stage):
         )
         warps = compile_kernel(frame, pixels, scene.addresses, selected=selected)
         stats = CycleSimulator(gpu, scene.addresses).run(warps)
-        stats.backend = getattr(frame, "backend", "scalar")
         return SamplingPrediction(
             fraction=self.fraction,
             selected_count=len(selected),

@@ -51,7 +51,6 @@ MAX_PLANE_SIZE = 512
 #: Upper bound on samples per pixel for a single request.
 MAX_SPP = 16
 
-_BACKENDS = ("packet", "scalar")
 _DIVISIONS = ("fine", "coarse")
 _DISTRIBUTIONS = ("uniform", "lintmp", "exptmp")
 _GPU_PRESETS = ("mobile", "rtx2060")
@@ -76,7 +75,6 @@ class PredictSpec:
     size: int = 64
     spp: int = 1
     seed: int = 0
-    backend: str = "packet"
     gpu: str = "mobile"
     division: str = "fine"
     distribution: str = "uniform"
@@ -110,11 +108,6 @@ class PredictSpec:
             raise ValueError(f"spp must be in [1, {MAX_SPP}], got {self.spp}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; available: "
-                f"{', '.join(_BACKENDS)}"
-            )
         if self.gpu not in _GPU_PRESETS:
             raise ValueError(
                 f"unknown GPU preset {self.gpu!r}; available: "
@@ -177,7 +170,6 @@ def spec_fingerprint(spec: PredictSpec, version: Any = 0) -> str:
         spec.size,
         spec.spp,
         spec.seed,
-        spec.backend,
         spec.gpu,
         spec.division,
         spec.distribution,

@@ -103,10 +103,6 @@ class SimulationStats:
     warps: int = 0
     pixels_traced: int = 0
     pixels_filtered: int = 0
-    #: Tracing backend that produced the replayed frame trace ("scalar"
-    #: or "packet").  Provenance only — backends are byte-identical, so
-    #: it never affects any metric.
-    backend: str = ""
     #: Deterministic simulation-work proxy (events processed); stands in
     #: for host wall-clock when computing speedups reproducibly.
     work_units: int = 0
@@ -205,12 +201,12 @@ class SimulationStats:
         extents (``sm_count``, ``dram_channels``) add up.
 
         Mismatched provenance is rejected rather than silently combined —
-        mixing configs or tracing backends produces numbers that *look*
-        like one run's statistics but mean nothing.
+        mixing configs produces numbers that *look* like one run's
+        statistics but mean nothing.
 
         Raises:
-            ValueError: if ``config_name``, ``backend`` (when both are
-                set), ``warp_size`` or ``resident_limit`` disagree.
+            ValueError: if ``config_name``, ``warp_size`` or
+                ``resident_limit`` disagree.
         """
         for attr in ("config_name", "warp_size", "resident_limit"):
             mine, theirs = getattr(self, attr), getattr(other, attr)
@@ -219,11 +215,6 @@ class SimulationStats:
                     f"cannot merge SimulationStats with mismatched {attr}: "
                     f"{mine!r} != {theirs!r}"
                 )
-        if self.backend and other.backend and self.backend != other.backend:
-            raise ValueError(
-                "cannot merge SimulationStats from different tracing "
-                f"backends: {self.backend!r} != {other.backend!r}"
-            )
         self.cycles = max(self.cycles, other.cycles)
         for attr in (
             "instructions",
@@ -247,18 +238,15 @@ class SimulationStats:
             "host_seconds",
         ):
             setattr(self, attr, getattr(self, attr) + getattr(other, attr))
-        if not self.backend:
-            self.backend = other.backend
         self.telemetry = None  # interval timelines don't merge meaningfully
         return self
 
     def summary(self) -> str:
         """Human-readable one-run report."""
-        backend = f", {self.backend} trace" if self.backend else ""
         rows = [
             f"simulation of {self.pixels_traced} pixels "
             f"({self.pixels_filtered} filtered) on {self.config_name}: "
-            f"{self.warps} warps{backend}"
+            f"{self.warps} warps"
         ]
         for name, value in self.metrics().items():
             rows.append(f"  {name:16s} {value:12.4f}")

@@ -817,7 +817,6 @@ def export_zperf(path: str | Path, stats, meta: dict | None = None) -> Path:
         "interval": record.interval,
         "cycles": stats.cycles,
         "config": stats.config_name,
-        "backend": stats.backend,
         "intervals": len(record.snapshots),
         "events": len(record.events),
     }

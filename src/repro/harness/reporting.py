@@ -74,7 +74,6 @@ def campaign_report(result) -> dict:
             "size": point.size,
             "spp": point.spp,
             "seed": point.seed,
-            "backend": point.backend,
             "row": point.row,
             "verdict": outcome.verdict,
             "violations": list(outcome.violations),

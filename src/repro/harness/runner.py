@@ -55,7 +55,9 @@ __all__ = ["Workload", "Runner", "shared_runner", "DEFAULT_WIDTH", "DEFAULT_HEIG
 #: the backend provenance field on SimulationStats and ZatelResult).
 #: v13: traversal records are ``array('I')`` and frames pickle by column,
 #: so list-backed frame pickles are never read back.
-CACHE_VERSION = 13
+#: v14: one tracer: frames and simulation stats no longer carry a tracing
+#: backend field, and workload keys no longer name one.
+CACHE_VERSION = 14
 
 DEFAULT_WIDTH = 128
 DEFAULT_HEIGHT = 128
@@ -76,9 +78,6 @@ class Workload:
     height: int = DEFAULT_HEIGHT
     samples_per_pixel: int = 1
     seed: int = 0
-    #: Tracing backend ("packet" or "scalar").  Backends emit byte-identical
-    #: traces, so this selects execution strategy and provenance only.
-    backend: str = "packet"
 
     def settings(self) -> RenderSettings:
         return RenderSettings(
@@ -86,7 +85,6 @@ class Workload:
             height=self.height,
             samples_per_pixel=self.samples_per_pixel,
             seed=self.seed,
-            tracing_backend=self.backend,
         )
 
     def key(self) -> str:
@@ -103,8 +101,7 @@ class Workload:
         )
         return (
             f"{token}_{self.width}x{self.height}"
-            f"_spp{self.samples_per_pixel}_s{self.seed}"
-            f"_{self.backend}_v{CACHE_VERSION}"
+            f"_spp{self.samples_per_pixel}_s{self.seed}_v{CACHE_VERSION}"
         )
 
 
@@ -162,9 +159,7 @@ class Runner:
             frame = self.frame(workload)
             pixels = workload.settings().all_pixels()
             warps = compile_kernel(frame, pixels, scene.addresses)
-            stats = CycleSimulator(gpu, scene.addresses).run(warps)
-            stats.backend = getattr(frame, "backend", "scalar")
-            return stats
+            return CycleSimulator(gpu, scene.addresses).run(warps)
 
         return self.store.get_or_compute(
             self.full_sim_key(workload, gpu), compute
@@ -258,7 +253,6 @@ class Runner:
                 height=point.size,
                 samples_per_pixel=point.spp,
                 seed=point.seed,
-                backend=point.backend,
             )
             return self.store.get_or_compute(
                 self.frame_key(workload),

@@ -35,9 +35,7 @@ from .runner import CACHE_VERSION, Runner, Workload, shared_runner
 __all__ = ["ServiceRunner", "result_payload"]
 
 
-def result_payload(
-    scene_name: str, backend: str, gpu_name: str, result: ZatelResult
-) -> dict:
+def result_payload(scene_name: str, gpu_name: str, result: ZatelResult) -> dict:
     """A :class:`ZatelResult` as a JSON-able payload.
 
     The schema is shared by ``zatel predict --json`` and the service's
@@ -47,7 +45,6 @@ def result_payload(
     """
     return {
         "scene": scene_name,
-        "backend": backend,
         "gpu": gpu_name,
         "scaled_gpu": result.scaled_gpu_name,
         "downscale_factor": result.downscale_factor,
@@ -121,7 +118,6 @@ class ServiceRunner:
             height=spec.size,
             samples_per_pixel=spec.spp,
             seed=spec.seed,
-            backend=spec.backend,
         )
 
     def execute(self, spec: PredictSpec, stats=None) -> dict:
@@ -175,16 +171,13 @@ class ServiceRunner:
             events, total_cycles = prediction_events(result)
             if events:
                 self.timeline_sink(
-                    f"{scene_label(spec.scene)} {spec.size}x{spec.size} "
-                    f"{spec.backend}/{spec.gpu}",
+                    f"{scene_label(spec.scene)} {spec.size}x{spec.size} {spec.gpu}",
                     events,
                     total_cycles,
                     prediction_deltas(result),
                 )
 
-        payload = result_payload(
-            scene_label(spec.scene), spec.backend, gpu.name, result
-        )
+        payload = result_payload(scene_label(spec.scene), gpu.name, result)
         payload["stages"] = {
             "executions": dict(ctx.counters.executions),
             "cache_hits": dict(ctx.counters.cache_hits),

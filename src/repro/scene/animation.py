@@ -10,7 +10,7 @@ key) can rebuild frame k without any out-of-band sequence state.
 
 Sequences are what make cross-frame locality exploitable: consecutive
 frames share most of their geometry and ray distribution, so the
-campaign engine threads the wavefront
+campaign engine threads the tracer's
 :class:`~repro.scene.bvh_packet.PathPredictionCache` from frame k into
 frame k+1 (the ray-locality idea of "Hash-Based Ray Path Prediction")
 and reports the measured cross-frame hit rate.

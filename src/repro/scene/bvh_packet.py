@@ -12,7 +12,7 @@ Correctness contract
 --------------------
 
 The timing simulator replays per-ray node/triangle visit sequences, so the
-packet kernels are built to be **byte-identical** to the scalar backend
+packet kernels are built to be **byte-identical** to scalar traversal
 (:meth:`BVH.intersect` / :meth:`BVH.occluded`):
 
 * every ray keeps its *own* traversal stack, popped in exactly the scalar
@@ -27,7 +27,7 @@ packet kernels are built to be **byte-identical** to the scalar backend
   exactly;
 * rays with a zero direction component (where the scalar slab test leans
   on ±inf corner cases that NumPy min/max reductions do not share) are
-  routed through the scalar backend unchanged.
+  routed through scalar traversal unchanged.
 
 Path-prediction cache
 ---------------------
@@ -143,9 +143,9 @@ def _segment_local_index(counts: np.ndarray) -> np.ndarray:
 class PackedBVH:
     """A :class:`BVH` flattened into SoA arrays with packet kernels.
 
-    The arrays are materialized from the scalar backend's own flattened
-    scalar tuples (``BVH._flatten``), so both backends compute from the
-    exact same float values.
+    The arrays are materialized from the scalar BVH's own flattened
+    tuples (``BVH._flatten``), so packet and scalar traversal compute
+    from the exact same float values.
     """
 
     def __init__(self, bvh: BVH) -> None:
@@ -237,7 +237,7 @@ class PackedBVH:
         nodes_out: list[array] | None = None
         tris_out: list[array] | None = None
 
-        # Zero direction components hit the scalar backend's ±inf slab
+        # Zero direction components hit scalar traversal's ±inf slab
         # corner cases; delegate those rays to it verbatim.
         scalar_mask = np.any(dirs == 0.0, axis=1)
         if not scalar_mask.any():

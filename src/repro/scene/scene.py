@@ -98,9 +98,10 @@ class Scene:
 
     @property
     def packed_bvh(self):
-        """SoA view of the BVH for the packet backend (built lazily).
+        """SoA view of the BVH for the tracer's packet kernels (lazy).
 
-        Imported lazily so scalar-only users never pay the array build.
+        Built on first use, so scenes that are never traced never pay
+        the array build.
         """
         if self._packed_bvh is None:
             from .bvh_packet import PackedBVH

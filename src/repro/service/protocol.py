@@ -11,7 +11,6 @@ arguments::
                                  //    "knobs": {"level": 0.4}, "seed": 1}
       "size": 64,                // image-plane side length (<= 512)
       "spp": 1, "seed": 0,
-      "backend": "packet",       // or "scalar"
       "gpu": "mobile",           // preset name: mobile | rtx2060
       "division": "fine", "distribution": "uniform",
       "fraction": null,          // pin the traced fraction, (0, 1]
@@ -88,7 +87,6 @@ SPEC_FIELDS: dict[str, type | tuple[type, ...]] = {
     "size": int,
     "spp": int,
     "seed": int,
-    "backend": str,
     "gpu": str,
     "division": str,
     "distribution": str,

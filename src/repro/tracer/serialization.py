@@ -73,8 +73,6 @@ def save_frame(frame: FrameTrace, path: str | Path) -> Path:
             "spp": frame.samples_per_pixel,
             "scene": frame.scene_name,
             "pixels": len(frame.pixels),
-            # Provenance only; older readers ignore unknown header keys.
-            "backend": getattr(frame, "backend", "scalar"),
         }
     ).encode()
 
@@ -118,14 +116,51 @@ def save_frame(frame: FrameTrace, path: str | Path) -> Path:
     return path
 
 
+def _header_fields(path, header) -> tuple[int, int, int, str, int]:
+    """Width, height, spp, scene name and pixel count of a decoded header.
+
+    Keys the format does not name (such as the tracer provenance older
+    writers stored) are ignored.
+
+    Raises:
+        ValueError: naming the file, when the header is not an object, a
+            key is missing, a size is not a positive int, the pixel count
+            is not a non-negative int, or the scene is not a string.
+    """
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: .ztrace header is not a JSON object")
+    try:
+        fields = tuple(
+            header[key] for key in ("width", "height", "spp", "scene", "pixels")
+        )
+    except KeyError as error:
+        raise ValueError(f"{path}: .ztrace header lacks {error}") from error
+    width, height, spp, scene, pixels = fields
+    for key, value, low in (
+        ("width", width, 1), ("height", height, 1), ("spp", spp, 1),
+        ("pixels", pixels, 0),
+    ):
+        # ``type(value) is int`` also refuses JSON's true/false.
+        if type(value) is not int or value < low:
+            raise ValueError(
+                f"{path}: .ztrace header {key!r} must be an int >= {low}, "
+                f"got {value!r}"
+            )
+    if not isinstance(scene, str):
+        raise ValueError(
+            f"{path}: .ztrace header 'scene' must be a string, got {scene!r}"
+        )
+    return fields
+
+
 def load_frame(path: str | Path) -> FrameTrace:
     """Deserialize a ``.ztrace`` file back into a sealed :class:`FrameTrace`.
 
     Raises:
         ValueError: naming the file, on a bad magic, an unsupported
-            version, a truncated or corrupt stream, trailing bytes, an
-            unknown segment kind, a repeated pixel, or a pixel outside the
-            header's image plane.
+            version, a truncated or corrupt stream, a malformed header,
+            trailing bytes, an unknown segment kind, a repeated pixel, or a
+            pixel outside the header's image plane.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
@@ -150,18 +185,8 @@ def load_frame(path: str | Path) -> FrameTrace:
     if offset + body_len != len(raw):
         raise ValueError(f"{path}: trailing bytes after the .ztrace body")
 
-    try:
-        frame = FrameTrace(
-            width=header["width"],
-            height=header["height"],
-            samples_per_pixel=header["spp"],
-            scene_name=header["scene"],
-            # Files written before the key existed were all scalar-traced.
-            backend=header.get("backend", "scalar"),
-        )
-        declared = header["pixels"]
-    except KeyError as error:
-        raise ValueError(f"{path}: .ztrace header lacks {error}") from error
+    width, height, spp, scene, declared = _header_fields(path, header)
+    frame = FrameTrace(width, height, spp, scene)
     pixels = frame.pixels
     cursor = 0
     try:

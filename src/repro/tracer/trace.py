@@ -173,10 +173,6 @@ class FrameTrace:
     samples_per_pixel: int
     scene_name: str
     pixels: dict[tuple[int, int], PixelTrace] = field(default_factory=dict)
-    #: Which tracer produced this trace ("scalar" or "packet").  Provenance
-    #: only — both backends emit byte-identical traces, so it is excluded
-    #: from equality.
-    backend: str = field(default="scalar", compare=False)
 
     #: Read-only cost map of a sealed frame (a plain attribute, not a
     #: field: it stays out of equality and fingerprints, and frames
@@ -235,8 +231,7 @@ class FrameTrace:
             nodes.extend(segment.nodes)
             tris.extend(segment.tris)
         header = (
-            self.width, self.height, self.samples_per_pixel,
-            self.scene_name, self.backend,
+            self.width, self.height, self.samples_per_pixel, self.scene_name,
         )
         return (
             _frame_from_columns,
@@ -284,10 +279,7 @@ def _frame_from_columns(
     header, pixel_columns, segment_columns, nodes, tris, costs
 ) -> FrameTrace:
     """Rebuild a frame pickled by :meth:`FrameTrace.__reduce__`."""
-    width, height, samples_per_pixel, scene_name, backend = header
-    frame = FrameTrace(
-        width, height, samples_per_pixel, scene_name, backend=backend
-    )
+    frame = FrameTrace(*header)
     segments = []
     node_at = tri_at = 0
     for code, hit, shade, node_count, tri_count in zip(

@@ -14,6 +14,38 @@ The tracer is a Whitted-style renderer with optional diffuse path bounces:
 primary ray, per-light shadow rays at each hit, mirror reflections, and
 russian-roulette-limited cosine-weighted bounces up to the scene's
 ``max_bounces``.  All sampling is deterministic per (seed, pixel, sample).
+
+It runs as a *wavefront*: every live path of a batch advances one bounce
+per iteration.  Primary rays are generated as one vectorized batch, each
+depth's closest-hit queries run as one
+:meth:`~repro.scene.bvh_packet.PackedBVH.intersect_arrays` call, and each
+light's shadow rays as one ``occluded_arrays`` call.  Only the decisions
+that are inherently sequential — per-path RNG draws and segment
+bookkeeping — stay scalar.
+
+Its output is pinned, byte for byte, to a one-ray-at-a-time reference
+tracer kept with the tests (``tests/reference_tracer.py``):
+
+* every vectorized expression maps onto the per-ray expression with the
+  same operand order and grouping (camera ray setup, hit-point and
+  normal finalization, shadow-ray construction, sky/shading radiance),
+  so each lane computes the exact IEEE doubles a per-ray loop would;
+* each path owns its own ``random.Random``, seeded from (seed, pixel,
+  sample), and consumes draws in a fixed order (jitter, then per depth
+  the reflectivity / roulette / bounce draws).  Paths never share RNG
+  state, so interleaving them across a wavefront cannot perturb any
+  draw.  RNGs are created *lazily* — a path that never draws (the common
+  case at one sample per pixel) never pays Mersenne seeding;
+* segments are appended to each pixel's trace in path order (samples in
+  order; per sample: primary/continuation segment, then one shadow
+  segment per light).
+
+The :class:`~repro.scene.bvh_packet.PathPredictionCache` is wired into
+the shadow batches only when traversal records are *not* collected
+(:meth:`FunctionalTracer.render_image` and
+:meth:`FunctionalTracer.occlusion_pass`): a validated cache hit skips the
+traversal walk, which would change the recorded node sequence but never
+the occlusion answer.
 """
 
 from __future__ import annotations
@@ -24,10 +56,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ..scene.bvh import TraversalRecord
-from ..scene.geometry import Ray
+from ..scene.bvh_packet import PathPredictionCache
+from ..scene.lights import DirectionalLight, PointLight
 from ..scene.scene import Scene
-from ..scene.vecmath import dot, reflect, spherical_direction, vec3
+from ..scene.vecmath import reflect, spherical_direction
 from .trace import FrameTrace, PixelTrace, RaySegment, SegmentKind
 
 __all__ = ["RenderSettings", "FunctionalTracer", "trace_frame"]
@@ -38,6 +70,17 @@ _MISS_SHADE_COST = 6
 _SHADOW_SHADE_COST = 5
 #: Extra instructions to set up a continuation (reflection/bounce) ray.
 _CONTINUATION_COST = 8
+
+#: Paths advanced per wavefront; bounds the packet kernels' working set.
+_DEFAULT_WAVE_SIZE = 16384
+
+#: The two ends of the environment's vertical sky gradient.
+_SKY_LOW = np.array([0.9, 0.9, 0.95], dtype=np.float64)
+_SKY_HIGH = np.array([0.4, 0.6, 0.9], dtype=np.float64)
+
+#: Ray defaults (see :class:`~repro.scene.geometry.Ray`).
+_RAY_T_MIN = 1e-6
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -53,22 +96,12 @@ class RenderSettings:
     height: int = 64
     samples_per_pixel: int = 1
     seed: int = 0
-    #: Which traversal implementation traces this frame: ``"packet"``
-    #: (batched wavefront kernels) or ``"scalar"`` (one ray at a time).
-    #: Both produce byte-identical traces; this only selects execution
-    #: strategy.
-    tracing_backend: str = "packet"
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dimensions must be positive")
         if self.samples_per_pixel <= 0:
             raise ValueError("samples_per_pixel must be positive")
-        if self.tracing_backend not in ("scalar", "packet"):
-            raise ValueError(
-                f"unknown tracing backend: {self.tracing_backend!r} "
-                "(expected 'scalar' or 'packet')"
-            )
 
     def pixel_count(self) -> int:
         return self.width * self.height
@@ -86,177 +119,514 @@ class RenderSettings:
         return self._pixel_tuple
 
 
-def _sky_color(direction: np.ndarray) -> np.ndarray:
-    """Simple vertical-gradient environment."""
-    t = 0.5 * (float(direction[1]) + 1.0)
-    return (1.0 - t) * vec3(0.9, 0.9, 0.95) + t * vec3(0.4, 0.6, 0.9)
+class _ShadingTables:
+    """Per-scene material properties unpacked into parallel arrays."""
+
+    __slots__ = (
+        "shade_cost",
+        "reflectivity",
+        "survive",
+        "emissive",
+        "albedo",
+        "emission",
+    )
+
+    def __init__(self, scene: Scene) -> None:
+        mats = [scene.materials[i] for i in range(len(scene.materials))]
+        self.shade_cost = [m.shade_cost for m in mats]
+        self.reflectivity = [m.reflectivity for m in mats]
+        # The roulette's survival probability, ``float(np.max(albedo))``.
+        self.survive = [float(np.max(m.albedo)) for m in mats]
+        self.emissive = [m.is_emissive() for m in mats]
+        self.albedo = np.array([m.albedo for m in mats], dtype=np.float64)
+        self.emission = np.array([m.emission for m in mats], dtype=np.float64)
 
 
 class FunctionalTracer:
-    """Traces pixels of one scene under fixed render settings."""
+    """Traces pixels of one scene under fixed render settings, in waves."""
 
-    def __init__(self, scene: Scene, settings: RenderSettings) -> None:
+    def __init__(
+        self,
+        scene: Scene,
+        settings: RenderSettings,
+        wave_size: int = _DEFAULT_WAVE_SIZE,
+    ) -> None:
         self.scene = scene
         self.settings = settings
+        self.wave_size = wave_size
+        self._tables = _ShadingTables(scene)
 
-    def trace_pixel(self, px: int, py: int) -> tuple[PixelTrace, np.ndarray]:
-        """Trace all samples of one pixel.
+    # ------------------------------------------------------------------
+    # batched primary-ray generation
+    # ------------------------------------------------------------------
 
-        Returns the pixel's trace and its averaged RGB radiance.
+    def _primary_batch(self, pxs, pys, jx, jy):
+        """Vectorized ``Camera.primary_ray``: same ops, same grouping.
+
+        ``jx``/``jy`` are per-path jitter arrays (or scalars).  Returns
+        ``(origins, dirs)`` whose rows are bit-identical to the per-ray
+        camera's rays.
+        """
+        settings = self.settings
+        camera = self.scene.camera
+        width = settings.width
+        height = settings.height
+        if pxs.size and (
+            pxs.min() < 0 or pxs.max() >= width
+            or pys.min() < 0 or pys.max() >= height
+        ):
+            raise ValueError(f"pixel outside {width}x{height} plane")
+        aspect = width / height
+        ndc_x = (2.0 * (pxs + jx) / width - 1.0) * aspect
+        ndc_y = 1.0 - 2.0 * (pys + jy) / height
+        thf = camera._tan_half_fov
+        v = (
+            camera._forward[None, :]
+            + camera._right[None, :] * (ndc_x * thf)[:, None]
+        ) + camera._up[None, :] * (ndc_y * thf)[:, None]
+        norm = np.sqrt(
+            v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
+        )
+        dirs = v / norm[:, None]
+        origins = np.broadcast_to(camera.position, dirs.shape)
+        return origins, dirs
+
+    # ------------------------------------------------------------------
+    # batched shadow-ray construction
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _shadow_batch(light, shadow_org):
+        """Vectorized ``light.shadow_ray`` for a batch of offset origins.
+
+        Returns ``(dirs, t_min, t_max, dist)`` with rows bit-identical to
+        the per-ray construction.  Unknown light types fall back to
+        ``light.shadow_ray`` per ray.
+        """
+        n = shadow_org.shape[0]
+        if isinstance(light, PointLight):
+            to_light = light.position[None, :] - shadow_org
+            dist = np.sqrt(
+                to_light[:, 0] * to_light[:, 0]
+                + to_light[:, 1] * to_light[:, 1]
+                + to_light[:, 2] * to_light[:, 2]
+            )
+            dirs = to_light / dist[:, None]
+            t_min = np.full(n, 1e-4)
+            t_max = dist - 1e-4
+        elif isinstance(light, DirectionalLight):
+            dirs = np.broadcast_to(-light.direction, (n, 3))
+            dist = np.full(n, _INF)
+            t_min = np.full(n, 1e-4)
+            t_max = np.full(n, _INF)
+        else:
+            dirs = np.empty((n, 3))
+            dist = np.empty(n)
+            t_min = np.empty(n)
+            t_max = np.empty(n)
+            for k in range(n):
+                ray, d = light.shadow_ray(shadow_org[k])
+                dirs[k] = ray.direction
+                dist[k] = d
+                t_min[k] = ray.t_min
+                t_max[k] = ray.t_max
+        return dirs, t_min, t_max, dist
+
+    # ------------------------------------------------------------------
+    # the wave loop
+    # ------------------------------------------------------------------
+
+    def _trace_wave(
+        self,
+        px_list: list[int],
+        py_list: list[int],
+        sample_list: list[int],
+        collect_records: bool,
+        compute_radiance: bool,
+        cache: PathPredictionCache | None,
+    ):
+        """Advance one wave of (pixel, sample) paths to termination.
+
+        Returns ``(seg_lists, colors)``: per-path segment lists (``None``
+        unless ``collect_records``) and per-path radiance rows (``None``
+        unless ``compute_radiance``).
         """
         scene = self.scene
-        settings = self.settings
-        trace = PixelTrace(px=px, py=py)
-        color = vec3(0.0, 0.0, 0.0)
-        for sample in range(settings.samples_per_pixel):
-            rng = random.Random(
-                (settings.seed << 48)
-                ^ (py << 28)
-                ^ (px << 8)
-                ^ sample
+        packed = scene.packed_bvh
+        tables = self._tables
+        lights = scene.lights
+        max_bounces = scene.max_bounces
+        seed = self.settings.seed
+        n = len(px_list)
+
+        kinds: list[SegmentKind] = [SegmentKind.PRIMARY] * n
+        seg_lists = [[] for _ in range(n)] if collect_records else None
+        rngs: list[random.Random | None] = [None] * n
+        colors = np.zeros((n, 3)) if compute_radiance else None
+        throughput = np.ones((n, 3)) if compute_radiance else None
+
+        # Jittered samples draw their jitter first from their RNG; sample
+        # 0 stays at (0.5, 0.5) and leaves its RNG uncreated until a
+        # continuation needs it.
+        pxs = np.array(px_list, dtype=np.float64)
+        pys = np.array(py_list, dtype=np.float64)
+        if self.settings.samples_per_pixel > 1:
+            jx = np.full(n, 0.5)
+            jy = np.full(n, 0.5)
+            for i, sample in enumerate(sample_list):
+                if sample != 0:
+                    rng = random.Random(
+                        (seed << 48)
+                        ^ (py_list[i] << 28)
+                        ^ (px_list[i] << 8)
+                        ^ sample
+                    )
+                    rngs[i] = rng
+                    jx[i] = rng.random()
+                    jy[i] = rng.random()
+        else:
+            jx = 0.5
+            jy = 0.5
+        origins, dirs = self._primary_batch(pxs, pys, jx, jy)
+
+        pids = np.arange(n)
+        pid_list = list(range(n))
+        t_min = np.full(n, _RAY_T_MIN)
+        t_max = np.full(n, _INF)
+
+        for depth in range(max_bounces + 1):
+            if not pid_list:
+                break
+            res = packed.intersect_arrays(
+                origins, dirs, t_min, t_max, want_records=collect_records
             )
-            if sample == 0:
-                jitter = (0.5, 0.5)
+            hit_mask = res.tri >= 0
+            hit_rows = np.nonzero(hit_mask)[0]
+            hit_rows_l = hit_rows.tolist()
+
+            if collect_records:
+                res_nodes = res.nodes
+                res_tris = res.tris
+                if depth == 0:
+                    # Depth 0: pid == row and every kind is PRIMARY.
+                    primary = SegmentKind.PRIMARY
+                    for r in np.nonzero(~hit_mask)[0].tolist():
+                        seg_lists[r].append(
+                            RaySegment(
+                                primary, res_nodes[r], res_tris[r],
+                                False, _MISS_SHADE_COST,
+                            )
+                        )
+                else:
+                    for r in np.nonzero(~hit_mask)[0].tolist():
+                        pid = pid_list[r]
+                        seg_lists[pid].append(
+                            RaySegment(
+                                kinds[pid], res_nodes[r], res_tris[r],
+                                False, _MISS_SHADE_COST,
+                            )
+                        )
+            if compute_radiance:
+                miss_rows = np.nonzero(~hit_mask)[0]
+                if miss_rows.size:
+                    d = dirs[miss_rows]
+                    tsky = 0.5 * (d[:, 1] + 1.0)
+                    sky = ((1.0 - tsky)[:, None] * _SKY_LOW) + (
+                        tsky[:, None] * _SKY_HIGH
+                    )
+                    prows = pids[miss_rows]
+                    colors[prows] = colors[prows] + throughput[prows] * sky
+
+            if not hit_rows_l:
+                break
+
+            # Hit finalization: the per-ray tail of ``BVH.intersect``.
+            th = res.t[hit_rows]
+            hd = dirs[hit_rows]
+            pts = origins[hit_rows] + hd * th[:, None]
+            tri = res.tri[hit_rows]
+            nrm = packed.tri_normal[tri]
+            flip = (
+                nrm[:, 0] * hd[:, 0]
+                + nrm[:, 1] * hd[:, 1]
+                + nrm[:, 2] * hd[:, 2]
+            ) > 0.0
+            nrm = np.where(flip[:, None], -nrm, nrm)
+            mids = packed.tri_material[tri].tolist()
+            # Offset origin shared by shadow and continuation rays
+            # (``hit.point + hit.normal * 1e-4`` per ray).
+            offset_org = pts + nrm * 1e-4
+            hpids = pids[hit_rows]
+
+            if collect_records:
+                shade_cost = tables.shade_cost
+                if depth == 0:
+                    primary = SegmentKind.PRIMARY
+                    for k, r in enumerate(hit_rows_l):
+                        seg_lists[r].append(
+                            RaySegment(
+                                primary, res_nodes[r], res_tris[r],
+                                True, shade_cost[mids[k]],
+                            )
+                        )
+                else:
+                    for k, r in enumerate(hit_rows_l):
+                        pid = pid_list[r]
+                        seg_lists[pid].append(
+                            RaySegment(
+                                kinds[pid], res_nodes[r], res_tris[r],
+                                True, shade_cost[mids[k]],
+                            )
+                        )
+            if compute_radiance:
+                em = [k for k, m in enumerate(mids) if tables.emissive[m]]
+                if em:
+                    prows = hpids[em]
+                    colors[prows] = colors[prows] + (
+                        throughput[prows]
+                        * tables.emission[[mids[k] for k in em]]
+                    )
+
+            # Next-event estimation: one batched shadow wave per light.
+            for light in lights:
+                sdir, stmin, stmax, dist = self._shadow_batch(
+                    light, offset_org
+                )
+                occ = packed.occluded_arrays(
+                    offset_org, sdir, stmin, stmax,
+                    want_records=collect_records, cache=cache,
+                )
+                occluded = occ.occluded
+                if collect_records:
+                    occ_nodes = occ.nodes
+                    occ_tris = occ.tris
+                    occ_l = occluded.tolist()
+                    shadow = SegmentKind.SHADOW
+                    if depth == 0:
+                        for k, r in enumerate(hit_rows_l):
+                            seg_lists[r].append(
+                                RaySegment(
+                                    shadow, occ_nodes[k], occ_tris[k],
+                                    occ_l[k], _SHADOW_SHADE_COST,
+                                )
+                            )
+                    else:
+                        for k, r in enumerate(hit_rows_l):
+                            seg_lists[pid_list[r]].append(
+                                RaySegment(
+                                    shadow, occ_nodes[k], occ_tris[k],
+                                    occ_l[k], _SHADOW_SHADE_COST,
+                                )
+                            )
+                if compute_radiance:
+                    lit = np.nonzero(~occluded)[0]
+                    if lit.size:
+                        cosv = (
+                            nrm[lit, 0] * sdir[lit, 0]
+                            + nrm[lit, 1] * sdir[lit, 1]
+                            + nrm[lit, 2] * sdir[lit, 2]
+                        )
+                        cos_theta = np.where(cosv > 0.0, cosv, 0.0)
+                        if isinstance(light, PointLight):
+                            dd = dist[lit] * dist[lit]
+                            irr = light.intensity[None, :] / np.where(
+                                dd > 1e-6, dd, 1e-6
+                            )[:, None]
+                        else:
+                            irr = light.intensity[None, :]
+                        lmids = [mids[k] for k in lit.tolist()]
+                        prows = hpids[lit]
+                        colors[prows] = colors[prows] + (
+                            throughput[prows]
+                            * tables.albedo[lmids]
+                            * irr
+                            * cos_theta[:, None]
+                        )
+
+            if depth == max_bounces:
+                break
+
+            # Continuations: scalar RNG decisions, same draw order per path.
+            reflectivity = tables.reflectivity
+            survive_tab = tables.survive
+            albedo_tab = tables.albedo
+            next_rows: list[int] = []
+            next_dirs: list[np.ndarray] = []
+            next_pids: list[int] = []
+            for k, r in enumerate(hit_rows_l):
+                pid = pid_list[r]
+                m = mids[k]
+                refl = reflectivity[m]
+                rng = rngs[pid]
+                if refl > 0.0 or max_bounces >= 2:
+                    if rng is None:
+                        rng = random.Random(
+                            (seed << 48)
+                            ^ (py_list[pid] << 28)
+                            ^ (px_list[pid] << 8)
+                            ^ sample_list[pid]
+                        )
+                        rngs[pid] = rng
+                if refl > 0.0 and rng.random() < refl:
+                    direction = reflect(dirs[r], nrm[k])
+                    kinds[pid] = SegmentKind.REFLECTION
+                    if compute_radiance:
+                        throughput[pid] = throughput[pid] * albedo_tab[m]
+                elif max_bounces >= 2:
+                    survive = survive_tab[m]
+                    if rng.random() >= survive:
+                        continue
+                    direction = spherical_direction(
+                        rng.random(), rng.random(), nrm[k]
+                    )
+                    kinds[pid] = SegmentKind.BOUNCE
+                    if compute_radiance:
+                        throughput[pid] = (
+                            throughput[pid] * albedo_tab[m] / max(survive, 1e-6)
+                        )
+                else:
+                    continue
+                if collect_records:
+                    # The continuation ray's setup cost attaches to the
+                    # segment just recorded (the last shadow segment when
+                    # lights exist, the hit segment otherwise).
+                    seg_lists[pid][-1].shade_instructions += _CONTINUATION_COST
+                next_rows.append(k)
+                next_dirs.append(direction)
+                next_pids.append(pid)
+
+            if not next_rows:
+                break
+            origins = offset_org[next_rows]
+            dirs = np.array(next_dirs, dtype=np.float64)
+            pids = np.array(next_pids)
+            pid_list = next_pids
+            m2 = len(next_rows)
+            t_min = np.full(m2, _RAY_T_MIN)
+            t_max = np.full(m2, _INF)
+
+        return seg_lists, colors
+
+    # ------------------------------------------------------------------
+    # public API
+    # ------------------------------------------------------------------
+
+    def _iter_waves(self, pixels):
+        """Yield ``(px_list, py_list, sample_list)`` wave batches.
+
+        Pixels are never split across waves so each pixel's samples stay
+        contiguous and in order.
+        """
+        spp = self.settings.samples_per_pixel
+        pixels_per_wave = max(1, self.wave_size // spp)
+        pixels = list(pixels)
+        samples = list(range(spp))
+        for start in range(0, len(pixels), pixels_per_wave):
+            chunk = pixels[start:start + pixels_per_wave]
+            if spp == 1:
+                px_l = [p[0] for p in chunk]
+                py_l = [p[1] for p in chunk]
+                s_l = [0] * len(chunk)
             else:
-                jitter = (rng.random(), rng.random())
-            ray = scene.camera.primary_ray(
-                px, py, settings.width, settings.height, jitter
-            )
-            color = color + self._trace_path(ray, rng, trace)
-        return trace, color / settings.samples_per_pixel
-
-    def _trace_path(
-        self, ray: Ray, rng: random.Random, trace: PixelTrace
-    ) -> np.ndarray:
-        """Follow one light path, appending its segments to ``trace``."""
-        scene = self.scene
-        bvh = scene.bvh
-        color = vec3(0.0, 0.0, 0.0)
-        throughput = vec3(1.0, 1.0, 1.0)
-        kind = SegmentKind.PRIMARY
-
-        for depth in range(scene.max_bounces + 1):
-            record = TraversalRecord()
-            hit = bvh.intersect(ray, record)
-            if hit is None:
-                trace.segments.append(
-                    RaySegment(
-                        kind=kind,
-                        nodes=record.nodes_visited,
-                        tris=record.tris_tested,
-                        hit=False,
-                        shade_instructions=_MISS_SHADE_COST,
-                    )
-                )
-                color = color + throughput * _sky_color(ray.direction)
-                break
-
-            material = scene.materials[hit.material_id]
-            shade = material.shade_cost
-            trace.segments.append(
-                RaySegment(
-                    kind=kind,
-                    nodes=record.nodes_visited,
-                    tris=record.tris_tested,
-                    hit=True,
-                    shade_instructions=shade,
-                )
-            )
-            if material.is_emissive():
-                color = color + throughput * material.emission
-
-            # Next-event estimation: one shadow ray per light (paper Fig. 1).
-            for light in scene.lights:
-                shadow_ray, distance = light.shadow_ray(
-                    hit.point + hit.normal * 1e-4
-                )
-                shadow_record = TraversalRecord()
-                occluded = bvh.occluded(shadow_ray, shadow_record)
-                trace.segments.append(
-                    RaySegment(
-                        kind=SegmentKind.SHADOW,
-                        nodes=shadow_record.nodes_visited,
-                        tris=shadow_record.tris_tested,
-                        hit=occluded,
-                        shade_instructions=_SHADOW_SHADE_COST,
-                    )
-                )
-                if not occluded:
-                    cos_theta = max(0.0, dot(hit.normal, shadow_ray.direction))
-                    color = color + (
-                        throughput
-                        * material.albedo
-                        * light.irradiance_at(distance)
-                        * cos_theta
-                    )
-
-            if depth == scene.max_bounces:
-                break
-
-            # Continuation: mirror reflection, else russian-roulette diffuse
-            # bounce (only for path-traced scenes, max_bounces >= 2).
-            if material.reflectivity > 0.0 and rng.random() < material.reflectivity:
-                direction = reflect(ray.direction, hit.normal)
-                kind = SegmentKind.REFLECTION
-                throughput = throughput * material.albedo
-            elif scene.max_bounces >= 2:
-                survive = float(np.max(material.albedo))
-                if rng.random() >= survive:
-                    break
-                direction = spherical_direction(
-                    rng.random(), rng.random(), hit.normal
-                )
-                kind = SegmentKind.BOUNCE
-                throughput = throughput * material.albedo / max(survive, 1e-6)
-            else:
-                break
-            # The continuation ray's setup cost attaches to the segment we
-            # just recorded (its shader issues the next traceRayEXT).
-            trace.segments[-1].shade_instructions += _CONTINUATION_COST
-            ray = Ray(
-                origin=hit.point + hit.normal * 1e-4,
-                direction=direction,
-            )
-        return color
+                px_l = [p[0] for p in chunk for _ in samples]
+                py_l = [p[1] for p in chunk for _ in samples]
+                s_l = samples * len(chunk)
+            yield px_l, py_l, s_l
 
     def trace_frame(
         self, pixels: list[tuple[int, int]] | None = None
     ) -> FrameTrace:
         """Trace a set of pixels (default: the whole plane).
 
-        Returns a sealed :class:`FrameTrace`; radiance values are discarded
-        here — use :meth:`render_image` when colours are wanted.
-
-        With ``settings.tracing_backend == "packet"`` the work is delegated
-        to the wavefront driver, which produces a byte-identical trace.
+        Returns a sealed :class:`FrameTrace`; radiance values are not
+        computed — use :meth:`render_image` when colours are wanted.
+        Traversal records are always collected, so the path-prediction
+        cache stays off and every record is the full walk.
         """
         settings = self.settings
-        if settings.tracing_backend == "packet":
-            from .wavefront import WavefrontTracer
-
-            return WavefrontTracer(self.scene, settings).trace_frame(pixels)
+        spp = settings.samples_per_pixel
         frame = FrameTrace(
             width=settings.width,
             height=settings.height,
-            samples_per_pixel=settings.samples_per_pixel,
+            samples_per_pixel=spp,
             scene_name=self.scene.name,
         )
-        for px, py in pixels if pixels is not None else settings.all_pixels():
-            trace, _ = self.trace_pixel(px, py)
-            frame.pixels[(px, py)] = trace
+        if pixels is None:
+            pixels = settings.all_pixels()
+        frame_pixels = frame.pixels
+        for px_l, py_l, s_l in self._iter_waves(pixels):
+            seg_lists, _ = self._trace_wave(
+                px_l, py_l, s_l,
+                collect_records=True, compute_radiance=False, cache=None,
+            )
+            if spp == 1:
+                for x, y, segments in zip(px_l, py_l, seg_lists):
+                    frame_pixels[(x, y)] = PixelTrace(x, y, segments)
+            else:
+                for i in range(0, len(px_l), spp):
+                    segments = seg_lists[i]
+                    for s in range(1, spp):
+                        segments.extend(seg_lists[i + s])
+                    frame_pixels[(px_l[i], py_l[i])] = PixelTrace(
+                        px_l[i], py_l[i], segments
+                    )
         return frame.seal()
 
-    def render_image(self) -> np.ndarray:
-        """Render the full plane to an ``(H, W, 3)`` float RGB image."""
-        settings = self.settings
-        if settings.tracing_backend == "packet":
-            from .wavefront import WavefrontTracer
+    def occlusion_pass(
+        self,
+        cache: "PathPredictionCache | None" = None,
+        pixels: list[tuple[int, int]] | None = None,
+    ) -> "PathPredictionCache":
+        """Run a record-free pass that exercises the prediction cache.
 
-            return WavefrontTracer(self.scene, settings).render_image()
+        The sequence-aware simulate stages use this to *thread* a
+        :class:`PathPredictionCache` across the frames of an animated
+        sequence: pass the previous frame's cache and it is rebound to
+        this tracer's BVH (stale leaves pruned) before the waves run, so
+        coherent shadow rays hit entries learned one frame earlier.  The
+        (re)trained cache is returned for the next frame.  No traversal
+        records are collected, so the byte-identical ``trace_frame``
+        output is untouched.
+        """
+        if cache is None:
+            cache = PathPredictionCache(self.scene.packed_bvh)
+        else:
+            cache.rebind(self.scene.packed_bvh)
+        if pixels is None:
+            pixels = self.settings.all_pixels()
+        for px_l, py_l, s_l in self._iter_waves(pixels):
+            self._trace_wave(
+                px_l, py_l, s_l,
+                collect_records=False, compute_radiance=True, cache=cache,
+            )
+        return cache
+
+    def render_image(self) -> np.ndarray:
+        """Render the full plane to an ``(H, W, 3)`` float RGB image.
+
+        No traces are kept, so shadow batches may use the path-prediction
+        cache: validated hits skip whole traversal walks for coherent
+        shadow rays without changing any occlusion answer.
+        """
+        settings = self.settings
+        spp = settings.samples_per_pixel
+        cache = PathPredictionCache(self.scene.packed_bvh)
         image = np.zeros((settings.height, settings.width, 3), dtype=np.float64)
-        for px, py in settings.all_pixels():
-            _, color = self.trace_pixel(px, py)
-            image[py, px] = np.clip(color, 0.0, 1.0)
+        for px_l, py_l, s_l in self._iter_waves(settings.all_pixels()):
+            _, colors = self._trace_wave(
+                px_l, py_l, s_l,
+                collect_records=False, compute_radiance=True, cache=cache,
+            )
+            # Sum each pixel's samples sequentially (per-pixel accumulation
+            # order), then average.
+            per_pixel = colors.reshape(-1, spp, 3)
+            total = per_pixel[:, 0, :]
+            for s in range(1, spp):
+                total = total + per_pixel[:, s, :]
+            total = total / spp
+            xs = px_l[::spp]
+            ys = py_l[::spp]
+            image[ys, xs] = np.clip(total, 0.0, 1.0)
         return image
 
 

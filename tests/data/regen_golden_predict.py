@@ -13,6 +13,8 @@ from repro.gpu.config import MOBILE_SOC
 from repro.scene.library import SCENE_NAMES, make_scene
 from repro.tracer.tracer import FunctionalTracer, RenderSettings
 
+#: ``backend`` names the tracer the fixture was captured with: the packet
+#: (wavefront) tracer, today's ``FunctionalTracer``.
 META = {"size": 24, "spp": 1, "seed": 0, "backend": "packet",
         "gpu": "MobileSoC"}
 
@@ -26,7 +28,6 @@ def main() -> None:
             RenderSettings(
                 width=META["size"], height=META["size"],
                 samples_per_pixel=META["spp"], seed=META["seed"],
-                tracing_backend=META["backend"],
             ),
         ).trace_frame()
         result = Zatel(MOBILE_SOC).predict(scene, frame)

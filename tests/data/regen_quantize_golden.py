@@ -3,8 +3,8 @@
 Every group's traced fraction (equation (1)) and every selection weight
 derive from the quantized palette, its per-pixel labels and the per-color
 coolness, so K-Means must not change by a single bit when its
-implementation does.  Each run traces a library scene with the packet
-backend, profiles it with the profile stage's defaults, quantizes with
+implementation does.  Each run traces a library scene with
+``FunctionalTracer``, profiles it with the profile stage's defaults, quantizes with
 ``seed=0`` and pins a SHA-256 of the palette, labels and coolness bytes
 (dtype included, through the byte length).  Run only after an
 *intentional* change to the quantization, and say so in the commit:

@@ -14,13 +14,19 @@ commit:
 import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import Path
 
-from repro.gpu import MOBILE_SOC, RTX_2060, CycleSimulator, compile_kernel
-from repro.gpu.stats import SimulationStats
-from repro.scene.library import SCENE_NAMES, make_scene
-from repro.tracer.tracer import FunctionalTracer, RenderSettings
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
+from repro.gpu import MOBILE_SOC, RTX_2060, CycleSimulator, compile_kernel  # noqa: E402
+from repro.gpu.stats import SimulationStats  # noqa: E402
+from repro.scene.library import SCENE_NAMES, make_scene  # noqa: E402
+from repro.tracer.tracer import RenderSettings  # noqa: E402
+from tests.reference_tracer import ReferenceTracer  # noqa: E402
+
+#: ``backend`` names the tracer the fixture was captured with: the
+#: scalar one, kept as the reference tracer (``tests/reference_tracer.py``).
 META = {"size": 24, "spp": 1, "seed": 0, "backend": "scalar"}
 
 GPUS = {"mobile": MOBILE_SOC, "rtx2060": RTX_2060}
@@ -53,9 +59,8 @@ def trace_warps(scene_name: str) -> tuple:
     settings = RenderSettings(
         width=META["size"], height=META["size"],
         samples_per_pixel=META["spp"], seed=META["seed"],
-        tracing_backend=META["backend"],
     )
-    frame = FunctionalTracer(scene, settings).trace_frame()
+    frame = ReferenceTracer(scene, settings).trace_frame()
     return scene.addresses, compile_kernel(
         frame, settings.all_pixels(), scene.addresses
     )

@@ -6,8 +6,11 @@ pins the records themselves: per run, a SHA-256 of the *decompressed*
 ``.ztrace`` body (the packed per-pixel, per-segment node and triangle
 indices, in order) plus the pixel, segment, node and triangle counts.  The
 body is hashed rather than the file because zlib output may differ between
-zlib builds.  Run only after an *intentional* tracer-model change, and say
-so in the commit:
+zlib builds.  The ``scalar`` runs trace with the scalar reference tracer
+(``tests/reference_tracer.py``), the ``packet`` runs with
+``FunctionalTracer``; each ``*/24/scalar`` digest equals its
+``*/24/packet`` one.  Run only after an *intentional* tracer-model
+change, and say so in the commit:
 
     PYTHONPATH=src python tests/data/regen_trace_records.py
 """
@@ -15,34 +18,38 @@ so in the commit:
 import hashlib
 import json
 import struct
+import sys
 import tempfile
 import zlib
 from pathlib import Path
 
-from repro.scene.library import SCENE_NAMES, make_scene
-from repro.tracer.serialization import save_frame
-from repro.tracer.trace import FrameTrace
-from repro.tracer.tracer import FunctionalTracer, RenderSettings
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
-#: ``run id -> (scene, size, samples per pixel, tracing backend)``.
+from repro.scene.library import SCENE_NAMES, make_scene  # noqa: E402
+from repro.tracer.serialization import save_frame  # noqa: E402
+from repro.tracer.trace import FrameTrace  # noqa: E402
+from repro.tracer.tracer import FunctionalTracer, RenderSettings  # noqa: E402
+from tests.reference_tracer import ReferenceTracer  # noqa: E402
+
+#: Run-id tracer names: the scalar reference, or ``FunctionalTracer``.
+TRACERS = {"scalar": ReferenceTracer, "packet": FunctionalTracer}
+
+#: ``run id -> (scene, size, samples per pixel, tracer name)``.
 RUNS = {
-    f"{scene}/24/{backend}": (scene, 24, 1, backend)
+    f"{scene}/24/{tracer}": (scene, 24, 1, tracer)
     for scene in SCENE_NAMES
-    for backend in ("scalar", "packet")
+    for tracer in TRACERS
 }
 RUNS["SPNZA/64/packet"] = ("SPNZA", 64, 1, "packet")
 RUNS["SPRNG/24/spp2/packet"] = ("SPRNG", 24, 2, "packet")
 
 
 def trace(run_id: str) -> FrameTrace:
-    """Trace one run's frame with its backend."""
-    scene_name, size, spp, backend = RUNS[run_id]
-    return FunctionalTracer(
+    """Trace one run's frame with its tracer."""
+    scene_name, size, spp, tracer = RUNS[run_id]
+    return TRACERS[tracer](
         make_scene(scene_name),
-        RenderSettings(
-            width=size, height=size, samples_per_pixel=spp, seed=0,
-            tracing_backend=backend,
-        ),
+        RenderSettings(width=size, height=size, samples_per_pixel=spp, seed=0),
     ).trace_frame()
 
 

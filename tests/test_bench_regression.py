@@ -2,8 +2,8 @@
 
 The checker compares a fresh ``bench_tracer.py`` payload against the
 committed baseline; these tests feed it synthetic payloads and the real
-committed baseline file to pin the gating semantics: correctness drift
-and big relative slowdowns fail, timing wobble only warns.
+committed baseline file to pin the gating semantics: prediction-metric
+and ray-count drift fail, wall-clock and memory ratios only report.
 """
 
 from __future__ import annotations
@@ -32,53 +32,30 @@ def baseline() -> dict:
 
 def test_committed_baseline_exists_and_is_quick_mode(baseline):
     assert baseline["benchmark"] == "tracer_backends"
-    assert baseline["identical"] is True
+    assert baseline["quick"] is True
     assert baseline["scenes"], "baseline must cover at least one scene"
-    assert baseline["predict"]["identical_metrics"] is True
+    assert baseline["predict"]["metrics"]
 
 
 def test_baseline_vs_itself_passes(baseline):
-    report = checker.compare(baseline, baseline, max_slowdown=0.30)
+    report = checker.compare(baseline, baseline)
     assert not report.failed
     assert not report.warned
-
-
-def test_slowdown_within_band_only_warns(baseline):
-    current = copy.deepcopy(baseline)
-    for entry in current["scenes"]:
-        entry["rays_per_sec_speedup"] *= 0.85  # -15%: noise territory
-    report = checker.compare(current, baseline, max_slowdown=0.30)
-    assert report.warned
-    assert not report.failed
-
-
-def test_slowdown_beyond_band_fails(baseline):
-    current = copy.deepcopy(baseline)
-    current["scenes"][0]["rays_per_sec_speedup"] *= 0.5  # -50%
-    report = checker.compare(current, baseline, max_slowdown=0.30)
-    assert report.failed
 
 
 def test_metric_drift_fails_even_when_fast(baseline):
     current = copy.deepcopy(baseline)
     current["predict"]["metrics"]["cycles"] += 1e-9
-    current["predict"]["speedup"] *= 10  # speed cannot buy back correctness
-    report = checker.compare(current, baseline, max_slowdown=0.30)
+    current["predict"]["packet"]["seconds"] /= 10  # speed cannot buy it back
+    report = checker.compare(current, baseline)
     assert report.failed
     assert any("metrics drifted" in line for line in report.lines)
-
-
-def test_backend_divergence_fails(baseline):
-    current = copy.deepcopy(baseline)
-    current["identical"] = False
-    report = checker.compare(current, baseline, max_slowdown=0.30)
-    assert report.failed
 
 
 def test_ray_count_drift_fails(baseline):
     current = copy.deepcopy(baseline)
     current["scenes"][0]["packet"]["rays"] += 1
-    report = checker.compare(current, baseline, max_slowdown=0.30)
+    report = checker.compare(current, baseline)
     assert report.failed
 
 
@@ -87,19 +64,10 @@ def test_unknown_scene_only_warns(baseline):
     extra = copy.deepcopy(current["scenes"][0])
     extra["scene"] = "NEWSCENE"
     current["scenes"].append(extra)
-    report = checker.compare(current, baseline, max_slowdown=0.30)
+    report = checker.compare(current, baseline)
     assert not report.failed
     assert any("NEWSCENE" in line and "no baseline" in line
                for line in report.lines)
-
-
-def test_speedup_improvement_passes(baseline):
-    current = copy.deepcopy(baseline)
-    for entry in current["scenes"]:
-        entry["rays_per_sec_speedup"] *= 1.5
-    report = checker.compare(current, baseline, max_slowdown=0.30)
-    assert not report.failed
-
 
 
 def test_build_vs_baseline_is_reported_and_never_gates(baseline):
@@ -107,7 +75,7 @@ def test_build_vs_baseline_is_reported_and_never_gates(baseline):
     for factor, prefix in ((0.5, "PASS"), (4.0, "WARN")):
         current = copy.deepcopy(baseline)
         current["scenes"][0]["build_seconds"] *= factor
-        report = checker.compare(current, baseline, max_slowdown=0.30)
+        report = checker.compare(current, baseline)
         assert not report.failed
         ratio = 1.0 / factor
         assert f"{prefix}  {name} build_vs_baseline: {ratio:.2f}x" in "\n".join(
@@ -121,7 +89,7 @@ def test_frame_bytes_vs_baseline_is_reported_and_never_gates(baseline):
     for factor, prefix in ((0.5, "PASS"), (4.0, "WARN")):
         current = copy.deepcopy(baseline)
         current["scenes"][0]["frame_bytes_per_entry"] *= factor
-        report = checker.compare(current, baseline, max_slowdown=0.30)
+        report = checker.compare(current, baseline)
         assert not report.failed
         ratio = 1.0 / factor
         assert (

@@ -1,8 +1,8 @@
-"""Unit tests for the packet (wavefront) BVH backend.
+"""Unit tests for the packet BVH kernels.
 
-Golden scalar-vs-packet *frame* equivalence lives in
+Golden tracer-vs-reference *frame* equivalence lives in
 ``test_wavefront_golden.py``; this module exercises the kernels and the
-path-prediction cache directly, plus the scalar backend's negative-zero
+path-prediction cache directly, plus scalar traversal's negative-zero
 direction regression.
 """
 
@@ -194,15 +194,11 @@ class TestPathPredictionCache:
         assert cache.table == {3: 0}
 
     def test_image_identical_with_cache(self, small_scene):
-        # render_image (cache on) must match scalar exactly.
+        # render_image (cache on) must match the scalar reference exactly.
         from repro.tracer.tracer import FunctionalTracer, RenderSettings
+        from tests.reference_tracer import ReferenceTracer
 
-        img_pk = FunctionalTracer(
-            small_scene,
-            RenderSettings(width=16, height=16, tracing_backend="packet"),
-        ).render_image()
-        img_sc = FunctionalTracer(
-            small_scene,
-            RenderSettings(width=16, height=16, tracing_backend="scalar"),
-        ).render_image()
+        settings = RenderSettings(width=16, height=16)
+        img_pk = FunctionalTracer(small_scene, settings).render_image()
+        img_sc = ReferenceTracer(small_scene, settings).render_image()
         assert np.array_equal(img_pk, img_sc)

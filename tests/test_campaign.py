@@ -94,8 +94,16 @@ class TestSamplesheetSchema:
             parse_samplesheet(_sheet([{"scene": "SPRNG", "gpu": "tpu"}]))
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            parse_samplesheet(_sheet([{"scene": "SPRNG", "backend": "cuda"}]))
+        # There is one tracer; the retired backend column is an unknown
+        # field like any other.
+        with pytest.raises(
+            ValueError, match=r"points\[0\]: unknown field\(s\) 'backend'"
+        ):
+            parse_samplesheet(_sheet([{"scene": "SPRNG", "backend": "scalar"}]))
+        with pytest.raises(ValueError, match=r"campaign: unknown field\(s\) 'backend'"):
+            parse_samplesheet(
+                {"campaign": {"backend": "packet"}, "points": [{"scene": "SPRNG"}]}
+            )
 
     def test_unknown_config_knob_rejected(self):
         with pytest.raises(ValueError, match="unknown config field"):
@@ -359,7 +367,7 @@ class TestCampaignExecution:
         result = CampaignPlanner().run(Campaign(name="seq", points=tuple(points)))
         assert result.waves == 3
         assert all(o.verdict == "pass" for o in result.outcomes)
-        # Every packet-backend frame reports its carry stats.
+        # Every frame reports its carry stats.
         assert all(o.sequence is not None for o in result.outcomes)
         assert result.outcomes[0].sequence["carried_hits"] == 0
 
@@ -394,7 +402,6 @@ ACCEPTANCE_SHEET = {
         "size": 24,
         "spp": 1,
         "seed": 0,
-        "backend": "packet",
         "gpus": ["mobile", "rtx2060"],
     },
     "points": [
@@ -440,9 +447,7 @@ class TestAcceptanceCampaign:
     def test_library_points_byte_identical_to_golden(self, acceptance):
         campaign, result = acceptance
         meta = GOLDEN["meta"]
-        assert (meta["size"], meta["spp"], meta["seed"], meta["backend"]) == (
-            24, 1, 0, "packet",
-        )
+        assert (meta["size"], meta["spp"], meta["seed"]) == (24, 1, 0)
         checked = 0
         for outcome in result.outcomes:
             point = outcome.point
@@ -509,7 +514,7 @@ class TestFleetRecipeBundles:
         from repro.tracer.tracer import FunctionalTracer, RenderSettings
 
         frame = FunctionalTracer(
-            scene, RenderSettings(width=10, height=10, tracing_backend="packet")
+            scene, RenderSettings(width=10, height=10)
         ).trace_frame()
         predictor = Zatel(MOBILE_SOC)
         graph, _ = predictor.build_graph(scene, frame)

@@ -26,7 +26,7 @@ class TestParser:
         text = parser.format_help()
         for command in (
             "scenes", "configs", "render", "heatmap", "simulate",
-            "predict", "sweep", "campaign",
+            "predict", "campaign",
         ):
             assert command in text
 
@@ -154,16 +154,6 @@ class TestSimulationCommands:
         ) == 0
         assert "RTX2060" in capsys.readouterr().out
 
-    def test_sweep_fits_power_law(self, capsys):
-        code = main(
-            ["sweep", "SPRNG", "--size", "32",
-             "--percentages", "25,50,75"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fitted speedup" in out
-        assert "deprecated alias" in out
-
 
 class TestCampaignCommand:
     def test_campaign_run_prints_report(self, tmp_path, capsys):
@@ -237,3 +227,18 @@ class TestErrorHandling:
             ["simulate", "SPRNG", "--size", "16", "--gpu", "a100"]
         ) == 2
         assert "unknown GPU preset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "SPRNG", "--backend", "scalar"],
+            ["sweep", "SPRNG"],
+        ],
+        ids=["backend-flag", "sweep-command"],
+    )
+    def test_retired_options_are_usage_errors(self, argv, capsys):
+        # One tracer and no sweep alias: both are argparse usage errors.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err

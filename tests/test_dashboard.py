@@ -423,8 +423,7 @@ class TestServiceDashboard:
         assert missing["traces"] == []
 
         request = {
-            "scene": "SPRNG", "size": 16, "spp": 1, "seed": 0,
-            "backend": "packet", "gpu": "mobile",
+            "scene": "SPRNG", "size": 16, "spp": 1, "seed": 0, "gpu": "mobile",
         }
         status, served = _post_json(base, "/predict", request)
         assert status == 200, served

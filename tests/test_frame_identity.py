@@ -2,8 +2,9 @@
 
 ``tests/data/frame_fingerprints.json`` pins the fingerprint of each library
 scene at 24x24, captured before frames carried a sealed cost map.  Every
-producer (scalar tracer, packet tracer, ``.ztrace`` loader) must reproduce
-those keys, or every on-disk store would silently go cold.
+producer (``FunctionalTracer``, the scalar reference tracer in
+``tests/reference_tracer.py``, the ``.ztrace`` loader) must reproduce those
+keys, or every on-disk store would silently go cold.
 
 Regenerating (only after an *intentional* tracer-model change)::
 
@@ -30,6 +31,7 @@ from repro.tracer import (
     load_frame,
     save_frame,
 )
+from tests.reference_tracer import ReferenceTracer
 
 FIXTURE = json.loads(
     (Path(__file__).parent / "data" / "frame_fingerprints.json").read_text()
@@ -37,13 +39,12 @@ FIXTURE = json.loads(
 META = FIXTURE["meta"]
 
 
-def _trace(scene_name: str, backend: str) -> FrameTrace:
-    return FunctionalTracer(
+def _trace(scene_name: str, tracer=FunctionalTracer) -> FrameTrace:
+    return tracer(
         make_scene(scene_name),
         RenderSettings(
             width=META["size"], height=META["size"],
             samples_per_pixel=META["spp"], seed=META["seed"],
-            tracing_backend=backend,
         ),
     ).trace_frame()
 
@@ -72,10 +73,10 @@ def test_fixture_covers_all_scenes():
 @pytest.mark.parametrize("scene_name", SCENE_NAMES)
 def test_producers_reproduce_committed_fingerprints(scene_name, tmp_path):
     expected = FIXTURE["fingerprints"][scene_name]
-    scalar = _trace(scene_name, "scalar")
-    packet = _trace(scene_name, "packet")
-    loaded = load_frame(save_frame(scalar, tmp_path / "frame.ztrace"))
-    for frame in (scalar, packet, loaded):
+    reference = _trace(scene_name, ReferenceTracer)
+    traced = _trace(scene_name)
+    loaded = load_frame(save_frame(traced, tmp_path / "frame.ztrace"))
+    for frame in (reference, traced, loaded):
         assert frame.sealed
         assert frame_fingerprint(frame) == expected
 
@@ -83,7 +84,7 @@ def test_producers_reproduce_committed_fingerprints(scene_name, tmp_path):
 class TestSealedFrame:
     @pytest.fixture(scope="class")
     def frame(self):
-        return _trace("SPRNG", "scalar")
+        return _trace("SPRNG")
 
     def test_total_cost_is_a_python_float(self, frame):
         assert type(frame.total_cost()) is float

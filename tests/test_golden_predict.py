@@ -41,7 +41,6 @@ def test_predict_metrics_byte_identical(scene_name):
             height=meta["size"],
             samples_per_pixel=meta["spp"],
             seed=meta["seed"],
-            tracing_backend=meta["backend"],
         ),
     ).trace_frame()
     result = Zatel(MOBILE_SOC).predict(scene, frame)

@@ -245,7 +245,7 @@ class TestEndToEnd:
         assert provenance["seed"] == ZatelConfig().seed
 
     def test_service_payload_carries_uncertainty_block(self, results):
-        payload = result_payload("small", "packet", "mobile", results["two_phase"])
+        payload = result_payload("small", "mobile", results["two_phase"])
         assert payload["sampler"]["name"] == "two_phase"
         assert payload["variances"]["cycles"] > 0.0
         intervals = payload["confidence_intervals"]

@@ -108,16 +108,17 @@ class TestErrorHandling:
             load_frame(path)
 
 
-def _write_ztrace(path, body: bytes, pixels: int) -> None:
-    """A well-formed ``.ztrace`` container around a hand-packed body."""
+def _write_ztrace(path, body: bytes, pixels: int, header=None) -> None:
+    """A ``.ztrace`` container around a hand-packed body.
+
+    ``header`` replaces the default (well-formed) decoded header.
+    """
     import json
     import zlib
 
-    header = zlib.compress(
-        json.dumps(
-            {"width": 4, "height": 4, "spp": 1, "scene": "x", "pixels": pixels}
-        ).encode()
-    )
+    if header is None:
+        header = {"width": 4, "height": 4, "spp": 1, "scene": "x", "pixels": pixels}
+    header = zlib.compress(json.dumps(header).encode())
     body_z = zlib.compress(body)
     path.write_bytes(
         b"ZTRC"
@@ -197,6 +198,74 @@ class TestMalformedFiles:
         with pytest.raises(ValueError, match=r"big\.ztrace: pixel \(2, 3\)"):
             save_frame(frame, path)
         assert not path.exists()
+
+
+def _header(**changes) -> dict:
+    """The default test header for one pixel, with ``changes`` applied."""
+    header = {"width": 4, "height": 4, "spp": 1, "scene": "x", "pixels": 1}
+    header.update(changes)
+    return header
+
+
+class TestMalformedHeaders:
+    """A header that decodes but is not a valid header is a ``ValueError``
+    naming the file, never a ``TypeError`` or a silently empty frame."""
+
+    def test_header_that_is_a_list(self, tmp_path):
+        path = tmp_path / "list.ztrace"
+        _write_ztrace(path, _pixel(0, 0), 1, header=[4, 4, 1, "x", 1])
+        with pytest.raises(ValueError, match=r"list\.ztrace.*not a JSON object"):
+            load_frame(path)
+
+    def test_width_that_is_a_string(self, tmp_path):
+        path = tmp_path / "str.ztrace"
+        _write_ztrace(path, _pixel(0, 0), 1, header=_header(width="4"))
+        with pytest.raises(ValueError, match=r"str\.ztrace.*'width' must be an int"):
+            load_frame(path)
+
+    def test_negative_width(self, tmp_path):
+        path = tmp_path / "neg.ztrace"
+        _write_ztrace(path, _pixel(0, 0), 1, header=_header(width=-4))
+        with pytest.raises(ValueError, match=r"neg\.ztrace.*'width' must be an int >= 1"):
+            load_frame(path)
+
+    def test_negative_pixel_count(self, tmp_path):
+        path = tmp_path / "count.ztrace"
+        _write_ztrace(path, _pixel(0, 0), 1, header=_header(pixels=-1))
+        with pytest.raises(ValueError, match=r"count\.ztrace.*'pixels' must be an int >= 0"):
+            load_frame(path)
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [({"spp": True}, "spp"), ({"height": 0}, "height"), ({"scene": 7}, "scene")],
+        ids=["bool-spp", "zero-height", "int-scene"],
+    )
+    def test_other_invalid_fields(self, tmp_path, changes, field):
+        path = tmp_path / "bad.ztrace"
+        _write_ztrace(path, _pixel(0, 0), 1, header=_header(**changes))
+        with pytest.raises(ValueError, match=rf"bad\.ztrace.*'{field}' must be"):
+            load_frame(path)
+
+    def test_legacy_backend_key_is_ignored(self, small_frame, tmp_path):
+        # Files written while the tracer was selectable name it in the
+        # header; they load unchanged.
+        import json
+        import zlib
+
+        raw = save_frame(small_frame, tmp_path / "f.ztrace").read_bytes()
+        (header_len,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(zlib.decompress(raw[12 : 12 + header_len]))
+        assert "backend" not in header
+        header["backend"] = "scalar"
+        legacy = zlib.compress(json.dumps(header).encode())
+        path = tmp_path / "legacy.ztrace"
+        path.write_bytes(
+            raw[:8] + struct.pack("<I", len(legacy)) + legacy
+            + raw[12 + header_len :]
+        )
+        loaded = load_frame(path)
+        assert loaded == small_frame
+        assert frames_equal(loaded, small_frame)
 
 
 class TestRecordBytes:

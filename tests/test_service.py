@@ -164,11 +164,11 @@ class TestParsePredictPayload:
     def test_full_round_trip(self):
         spec, wait = parse_predict_payload(
             {"scene": "BUNNY", "size": 32, "spp": 2, "seed": 5,
-             "backend": "scalar", "gpu": "rtx2060", "division": "coarse",
+             "gpu": "rtx2060", "division": "coarse",
              "distribution": "lintmp", "fraction": 0.5, "adaptive": True,
              "wait": False}
         )
-        assert spec.backend == "scalar"
+        assert spec.gpu == "rtx2060"
         assert spec.fraction == 0.5
         assert wait is False
 
@@ -185,7 +185,7 @@ class TestParsePredictPayload:
             {"scene": "SPRNG", "size": True},  # bool is not an int
             {"scene": "SPRNG", "size": 9999},  # out of range
             {"scene": "SPRNG", "fraction": 1.5},  # out of range
-            {"scene": "SPRNG", "backend": "cuda"},
+            {"scene": "SPRNG", "backend": "cuda"},  # retired field
             {"scene": "SPRNG", "wait": 1},  # wait must be bool
         ],
     )
@@ -293,6 +293,10 @@ class TestServiceHttp:
         assert "sizzle" in payload["error"]
         status, payload, _ = _post(base, {"scene": "SPRNG", "size": True})
         assert status == 400
+        # One tracer: the retired backend field is an unknown key.
+        status, payload, _ = _post(base, {"scene": "SPRNG", "backend": "packet"})
+        assert status == 400
+        assert "unknown field(s) 'backend'" in payload["error"]
         # non-JSON body
         request = urllib.request.Request(
             f"{base}/predict", data=b"not json", method="POST"

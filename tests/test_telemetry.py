@@ -176,7 +176,7 @@ class TestSimulationStatsMerge:
 
     def _stats(self, **kw):
         base = dict(
-            config_name="MobileSoC", backend="packet", cycles=100.0,
+            config_name="MobileSoC", cycles=100.0,
             instructions=1000, l1d_accesses=10, l1d_misses=2,
             sm_count=8, dram_channels=4,
         )
@@ -192,22 +192,11 @@ class TestSimulationStatsMerge:
         assert a.l1d_accesses == 20
         assert a.sm_count == 16 and a.dram_channels == 8
 
-    def test_mismatched_backend_rejected(self):
-        a = self._stats(backend="packet")
-        b = self._stats(backend="scalar")
-        with pytest.raises(ValueError, match="backends"):
-            a.merge_from(b)
-
     def test_mismatched_config_rejected(self):
         a = self._stats()
         b = self._stats(config_name="RTX2060")
         with pytest.raises(ValueError, match="config_name"):
             a.merge_from(b)
-
-    def test_empty_backend_adopts_other(self):
-        a = self._stats(backend="")
-        a.merge_from(self._stats(backend="packet"))
-        assert a.backend == "packet"
 
     def test_merge_simulation_stats_helper(self):
         runs = [self._stats(), self._stats(), self._stats()]
@@ -314,7 +303,7 @@ class TestZperfRoundTrip:
 
     def _stats(self):
         return SimulationStats(
-            config_name="MobileSoC", backend="packet", cycles=18.0,
+            config_name="MobileSoC", cycles=18.0,
             instructions=130, telemetry=self._record(),
         )
 

@@ -1,7 +1,8 @@
 """Interval-snapshot reconciliation over the full scene library.
 
-Satellite acceptance: on every library scene, under both tracing
-backends, the telemetry bus's interval snapshots must reconcile exactly
+On every library scene, for frames from ``FunctionalTracer`` and from the
+scalar reference tracer (``tests/reference_tracer.py``), the telemetry
+bus's interval snapshots must reconcile exactly
 with the run's end-of-run :class:`SimulationStats` — integer counters via
 the sum of per-interval deltas (which telescopes exactly), float
 accumulators via the final cumulative snapshot (float delta sums do not
@@ -15,6 +16,7 @@ import pytest
 from repro.gpu import MOBILE_SOC, CycleSimulator, compile_kernel
 from repro.scene.library import SCENE_NAMES, make_scene
 from repro.tracer.tracer import FunctionalTracer, RenderSettings
+from tests.reference_tracer import ReferenceTracer
 
 SIZE = 12
 INTERVAL = 500
@@ -28,16 +30,15 @@ def _component_sum(counters, prefix, suffix):
     )
 
 
-@pytest.mark.parametrize("backend", ("scalar", "packet"))
+@pytest.mark.parametrize(
+    "tracer", (ReferenceTracer, FunctionalTracer), ids=("scalar", "packet")
+)
 @pytest.mark.parametrize("scene_name", SCENE_NAMES)
-def test_snapshots_reconcile_with_final_stats(scene_name, backend):
+def test_snapshots_reconcile_with_final_stats(scene_name, tracer):
     scene = make_scene(scene_name)
-    frame = FunctionalTracer(
+    frame = tracer(
         scene,
-        RenderSettings(
-            width=SIZE, height=SIZE, samples_per_pixel=1, seed=0,
-            tracing_backend=backend,
-        ),
+        RenderSettings(width=SIZE, height=SIZE, samples_per_pixel=1, seed=0),
     ).trace_frame()
     gpu = dataclasses.replace(
         MOBILE_SOC, telemetry_interval=INTERVAL, timeline_trace=True

@@ -26,6 +26,7 @@ from repro.tracer import (
     RenderSettings,
     SegmentKind,
 )
+from tests.reference_tracer import ReferenceTracer
 
 #: Retained bytes allowed per node or triangle entry of a traced frame.
 #: A list of Python ints costs about 35 B an entry; uint32 records,
@@ -74,7 +75,7 @@ class TestMemoryBudget:
     def test_packet_frame_retains_at_most_budget_per_entry(self):
         tracer = FunctionalTracer(
             make_scene("BUNNY"),
-            RenderSettings(width=48, height=48, tracing_backend="packet"),
+            RenderSettings(width=48, height=48),
         )
         # Build the scene's packed BVH first: it is shared by every
         # frame, not retained by this one.
@@ -93,12 +94,11 @@ class TestMemoryBudget:
 
 
 class TestRecordType:
-    @pytest.mark.parametrize("backend", ["scalar", "packet"])
-    def test_tracers_emit_uint32_arrays(self, small_scene, backend):
-        frame = FunctionalTracer(
-            small_scene,
-            RenderSettings(width=8, height=8, tracing_backend=backend),
-        ).trace_frame()
+    @pytest.mark.parametrize(
+        "tracer", [ReferenceTracer, FunctionalTracer], ids=["scalar", "packet"]
+    )
+    def test_tracers_emit_uint32_arrays(self, small_scene, tracer):
+        frame = tracer(small_scene, RenderSettings(width=8, height=8)).trace_frame()
         records = list(_records(frame))
         assert records
         assert all(type(r) is array and r.typecode == "I" for r in records)
@@ -197,11 +197,6 @@ class TestColumnarPickle:
         restored = _round_trip(frame.seal())
         assert restored == frame
         assert restored.total_cost() == frame.total_cost() == 9.0 + 24.0
-
-    def test_backend_provenance_survives(self, small_frame):
-        restored = _round_trip(small_frame)
-        assert restored == small_frame
-        assert restored.backend == small_frame.backend == "packet"
 
     def test_two_sample_frame(self, small_scene):
         frame = FunctionalTracer(

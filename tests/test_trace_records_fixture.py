@@ -3,8 +3,9 @@
 ``tests/data/trace_records_golden.json`` holds, per run, the SHA-256 of
 the decompressed ``.ztrace`` body of a traced frame plus its pixel,
 segment, node and triangle counts.  Runs cover every library scene at
-24x24 under both tracing backends, SPNZA at 64x64 and one two-sample
-frame.  Every node index a ray visits feeds the simulator's memory
+24x24 traced by ``FunctionalTracer`` (``packet`` runs) and by the scalar
+reference tracer in ``tests/reference_tracer.py`` (``scalar`` runs),
+SPNZA at 64x64 and one two-sample frame.  Every node index a ray visits feeds the simulator's memory
 stream, so the records must stay identical entry for entry however a
 frame stores, pickles or loads them.
 

@@ -104,32 +104,36 @@ class TestRenderSettings:
         assert isinstance(settings.all_pixels(), tuple)
 
 
+def _trace_pixel(scene, settings, px, py):
+    """One pixel's trace, traced on its own."""
+    return trace_frame(scene, settings, pixels=[(px, py)]).get(px, py)
+
+
 class TestFunctionalTracer:
     def test_deterministic(self, lit_scene):
         settings = RenderSettings(width=8, height=8, seed=3)
-        a = FunctionalTracer(lit_scene, settings).trace_pixel(4, 4)[0]
-        b = FunctionalTracer(lit_scene, settings).trace_pixel(4, 4)[0]
+        a = _trace_pixel(lit_scene, settings, 4, 4)
+        b = _trace_pixel(lit_scene, settings, 4, 4)
         assert a.total_nodes() == b.total_nodes()
         assert [s.kind for s in a.segments] == [s.kind for s in b.segments]
 
     def test_primary_segment_first(self, lit_scene):
         settings = RenderSettings(width=8, height=8)
-        trace, _ = FunctionalTracer(lit_scene, settings).trace_pixel(4, 4)
+        trace = _trace_pixel(lit_scene, settings, 4, 4)
         assert trace.segments[0].kind is SegmentKind.PRIMARY
         assert trace.segments[0].nodes  # traversal visited the root at least
 
     def test_hit_spawns_shadow_segment(self, lit_scene):
         settings = RenderSettings(width=8, height=8)
-        trace, _ = FunctionalTracer(lit_scene, settings).trace_pixel(4, 5)
+        trace = _trace_pixel(lit_scene, settings, 4, 5)
         kinds = [s.kind for s in trace.segments]
         if trace.segments[0].hit:
             assert SegmentKind.SHADOW in kinds
 
     def test_miss_costs_less_than_hit(self, lit_scene):
         settings = RenderSettings(width=16, height=16)
-        tracer = FunctionalTracer(lit_scene, settings)
-        sky, _ = tracer.trace_pixel(8, 0)      # top row: sky
-        center, _ = tracer.trace_pixel(8, 10)  # sphere
+        sky = _trace_pixel(lit_scene, settings, 8, 0)  # top row: sky
+        center = _trace_pixel(lit_scene, settings, 8, 10)  # sphere
         assert sky.cost() < center.cost()
 
     def test_trace_frame_covers_requested_pixels(self, lit_scene):

@@ -173,9 +173,7 @@ class TestServedWarmPath:
     def test_served_results_match_golden_cold_and_warm(self, tmp_path):
         meta = GOLDEN["meta"]
         assert (meta["gpu"], meta["spp"], meta["seed"]) == ("MobileSoC", 1, 0)
-        spec = PredictSpec(
-            scene="SPRNG", size=meta["size"], backend=meta["backend"], gpu="mobile"
-        )
+        spec = PredictSpec(scene="SPRNG", size=meta["size"], gpu="mobile")
         cold = ServiceRunner(Runner(cache_dir=tmp_path)).execute(spec)
         warm = ServiceRunner(Runner(cache_dir=tmp_path)).execute(spec)
         assert warm["stages"] == {"executions": {}, "cache_hits": {"combine": 1}}

@@ -1,58 +1,56 @@
-"""Golden scalar-vs-packet equivalence over the full scene library.
+"""Golden tracer-vs-reference equivalence over the full scene library.
 
-The packet (wavefront) backend's contract is *byte-identical* output:
-every pixel's segments — node visit order, triangle test order, hit
-flags, shade instruction counts — and every rendered image must equal
-the scalar backend's exactly.  The timing simulator replays these traces
-address by address, so any drift here is metric drift.
+``FunctionalTracer`` (the wavefront tracer) must be *byte-identical* to
+the one-ray-at-a-time reference in ``tests/reference_tracer.py``: every
+pixel's segments — node visit order, triangle test order, hit flags,
+shade instruction counts — and every rendered image.  The timing
+simulator replays these traces address by address, so any drift here is
+metric drift.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.scene.library import SCENE_NAMES, make_scene
 from repro.tracer.tracer import FunctionalTracer, RenderSettings, trace_frame
+from tests.reference_tracer import ReferenceTracer, reference_trace_frame
 
 SIZE = 12
 SPP = 2
 SEED = 5
 
 
-def _settings(backend: str, **kw) -> RenderSettings:
+def _settings(**kw) -> RenderSettings:
     base = dict(width=SIZE, height=SIZE, samples_per_pixel=SPP, seed=SEED)
     base.update(kw)
-    return RenderSettings(tracing_backend=backend, **base)
+    return RenderSettings(**base)
 
 
-def _assert_frames_identical(scalar, packet):
-    assert set(scalar.pixels) == set(packet.pixels)
-    for key in scalar.pixels:
-        ps, pp = scalar.pixels[key], packet.pixels[key]
-        assert ps == pp, f"pixel {key} diverged"
-    assert scalar.total_cost() == packet.total_cost()
+def _assert_frames_identical(reference, traced):
+    assert set(reference.pixels) == set(traced.pixels)
+    for key in reference.pixels:
+        pr, pt = reference.pixels[key], traced.pixels[key]
+        assert pr == pt, f"pixel {key} diverged"
+    assert reference.total_cost() == traced.total_cost()
 
 
 @pytest.mark.parametrize("scene_name", SCENE_NAMES)
 class TestGoldenEquivalence:
     def test_frames_identical(self, scene_name):
         scene = make_scene(scene_name)
-        scalar = FunctionalTracer(scene, _settings("scalar")).trace_frame()
-        packet = FunctionalTracer(scene, _settings("packet")).trace_frame()
-        assert scalar.backend == "scalar"
-        assert packet.backend == "packet"
-        _assert_frames_identical(scalar, packet)
+        reference = ReferenceTracer(scene, _settings()).trace_frame()
+        traced = FunctionalTracer(scene, _settings()).trace_frame()
+        _assert_frames_identical(reference, traced)
 
     def test_images_identical(self, scene_name):
-        # render_image enables the path-prediction cache on the packet
-        # side; images must still match bit for bit.
+        # render_image enables the path-prediction cache; images must
+        # still match the reference bit for bit.
         scene = make_scene(scene_name)
-        img_sc = FunctionalTracer(scene, _settings("scalar")).render_image()
-        img_pk = FunctionalTracer(scene, _settings("packet")).render_image()
-        assert np.array_equal(img_sc, img_pk)
+        img_ref = ReferenceTracer(scene, _settings()).render_image()
+        img = FunctionalTracer(scene, _settings()).render_image()
+        assert np.array_equal(img_ref, img)
 
 
 class TestPartialPlanes:
@@ -61,81 +59,46 @@ class TestPartialPlanes:
     def test_pixel_subset(self):
         scene = make_scene("SPRNG")
         pixels = [(0, 0), (5, 3), (11, 11), (2, 7), (7, 2)]
-        scalar = trace_frame(scene, _settings("scalar"), pixels)
-        packet = trace_frame(scene, _settings("packet"), pixels)
-        _assert_frames_identical(scalar, packet)
+        reference = reference_trace_frame(scene, _settings(), pixels)
+        traced = trace_frame(scene, _settings(), pixels)
+        _assert_frames_identical(reference, traced)
 
     def test_single_sample(self):
         scene = make_scene("PARK")
-        scalar = FunctionalTracer(
-            scene, _settings("scalar", samples_per_pixel=1)
-        ).trace_frame()
-        packet = FunctionalTracer(
-            scene, _settings("packet", samples_per_pixel=1)
-        ).trace_frame()
-        _assert_frames_identical(scalar, packet)
+        settings = _settings(samples_per_pixel=1)
+        reference = ReferenceTracer(scene, settings).trace_frame()
+        traced = FunctionalTracer(scene, settings).trace_frame()
+        _assert_frames_identical(reference, traced)
 
     def test_small_wave_size(self):
         # Waves smaller than the plane exercise the chunking path.
-        from repro.tracer.wavefront import WavefrontTracer
-
         scene = make_scene("SPRNG")
-        scalar = FunctionalTracer(scene, _settings("scalar")).trace_frame()
-        packet = WavefrontTracer(
-            scene, _settings("packet"), wave_size=17
-        ).trace_frame()
-        _assert_frames_identical(scalar, packet)
+        reference = ReferenceTracer(scene, _settings()).trace_frame()
+        traced = FunctionalTracer(scene, _settings(), wave_size=17).trace_frame()
+        _assert_frames_identical(reference, traced)
 
 
 class TestBackendPlumbing:
-    def test_backend_excluded_from_equality(self):
-        scene = make_scene("SPRNG")
-        scalar = FunctionalTracer(
-            scene, _settings("scalar", samples_per_pixel=1)
-        ).trace_frame()
-        relabeled = dataclasses.replace(scalar, backend="packet")
-        assert relabeled == scalar
+    """There is one tracer, and which tracer produced a frame never
+    reaches the prediction."""
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            RenderSettings(tracing_backend="simd")
+        # The tracing-backend option is gone; the retired keyword is an
+        # error, not a silently ignored setting.
+        with pytest.raises(TypeError):
+            RenderSettings(tracing_backend="scalar")
 
     def test_predict_metrics_zero_drift(self):
-        # End to end: Zatel.predict from a scalar-traced frame and a
-        # packet-traced frame must produce the same metrics.
+        # End to end: Zatel.predict from a reference-traced frame and a
+        # FunctionalTracer frame must produce the same metrics.
         from repro.core.pipeline import Zatel
         from repro.gpu.config import preset
 
         scene = make_scene("SPRNG")
         gpu = preset("mobile")
-        results = {}
-        for backend in ("scalar", "packet"):
-            frame = FunctionalTracer(
-                scene, _settings(backend, width=32, height=32,
-                                 samples_per_pixel=1)
-            ).trace_frame()
-            results[backend] = Zatel(gpu).predict(scene, frame)
-        assert results["scalar"].metrics == results["packet"].metrics
-
-    def test_stats_carry_backend(self, small_scene):
-        from repro.gpu import MOBILE_SOC, CycleSimulator, compile_kernel
-        from repro.core.pipeline import Zatel
-
-        frame = FunctionalTracer(
-            small_scene, _settings("packet", width=16, height=16,
-                                   samples_per_pixel=1)
-        ).trace_frame()
-        result = Zatel(MOBILE_SOC).predict(small_scene, frame)
-        assert all(g.stats.backend == "packet" for g in result.groups)
-
-    def test_ztrace_roundtrips_backend(self, tmp_path):
-        from repro.tracer.serialization import load_frame, save_frame
-
-        scene = make_scene("SPRNG")
-        frame = FunctionalTracer(
-            scene, _settings("packet", samples_per_pixel=1)
-        ).trace_frame()
-        path = save_frame(frame, tmp_path / "f.ztrace")
-        loaded = load_frame(path)
-        assert loaded.backend == "packet"
-        assert loaded == frame
+        settings = _settings(width=32, height=32, samples_per_pixel=1)
+        results = [
+            Zatel(gpu).predict(scene, tracer(scene, settings).trace_frame())
+            for tracer in (ReferenceTracer, FunctionalTracer)
+        ]
+        assert results[0].metrics == results[1].metrics
