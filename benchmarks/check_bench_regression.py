@@ -28,7 +28,8 @@ noise:
 
 **Non-gating (warning only):** each scene's ``build_vs_baseline``
 (baseline ``build_bvh`` seconds over the run's; a WARN line below
-0.7x), and each scene's ``frame_bytes_vs_baseline`` (baseline
+0.7x), its ``trace_vs_baseline`` (baseline ``trace_frame`` seconds over
+the run's, likewise), and its ``frame_bytes_vs_baseline`` (baseline
 ``frame_bytes_per_entry`` over the run's, likewise).  Absolute seconds
 are never gated on — they measure the runner, not the code — and
 retained bytes shift with the Python version.  Byte identity of the
@@ -99,6 +100,12 @@ def compare(current: dict, baseline: dict) -> _Report:
             _warn_ratio(
                 report, f"{name} build_vs_baseline",
                 base["build_seconds"] / entry["build_seconds"], 1.0,
+            )
+        trace = entry["packet"].get("trace_seconds")
+        base_trace = base["packet"].get("trace_seconds")
+        if trace and base_trace:
+            _warn_ratio(
+                report, f"{name} trace_vs_baseline", base_trace / trace, 1.0
             )
         if "frame_bytes_per_entry" in entry and "frame_bytes_per_entry" in base:
             _warn_ratio(

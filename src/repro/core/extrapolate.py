@@ -17,7 +17,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from ..gpu.stats import EXTENDED_METRICS, METRICS, SimulationStats
 from ..gpu.telemetry import KIND_ABSOLUTE, METRIC_REGISTRY
@@ -75,6 +74,10 @@ def exponential_regression(
     """
     if len(samples) < 3:
         raise ValueError("exponential regression needs at least three samples")
+    # Imported here: SciPy costs ~0.5 s and ~40 MB at start-up, and a
+    # default (linear) prediction never fits a curve.
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     fractions = np.array([f for f, _ in samples], dtype=np.float64)
     fallback = max(samples, key=lambda s: s[0])[1]
     predicted: dict[str, float] = {}

@@ -26,8 +26,26 @@ packet kernels are built to be **byte-identical** to scalar traversal
   to *min t, ties to the last slot*, which the batched reduction replicates
   exactly;
 * rays with a zero direction component (where the scalar slab test leans
-  on ±inf corner cases that NumPy min/max reductions do not share) are
+  on ±inf corner cases that the packet slab test does not share) are
   routed through scalar traversal unchanged.
+
+Column-wise kernels
+-------------------
+
+Ray state lives in a :class:`_Packet` of contiguous per-axis columns,
+and node bounds and triangle operands in row-per-component tables that
+one ``np.take`` gathers per step.  The slab test is a chain of pairwise
+``np.minimum``/``np.maximum`` over the x, y and z columns: a NumPy
+reduction over a length-3 axis costs more than the rest of the test.
+The chain decides ``enter <= exit_`` exactly as ``max(axis=1)`` /
+``min(axis=1)`` did: both propagate NaN, and they can differ only in
+the sign of a zero result, which the comparison cannot see.
+
+Once fewer than half of a packet's rows are still traversing, the live
+rows are *compacted* into fresh, smaller arrays (origins, directions,
+inverse directions, t-range, flat stacks and a row-to-ray map), so late
+steps stop indexing finished rays.  Records carry batch ray ids, never
+row numbers, so compaction cannot reorder them.
 
 Path-prediction cache
 ---------------------
@@ -113,10 +131,13 @@ def _assemble_records(steps, ray_count: int) -> list[array]:
 
     Steps were appended in traversal order and each ray contributes its
     values in-order within a step, so a stable sort by ray id yields every
-    ray's scalar-identical visit sequence.  The sorted values become one
-    uint32 ``array`` through a single byte copy, and slicing it hands each
-    ray its own compact record: no per-entry Python ints, and far fewer
-    objects than ``np.split`` views.
+    ray's scalar-identical visit sequence.  Each step's ids ascend, so
+    the ids are a concatenation of sorted runs, which NumPy's stable
+    (timsort) ``int64`` sort merges faster than a ``uint16`` radix sort
+    would order them.  The sorted values become one uint32 ``array``
+    through a single byte copy, and slicing it hands each ray its own
+    compact record: no per-entry Python ints, and far fewer objects than
+    ``np.split`` views.
     """
     if not steps:
         return [array("I") for _ in range(ray_count)]
@@ -124,13 +145,8 @@ def _assemble_records(steps, ray_count: int) -> list[array]:
     values = np.concatenate([s[1] for s in steps])
     order = np.argsort(ray_ids, kind="stable")
     flat = array("I", values[order].astype(np.uint32).tobytes())
-    bounds = np.cumsum(np.bincount(ray_ids, minlength=ray_count)).tolist()
-    out = []
-    start = 0
-    for stop in bounds:
-        out.append(flat[start:stop])
-        start = stop
-    return out
+    stops = np.cumsum(np.bincount(ray_ids, minlength=ray_count)).tolist()
+    return list(map(flat.__getitem__, map(slice, [0, *stops[:-1]], stops)))
 
 
 def _segment_local_index(counts: np.ndarray) -> np.ndarray:
@@ -138,6 +154,69 @@ def _segment_local_index(counts: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     starts = np.cumsum(counts) - counts
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+
+
+def _columns(a: np.ndarray) -> list[np.ndarray]:
+    """The x, y and z columns of an ``(n, 3)`` array, each contiguous."""
+    return [np.ascontiguousarray(a[:, k]) for k in range(3)]
+
+
+class _Packet:
+    """Per-row state of one packet traversal, one contiguous column each.
+
+    Row ``r`` carries batch ray ``rid[r]``: origin, direction and inverse
+    direction per axis, its ``[lo, hi]`` t-range, its sign octant (bit
+    ``k`` set when direction ``k`` is non-negative) and its traversal
+    stack, ``depth`` slots starting at ``stack[r * depth]`` of which the
+    first ``sp[r]`` are live.  :meth:`compact` gathers the live rows into
+    smaller arrays once most rows are done, so late traversal steps stop
+    indexing finished rays.
+    """
+
+    __slots__ = (
+        "rows", "depth", "rid", "ox", "oy", "oz", "dx", "dy", "dz",
+        "ix", "iy", "iz", "octant", "lo", "hi", "stack", "sp",
+    )
+
+    #: Row columns gathered together by :meth:`compact`.
+    _ROW_COLUMNS = (
+        "rid", "ox", "oy", "oz", "dx", "dy", "dz",
+        "ix", "iy", "iz", "octant", "lo", "hi", "sp",
+    )
+
+    def __init__(self, origins, dirs, t_lo, t_hi, depth: int) -> None:
+        n = origins.shape[0]
+        self.rows = n
+        self.depth = depth
+        self.rid = np.arange(n)
+        self.ox, self.oy, self.oz = _columns(origins)
+        self.dx, self.dy, self.dz = _columns(dirs)
+        self.ix = 1.0 / self.dx
+        self.iy = 1.0 / self.dy
+        self.iz = 1.0 / self.dz
+        self.octant = (
+            (self.dx >= 0.0) * 1 + (self.dy >= 0.0) * 2 + (self.dz >= 0.0) * 4
+        )
+        self.lo = t_lo
+        self.hi = t_hi
+        # Every stack starts holding the root, node 0.
+        self.stack = np.zeros(n * depth, dtype=np.intp)
+        self.sp = np.ones(n, dtype=np.intp)
+
+    def compact(self, alive: np.ndarray) -> None:
+        """Keep only rows ``alive`` (ascending), renumbered from 0."""
+        for name in self._ROW_COLUMNS:
+            setattr(self, name, getattr(self, name)[alive])
+        self.stack = self.stack.reshape(self.rows, self.depth)[alive].ravel()
+        self.rows = alive.shape[0]
+
+    def pairs(self, rows: np.ndarray):
+        """Ray operands of rows ``rows`` for :meth:`PackedBVH._moller_trumbore_pairs`."""
+        return (
+            self.ox[rows], self.oy[rows], self.oz[rows],
+            self.dx[rows], self.dy[rows], self.dz[rows],
+            self.lo[rows], self.hi[rows],
+        )
 
 
 class PackedBVH:
@@ -153,18 +232,27 @@ class PackedBVH:
         flat = np.array(bvh._flat_nodes, dtype=np.float64)
         self.node_lo = np.ascontiguousarray(flat[:, 0:3])
         self.node_hi = np.ascontiguousarray(flat[:, 3:6])
-        self.node_left = flat[:, 6].astype(np.int32)
-        self.node_right = flat[:, 7].astype(np.int32)
+        # Rows lo x/y/z, hi x/y/z: one ``np.take`` gathers a step's bounds.
+        self._node_cols = np.ascontiguousarray(flat[:, 0:6].T)
+        self.node_left = flat[:, 6].astype(np.intp)
+        self.node_right = flat[:, 7].astype(np.intp)
         self.node_first = flat[:, 8].astype(np.int64)
         self.node_count = flat[:, 9].astype(np.int64)
-        hints = bvh._order_hints
-        self.hint_axis = np.array([h[0] for h in hints], dtype=np.int64)
-        self.hint_left_lower = np.array([h[1] for h in hints], dtype=bool)
+        # Closest-hit child order per (node, ray octant), flattened as
+        # ``node * 8 + octant``: the left child is near when the ray's
+        # sign on the node's hint axis matches the left child's side.
+        axis = np.array([h[0] for h in bvh._order_hints], dtype=np.int64)
+        left_lower = np.array([h[1] for h in bvh._order_hints], dtype=bool)
+        nonneg = (np.arange(8)[None, :] >> axis[:, None]) & 1 == 1
+        left_first = nonneg == left_lower[:, None]
+        left = self.node_left[:, None]
+        right = self.node_right[:, None]
+        self._near_child = np.where(left_first, left, right).ravel()
+        self._far_child = np.where(left_first, right, left).ravel()
         self.order = np.array(bvh.primitive_order, dtype=np.int64)
         tris = np.array(bvh._flat_tris, dtype=np.float64)
-        self.tri_v0 = np.ascontiguousarray(tris[:, 0:3])
-        self.tri_e1 = np.ascontiguousarray(tris[:, 3:6])
-        self.tri_e2 = np.ascontiguousarray(tris[:, 6:9])
+        # Rows v0 x/y/z, e1 x/y/z, e2 x/y/z (the scalar operand tuples).
+        self._tri_cols = np.ascontiguousarray(tris.T)
         self.tri_normal = np.array(
             [tri.normal for tri in bvh.triangles], dtype=np.float64
         )
@@ -179,37 +267,79 @@ class PackedBVH:
     # batched Möller–Trumbore over (ray, triangle) pairs
     # ------------------------------------------------------------------
 
-    def _moller_trumbore_pairs(self, tri_idx, o, d, t_lo, t_hi):
+    def _moller_trumbore_pairs(self, tri_idx, ox, oy, oz, dx, dy, dz, t_lo, t_hi):
         """Vectorized scalar-equivalent MT test for (ray, triangle) pairs.
 
-        Returns ``(t, valid)``: the hit parameter per pair and whether the
-        pair passes every scalar acceptance test against ``[t_lo, t_hi]``.
-        Arithmetic mirrors :func:`~repro.scene.bvh._moller_trumbore`
+        Ray operands come as per-pair columns.  Returns ``(t, valid)``:
+        the hit parameter per pair and whether the pair passes every
+        scalar acceptance test against ``[t_lo, t_hi]``.  Arithmetic
+        mirrors :func:`~repro.scene.bvh._moller_trumbore`
         operand-for-operand so accepted ``t`` values are bit-identical.
         """
-        e1 = self.tri_e1[tri_idx]
-        e2 = self.tri_e2[tri_idx]
-        v0 = self.tri_v0[tri_idx]
-        dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
-        px = dy * e2[:, 2] - dz * e2[:, 1]
-        py = dz * e2[:, 0] - dx * e2[:, 2]
-        pz = dx * e2[:, 1] - dy * e2[:, 0]
-        det = e1[:, 0] * px + e1[:, 1] * py + e1[:, 2] * pz
+        v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z = np.take(
+            self._tri_cols, tri_idx, axis=1
+        )
+        px = dy * e2z - dz * e2y
+        py = dz * e2x - dx * e2z
+        pz = dx * e2y - dy * e2x
+        det = e1x * px + e1y * py + e1z * pz
         valid = ~((det > -_DET_EPS) & (det < _DET_EPS))
         inv_det = 1.0 / np.where(valid, det, 1.0)
-        tvx = o[:, 0] - v0[:, 0]
-        tvy = o[:, 1] - v0[:, 1]
-        tvz = o[:, 2] - v0[:, 2]
+        tvx = ox - v0x
+        tvy = oy - v0y
+        tvz = oz - v0z
         u = (tvx * px + tvy * py + tvz * pz) * inv_det
         valid &= (u >= 0.0) & (u <= 1.0)
-        qx = tvy * e1[:, 2] - tvz * e1[:, 1]
-        qy = tvz * e1[:, 0] - tvx * e1[:, 2]
-        qz = tvx * e1[:, 1] - tvy * e1[:, 0]
+        qx = tvy * e1z - tvz * e1y
+        qy = tvz * e1x - tvx * e1z
+        qz = tvx * e1y - tvy * e1x
         v = (dx * qx + dy * qy + dz * qz) * inv_det
         valid &= (v >= 0.0) & (u + v <= 1.0)
-        t = (e2[:, 0] * qx + e2[:, 1] * qy + e2[:, 2] * qz) * inv_det
+        t = (e2x * qx + e2y * qy + e2z * qz) * inv_det
         valid &= (t >= t_lo) & (t <= t_hi)
         return t, valid
+
+    # ------------------------------------------------------------------
+    # one traversal step: pop and slab-test
+    # ------------------------------------------------------------------
+
+    def _pop_slab(self, p: _Packet, alive: np.ndarray):
+        """Pop one node per live row of ``p`` and slab-test it.
+
+        Returns ``(node, passed)`` aligned with ``alive``.  The per-axis
+        ``np.minimum``/``np.maximum`` chain replaces a length-3 axis
+        reduction and decides ``passed`` identically: both propagate NaN,
+        and the two can differ only in the sign of a zero result, which
+        ``enter <= exit_`` cannot see.
+        """
+        sp = p.sp[alive] - 1
+        p.sp[alive] = sp
+        node = p.stack[alive * p.depth + sp]
+        ox, oy, oz = p.ox[alive], p.oy[alive], p.oz[alive]
+        ix, iy, iz = p.ix[alive], p.iy[alive], p.iz[alive]
+        lox, loy, loz, hix, hiy, hiz = np.take(self._node_cols, node, axis=1)
+        t0 = (lox - ox) * ix
+        t1 = (hix - ox) * ix
+        enter = np.minimum(t0, t1)
+        exit_ = np.maximum(t0, t1)
+        t0 = (loy - oy) * iy
+        t1 = (hiy - oy) * iy
+        np.maximum(enter, np.minimum(t0, t1), out=enter)
+        np.minimum(exit_, np.maximum(t0, t1), out=exit_)
+        t0 = (loz - oz) * iz
+        t1 = (hiz - oz) * iz
+        np.maximum(enter, np.minimum(t0, t1), out=enter)
+        np.minimum(exit_, np.maximum(t0, t1), out=exit_)
+        np.maximum(enter, p.lo[alive], out=enter)
+        np.minimum(exit_, p.hi[alive], out=exit_)
+        return node, enter <= exit_
+
+    def _leaf_pairs(self, rows: np.ndarray, leaf_nodes: np.ndarray):
+        """Expand leaves into (row, triangle) pairs in scalar slot order."""
+        c = self.node_count[leaf_nodes]
+        slots = np.repeat(self.node_first[leaf_nodes], c)
+        slots += _segment_local_index(c)
+        return c, np.repeat(rows, c), self.order[slots]
 
     # ------------------------------------------------------------------
     # closest hit
@@ -290,74 +420,44 @@ class PackedBVH:
     def _traverse_closest(self, origins, dirs, t_min, best_t, want_records):
         """Packet core: per-ray stacks stepped in lock-step (no zero dirs).
 
-        ``best_t`` starts as the per-ray ``t_max`` budget and is tightened
-        in place as hits land.
+        ``best_t`` starts as the per-ray ``t_max`` budget, is tightened
+        as hits land, and is returned holding each ray's closest ``t``.
         """
         n = origins.shape[0]
-        inv = 1.0 / dirs
-        nonneg = dirs >= 0.0
         best_tri = np.full(n, -1, dtype=np.int64)
-        stack = np.empty((n, self._stack_depth), dtype=np.int32)
-        stack[:, 0] = 0
-        sp = np.ones(n, dtype=np.int32)
+        p = _Packet(origins, dirs, t_min, best_t, self._stack_depth)
         node_steps: list = []
         tri_steps: list = []
 
         while True:
-            alive = np.nonzero(sp > 0)[0]
+            alive = np.nonzero(p.sp > 0)[0]
             if alive.size == 0:
                 break
-            sp[alive] -= 1
-            node = stack[alive, sp[alive]].astype(np.int64)
+            if 2 * alive.size < p.rows:
+                best_t[p.rid] = p.hi
+                p.compact(alive)
+                alive = np.arange(p.rows)
+            node, passed = self._pop_slab(p, alive)
             if want_records:
-                node_steps.append((alive, node))
-
-            lo = self.node_lo[node]
-            hi = self.node_hi[node]
-            o = origins[alive]
-            iv = inv[alive]
-            t0 = (lo - o) * iv
-            t1 = (hi - o) * iv
-            near = np.minimum(t0, t1)
-            far = np.maximum(t0, t1)
-            enter = np.maximum(near.max(axis=1), t_min[alive])
-            exit_ = np.minimum(far.min(axis=1), best_t[alive])
-            passed = enter <= exit_
+                node_steps.append((p.rid[alive], node))
             count = self.node_count[node]
 
             interior = np.nonzero(passed & (count == 0))[0]
             if interior.size:
-                ridx = alive[interior]
-                nd = node[interior]
-                axis = self.hint_axis[nd]
-                left = self.node_left[nd]
-                right = self.node_right[nd]
-                left_first = nonneg[ridx, axis] == self.hint_left_lower[nd]
-                near_child = np.where(left_first, left, right)
-                far_child = np.where(left_first, right, left)
-                s = sp[ridx]
-                stack[ridx, s] = far_child
-                stack[ridx, s + 1] = near_child
-                sp[ridx] = s + 2
+                rows = alive[interior]
+                key = node[interior] * 8 + p.octant[rows]
+                s = p.sp[rows]
+                at = rows * p.depth + s
+                p.stack[at] = self._far_child[key]
+                p.stack[at + 1] = self._near_child[key]
+                p.sp[rows] = s + 2
 
             leaves = np.nonzero(passed & (count > 0))[0]
             if leaves.size:
-                ridx = alive[leaves]
-                nd = node[leaves]
-                c = count[leaves]
-                slots = np.repeat(self.node_first[nd], c)
-                slots += _segment_local_index(c)
-                tri_idx = self.order[slots]
-                pair_ray = np.repeat(ridx, c)
+                c, pair, tri_idx = self._leaf_pairs(alive[leaves], node[leaves])
                 if want_records:
-                    tri_steps.append((pair_ray, tri_idx))
-                t, valid = self._moller_trumbore_pairs(
-                    tri_idx,
-                    origins[pair_ray],
-                    dirs[pair_ray],
-                    t_min[pair_ray],
-                    best_t[pair_ray],
-                )
+                    tri_steps.append((p.rid[pair], tri_idx))
+                t, valid = self._moller_trumbore_pairs(tri_idx, *p.pairs(pair))
                 tval = np.where(valid, t, _INF)
                 starts = np.cumsum(c) - c
                 gmin = np.minimum.reduceat(tval, starts)
@@ -370,9 +470,10 @@ class PackedBVH:
                         tval == np.repeat(gmin, c), pair_pos, -1
                     )
                     glast = np.maximum.reduceat(cand, starts)
-                    winners = ridx[has_hit]
-                    best_t[winners] = gmin[has_hit]
-                    best_tri[winners] = tri_idx[glast[has_hit]]
+                    winners = alive[leaves[has_hit]]
+                    p.hi[winners] = gmin[has_hit]
+                    best_tri[p.rid[winners]] = tri_idx[glast[has_hit]]
+        best_t[p.rid] = p.hi
         return best_t, best_tri, node_steps, tri_steps
 
     # ------------------------------------------------------------------
@@ -500,63 +601,40 @@ class PackedBVH:
     def _traverse_any(self, origins, dirs, t_min, t_max, want_records):
         """Any-hit packet core (scalar push order: right then left)."""
         n = origins.shape[0]
-        inv = 1.0 / dirs
         occluded = np.zeros(n, dtype=bool)
         hit_leaf = np.full(n, -1, dtype=np.int64)
-        stack = np.empty((n, self._stack_depth), dtype=np.int32)
-        stack[:, 0] = 0
-        sp = np.ones(n, dtype=np.int32)
+        p = _Packet(origins, dirs, t_min, t_max, self._stack_depth)
         node_steps: list = []
         tri_steps: list = []
 
         while True:
-            alive = np.nonzero(sp > 0)[0]
+            alive = np.nonzero(p.sp > 0)[0]
             if alive.size == 0:
                 break
-            sp[alive] -= 1
-            node = stack[alive, sp[alive]].astype(np.int64)
+            if 2 * alive.size < p.rows:
+                p.compact(alive)
+                alive = np.arange(p.rows)
+            node, passed = self._pop_slab(p, alive)
             if want_records:
-                node_steps.append((alive, node))
-
-            lo = self.node_lo[node]
-            hi = self.node_hi[node]
-            o = origins[alive]
-            iv = inv[alive]
-            t0 = (lo - o) * iv
-            t1 = (hi - o) * iv
-            near = np.minimum(t0, t1)
-            far = np.maximum(t0, t1)
-            enter = np.maximum(near.max(axis=1), t_min[alive])
-            exit_ = np.minimum(far.min(axis=1), t_max[alive])
-            passed = enter <= exit_
+                node_steps.append((p.rid[alive], node))
             count = self.node_count[node]
 
             interior = np.nonzero(passed & (count == 0))[0]
             if interior.size:
-                ridx = alive[interior]
+                rows = alive[interior]
                 nd = node[interior]
-                s = sp[ridx]
-                stack[ridx, s] = self.node_right[nd]
-                stack[ridx, s + 1] = self.node_left[nd]
-                sp[ridx] = s + 2
+                s = p.sp[rows]
+                at = rows * p.depth + s
+                p.stack[at] = self.node_right[nd]
+                p.stack[at + 1] = self.node_left[nd]
+                p.sp[rows] = s + 2
 
             leaves = np.nonzero(passed & (count > 0))[0]
             if leaves.size:
-                ridx = alive[leaves]
                 nd = node[leaves]
-                c = count[leaves]
-                slots = np.repeat(self.node_first[nd], c)
-                slots += _segment_local_index(c)
-                tri_idx = self.order[slots]
-                pair_ray = np.repeat(ridx, c)
-                _, valid = self._moller_trumbore_pairs(
-                    tri_idx,
-                    origins[pair_ray],
-                    dirs[pair_ray],
-                    t_min[pair_ray],
-                    t_max[pair_ray],
-                )
-                total = int(c.sum())
+                c, pair, tri_idx = self._leaf_pairs(alive[leaves], nd)
+                _, valid = self._moller_trumbore_pairs(tri_idx, *p.pairs(pair))
+                total = tri_idx.shape[0]
                 pair_pos = np.arange(total, dtype=np.int64)
                 starts = np.cumsum(c) - c
                 # First hitting slot per ray; the scalar loop records
@@ -566,24 +644,23 @@ class PackedBVH:
                 )
                 if want_records:
                     keep = pair_pos <= np.repeat(first_hit, c)
-                    tri_steps.append((pair_ray[keep], tri_idx[keep]))
+                    tri_steps.append((p.rid[pair[keep]], tri_idx[keep]))
                 hits = np.nonzero(first_hit < total)[0]
                 if hits.size:
-                    winners = ridx[hits]
-                    occluded[winners] = True
-                    hit_leaf[winners] = nd[hits]
-                    sp[winners] = 0  # terminate: scalar returns immediately
+                    winners = alive[leaves[hits]]
+                    occluded[p.rid[winners]] = True
+                    hit_leaf[p.rid[winners]] = nd[hits]
+                    p.sp[winners] = 0  # terminate: scalar returns immediately
         return occluded, hit_leaf, node_steps, tri_steps
 
     def _leaf_any_hit(self, leaf_nodes, origins, dirs, t_min, t_max):
         """Any-hit test restricted to given leaf nodes (cache validation)."""
-        c = self.node_count[leaf_nodes]
-        slots = np.repeat(self.node_first[leaf_nodes], c)
-        slots += _segment_local_index(c)
-        tri_idx = self.order[slots]
-        group = np.repeat(np.arange(leaf_nodes.shape[0]), c)
+        c, group, tri_idx = self._leaf_pairs(
+            np.arange(leaf_nodes.shape[0]), leaf_nodes
+        )
         _, valid = self._moller_trumbore_pairs(
-            tri_idx, origins[group], dirs[group], t_min[group], t_max[group]
+            tri_idx, *_columns(origins[group]), *_columns(dirs[group]),
+            t_min[group], t_max[group],
         )
         starts = np.cumsum(c) - c
         return np.maximum.reduceat(valid.astype(np.int8), starts) > 0

@@ -30,12 +30,18 @@ tracer kept with the tests (``tests/reference_tracer.py``):
   same operand order and grouping (camera ray setup, hit-point and
   normal finalization, shadow-ray construction, sky/shading radiance),
   so each lane computes the exact IEEE doubles a per-ray loop would;
-* each path owns its own ``random.Random``, seeded from (seed, pixel,
+* each path owns its own Mersenne Twister, seeded from (seed, pixel,
   sample), and consumes draws in a fixed order (jitter, then per depth
   the reflectivity / roulette / bounce draws).  Paths never share RNG
   state, so interleaving them across a wavefront cannot perturb any
   draw.  RNGs are created *lazily* — a path that never draws (the common
-  case at one sample per pixel) never pays Mersenne seeding;
+  case at one sample per pixel) never pays Mersenne seeding — and as
+  ``_random.Random(key)``: the C generator ``random.Random`` wraps,
+  seeded through the same ``init_by_array`` without the pure-Python
+  ``seed`` wrapper, so the streams are the reference's;
+* diffuse bounce directions are computed on Python floats with
+  ``vecmath.spherical_direction``'s operations in its order, so they
+  carry its bits;
 * segments are appended to each pixel's trace in path order (samples in
   order; per sample: primary/continuation segment, then one shadow
   segment per light).
@@ -50,7 +56,10 @@ the occlusion answer.
 
 from __future__ import annotations
 
-import random
+import _random
+import gc
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,7 +68,7 @@ import numpy as np
 from ..scene.bvh_packet import PathPredictionCache
 from ..scene.lights import DirectionalLight, PointLight
 from ..scene.scene import Scene
-from ..scene.vecmath import reflect, spherical_direction
+from ..scene.vecmath import EPSILON, reflect
 from .trace import FrameTrace, PixelTrace, RaySegment, SegmentKind
 
 __all__ = ["RenderSettings", "FunctionalTracer", "trace_frame"]
@@ -81,6 +90,53 @@ _SKY_HIGH = np.array([0.4, 0.6, 0.9], dtype=np.float64)
 #: Ray defaults (see :class:`~repro.scene.geometry.Ray`).
 _RAY_T_MIN = 1e-6
 _INF = float("inf")
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for the ``with`` block.
+
+    Restores the collector only if it was enabled on entry, so a nested
+    pause leaves it paused.  The collector is process-wide: a concurrent
+    pause in another thread may end early, and a process forked meanwhile
+    starts with it paused.  Both only cost speed or a little memory (a
+    whole SPNZA 128x128 predict with the collector off leaves ~2,600
+    cyclic objects and the same peak RSS).
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _cosine_direction(
+    u: float, v: float, nx: float, ny: float, nz: float
+) -> tuple[float, float, float]:
+    """``vecmath.spherical_direction(u, v, normal)`` on Python floats.
+
+    The same operations in the same order (the Duff et al. basis, then
+    ``normalize``), so the result carries the same bits without building
+    five small NumPy arrays per diffuse bounce.
+    """
+    r = math.sqrt(u)
+    theta = 2.0 * math.pi * v
+    x = r * math.cos(theta)
+    y = r * math.sin(theta)
+    z = math.sqrt(max(0.0, 1.0 - u))
+    sign = math.copysign(1.0, nz)
+    a = -1.0 / (sign + nz)
+    b = nx * ny * a
+    dx = x * (1.0 + sign * nx * nx * a) + y * b + z * nx
+    dy = x * (sign * b) + y * (sign + ny * ny * a) + z * ny
+    dz = x * (-sign * nx) + y * -ny + z * nz
+    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if norm < EPSILON:
+        raise ValueError("cannot normalize a zero-length vector")
+    return (dx / norm, dy / norm, dz / norm)
 
 
 @dataclass(frozen=True)
@@ -261,7 +317,7 @@ class FunctionalTracer:
 
         kinds: list[SegmentKind] = [SegmentKind.PRIMARY] * n
         seg_lists = [[] for _ in range(n)] if collect_records else None
-        rngs: list[random.Random | None] = [None] * n
+        rngs: list[_random.Random | None] = [None] * n
         colors = np.zeros((n, 3)) if compute_radiance else None
         throughput = np.ones((n, 3)) if compute_radiance else None
 
@@ -275,7 +331,7 @@ class FunctionalTracer:
             jy = np.full(n, 0.5)
             for i, sample in enumerate(sample_list):
                 if sample != 0:
-                    rng = random.Random(
+                    rng = _random.Random(
                         (seed << 48)
                         ^ (py_list[i] << 28)
                         ^ (px_list[i] << 8)
@@ -451,8 +507,9 @@ class FunctionalTracer:
             survive_tab = tables.survive
             albedo_tab = tables.albedo
             next_rows: list[int] = []
-            next_dirs: list[np.ndarray] = []
+            next_dirs: list = []
             next_pids: list[int] = []
+            nrm_l = nrm.tolist()
             for k, r in enumerate(hit_rows_l):
                 pid = pid_list[r]
                 m = mids[k]
@@ -460,7 +517,7 @@ class FunctionalTracer:
                 rng = rngs[pid]
                 if refl > 0.0 or max_bounces >= 2:
                     if rng is None:
-                        rng = random.Random(
+                        rng = _random.Random(
                             (seed << 48)
                             ^ (py_list[pid] << 28)
                             ^ (px_list[pid] << 8)
@@ -476,8 +533,8 @@ class FunctionalTracer:
                     survive = survive_tab[m]
                     if rng.random() >= survive:
                         continue
-                    direction = spherical_direction(
-                        rng.random(), rng.random(), nrm[k]
+                    direction = _cosine_direction(
+                        rng.random(), rng.random(), *nrm_l[k]
                     )
                     kinds[pid] = SegmentKind.BOUNCE
                     if compute_radiance:
@@ -554,23 +611,27 @@ class FunctionalTracer:
         if pixels is None:
             pixels = settings.all_pixels()
         frame_pixels = frame.pixels
-        for px_l, py_l, s_l in self._iter_waves(pixels):
-            seg_lists, _ = self._trace_wave(
-                px_l, py_l, s_l,
-                collect_records=True, compute_radiance=False, cache=None,
-            )
-            if spp == 1:
-                for x, y, segments in zip(px_l, py_l, seg_lists):
-                    frame_pixels[(x, y)] = PixelTrace(x, y, segments)
-            else:
-                for i in range(0, len(px_l), spp):
-                    segments = seg_lists[i]
-                    for s in range(1, spp):
-                        segments.extend(seg_lists[i + s])
-                    frame_pixels[(px_l[i], py_l[i])] = PixelTrace(
-                        px_l[i], py_l[i], segments
-                    )
-        return frame.seal()
+        # A frame is ~10^5 acyclic segment objects built in one go; the
+        # cyclic collector would re-scan them on every generation-2 pass
+        # (about a quarter of the trace time) and could free nothing.
+        with _collector_paused():
+            for px_l, py_l, s_l in self._iter_waves(pixels):
+                seg_lists, _ = self._trace_wave(
+                    px_l, py_l, s_l,
+                    collect_records=True, compute_radiance=False, cache=None,
+                )
+                if spp == 1:
+                    for x, y, segments in zip(px_l, py_l, seg_lists):
+                        frame_pixels[(x, y)] = PixelTrace(x, y, segments)
+                else:
+                    for i in range(0, len(px_l), spp):
+                        segments = seg_lists[i]
+                        for s in range(1, spp):
+                            segments.extend(seg_lists[i + s])
+                        frame_pixels[(px_l[i], py_l[i])] = PixelTrace(
+                            px_l[i], py_l[i], segments
+                        )
+            return frame.seal()
 
     def occlusion_pass(
         self,

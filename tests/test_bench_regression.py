@@ -83,6 +83,20 @@ def test_build_vs_baseline_is_reported_and_never_gates(baseline):
         )
 
 
+def test_trace_vs_baseline_is_reported_and_never_gates(baseline):
+    name = baseline["scenes"][0]["scene"]
+    assert baseline["scenes"][0]["packet"]["trace_seconds"] > 0
+    for factor, prefix in ((0.5, "PASS"), (4.0, "WARN")):
+        current = copy.deepcopy(baseline)
+        current["scenes"][0]["packet"]["trace_seconds"] *= factor
+        report = checker.compare(current, baseline)
+        assert not report.failed
+        ratio = 1.0 / factor
+        assert f"{prefix}  {name} trace_vs_baseline: {ratio:.2f}x" in "\n".join(
+            report.lines
+        )
+
+
 def test_frame_bytes_vs_baseline_is_reported_and_never_gates(baseline):
     name = baseline["scenes"][0]["scene"]
     assert baseline["scenes"][0]["frame_bytes_per_entry"] > 0

@@ -13,9 +13,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.scene import bvh_packet
 from repro.scene.bvh import TraversalRecord
 from repro.scene.bvh_packet import PackedBVH, PathPredictionCache
 from repro.scene.geometry import Ray
+from repro.scene.library import make_scene
 from repro.scene.vecmath import normalize, vec3
 
 
@@ -102,6 +104,130 @@ class TestPacketKernels:
                 want_records=True,
                 cache=cache,
             )
+
+
+def _random_batch(scene, size, seed, miss_share=0.0, zero_share=0.0):
+    """Seeded SoA ray batch around ``scene``, with finite and infinite t_max.
+
+    ``miss_share`` of the rays start outside the root box and point away
+    from it, so they miss the root on the first step; ``zero_share`` of
+    the rays get one or two ``+0.0``/``-0.0`` direction components.
+    """
+    rng = np.random.default_rng(seed)
+    lo = scene.bvh.nodes[0].bounds.lo
+    hi = scene.bvh.nodes[0].bounds.hi
+    center = (lo + hi) / 2.0
+    extent = float(np.max(hi - lo))
+    origins = center + rng.uniform(-1.5, 1.5, (size, 3)) * extent
+    dirs = rng.uniform(lo, hi, (size, 3)) - origins
+    away = rng.random(size) < miss_share
+    outward = rng.normal(size=(size, 3))
+    outward /= np.linalg.norm(outward, axis=1)[:, None]
+    origins[away] = center + 2.0 * extent * outward[away]
+    dirs[away] = outward[away]
+    for i in np.nonzero(rng.random(size) < zero_share)[0]:
+        for axis in rng.choice(3, size=int(rng.integers(1, 3)), replace=False):
+            dirs[i, axis] = -0.0 if rng.random() < 0.5 else 0.0
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    t_min = np.where(rng.random(size) < 0.5, 1e-6, 1e-4)
+    t_max = np.where(
+        rng.random(size) < 0.5, math.inf, rng.uniform(0.5, 3.0, size) * extent
+    )
+    return origins, dirs, t_min, t_max
+
+
+def _scalar_ray(origins, dirs, t_min, t_max, i):
+    return Ray(
+        origin=origins[i], direction=dirs[i],
+        t_min=float(t_min[i]), t_max=float(t_max[i]),
+    )
+
+
+_EDGE_SIZES = (1, 2, 3, 257)
+_EDGE_MIXES = {
+    "random": {},
+    "mostly_miss": {"miss_share": 0.9},
+    "zero_dirs": {"zero_share": 0.3},
+    "miss_and_zero": {"miss_share": 0.7, "zero_share": 0.2},
+}
+
+
+@pytest.fixture(scope="module", params=["small", "BUNNY"])
+def edge_scene(request, small_scene):
+    return small_scene if request.param == "small" else make_scene("BUNNY")
+
+
+class TestPacketMatchesScalarOnEdgeBatches:
+    """``*_arrays`` against scalar ``BVH.intersect``/``occluded``, ray by ray.
+
+    Sizes 1-3 leave a packet too small to compact more than trivially,
+    257 compacts repeatedly; a mostly-missing batch drops below the
+    compaction threshold on its first step.
+    """
+
+    @pytest.mark.parametrize("want_records", [True, False])
+    @pytest.mark.parametrize("mix", sorted(_EDGE_MIXES))
+    @pytest.mark.parametrize("size", _EDGE_SIZES)
+    def test_intersect(self, edge_scene, size, mix, want_records):
+        batch = _random_batch(edge_scene, size, seed=size, **_EDGE_MIXES[mix])
+        res = edge_scene.packed_bvh.intersect_arrays(
+            *batch, want_records=want_records
+        )
+        if not want_records:
+            assert res.nodes is None and res.tris is None
+        for i in range(size):
+            record = TraversalRecord()
+            hit = edge_scene.bvh.intersect(_scalar_ray(*batch, i), record)
+            if hit is None:
+                assert res.tri[i] == -1
+                assert res.t[i] == batch[3][i]
+            else:
+                assert res.tri[i] == hit.primitive_index
+                assert res.t[i] == hit.t  # bit-identical, not approx
+            if want_records:
+                assert res.nodes[i].typecode == res.tris[i].typecode == "I"
+                assert res.nodes[i] == record.nodes_visited
+                assert res.tris[i] == record.tris_tested
+
+    @pytest.mark.parametrize("want_records", [True, False])
+    @pytest.mark.parametrize("mix", sorted(_EDGE_MIXES))
+    @pytest.mark.parametrize("size", _EDGE_SIZES)
+    def test_occluded(self, edge_scene, size, mix, want_records):
+        batch = _random_batch(
+            edge_scene, size, seed=1000 + size, **_EDGE_MIXES[mix]
+        )
+        res = edge_scene.packed_bvh.occluded_arrays(
+            *batch, want_records=want_records
+        )
+        if not want_records:
+            assert res.nodes is None and res.tris is None
+        packet_rows = ~np.any(batch[1] == 0.0, axis=1)
+        for i in range(size):
+            record = TraversalRecord()
+            occluded = edge_scene.bvh.occluded(_scalar_ray(*batch, i), record)
+            assert bool(res.occluded[i]) == occluded
+            if packet_rows[i]:
+                # The scalar walk ends at the leaf that produced the hit.
+                leaf = record.nodes_visited[-1] if occluded else -1
+                assert res.hit_leaf[i] == leaf
+            if want_records:
+                assert res.nodes[i] == record.nodes_visited
+                assert res.tris[i] == record.tris_tested
+
+    @pytest.mark.parametrize("kernel", ["intersect_arrays", "occluded_arrays"])
+    def test_mostly_missing_batch_compacts(self, edge_scene, kernel, monkeypatch):
+        calls = []
+        compact = bvh_packet._Packet.compact
+
+        def spy(packet, alive):
+            calls.append((packet.rows, alive.shape[0]))
+            compact(packet, alive)
+
+        monkeypatch.setattr(bvh_packet._Packet, "compact", spy)
+        batch = _random_batch(edge_scene, 257, seed=5, miss_share=0.9)
+        getattr(edge_scene.packed_bvh, kernel)(*batch)
+        assert calls and calls[0][0] == 257
+        assert all(2 * live < rows for rows, live in calls)
 
 
 class TestNegativeZeroDirection:

@@ -1,5 +1,10 @@
 """Tests for extrapolation (step 6 / §IV-F) and combination (step 7)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +105,26 @@ class TestExponentialRegression:
         ]
         predicted = exponential_regression(samples)
         assert all(np.isfinite(v) for v in predicted.values())
+
+
+def test_start_up_imports_leave_scipy_unloaded():
+    # Only the exponential regression fits curves; a default predict,
+    # the runner, the service and the CLI must start without SciPy.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "import repro, repro.core.pipeline, repro.harness.runner\n"
+        "import repro.harness.service, repro.cli.main\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestPowerLaw:

@@ -176,3 +176,41 @@ class TestFunctionalTracer:
         per_sample_cap = (lit_scene.max_bounces + 1) * (1 + lights)
         for trace in frame.pixels.values():
             assert len(trace.segments) <= per_sample_cap
+
+
+class TestContinuationHelpers:
+    """The wave loop's scalar helpers reproduce what they replace exactly."""
+
+    def test_cosine_direction_matches_spherical_direction_bitwise(self):
+        from repro.scene.vecmath import normalize, spherical_direction
+        from repro.tracer.tracer import _cosine_direction
+
+        rng = np.random.default_rng(3)
+        normals = [normalize(n) for n in rng.normal(size=(200, 3))]
+        normals += [
+            vec3(0.0, 0.0, 1.0), vec3(0.0, 0.0, -1.0), vec3(1.0, 0.0, -0.0),
+            vec3(0.0, -1.0, 0.0), vec3(-0.0, 0.0, 1.0),
+        ]
+        for normal in normals:
+            for u, v in rng.random((5, 2)).tolist() + [(0.0, 0.0), (0.0, 1.0)]:
+                expected = spherical_direction(u, v, normal)
+                got = np.array(_cosine_direction(u, v, *normal.tolist()))
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_pause_restores_the_collector(self, enabled):
+        import gc
+
+        from repro.tracer.tracer import _collector_paused
+
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with _collector_paused():
+                assert not gc.isenabled()
+                with _collector_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
