@@ -4,8 +4,11 @@ Times ``FunctionalTracer.trace_frame`` (records on, the profiling path)
 and ``render_image`` (records off, path-prediction cache on), and the
 cold end-to-end ``Zatel.predict`` wall-clock (functional trace +
 prediction) with its metrics.  Each benched scene also records its
-best-of-3 ``build_bvh`` seconds and ``frame_bytes_per_entry``: the bytes
-a traced frame retains (tracemalloc) per node or triangle record entry.
+best-of-3 ``build_bvh`` seconds, its best-of-3 ``scene_seconds`` (a whole
+fresh scene build, meshes and BVH, plus its ``packed_bvh``: what
+``make_scene`` costs on a cache miss before the first trace) and
+``frame_bytes_per_entry``: the bytes a traced frame retains (tracemalloc)
+per node or triangle record entry.
 Results are written to ``BENCH_tracer.json``; timings sit under each
 entry's ``packet`` key (the tracer's batched packet kernels), the key
 the committed baseline has always used.
@@ -34,7 +37,7 @@ from pathlib import Path
 
 from repro.core import Zatel
 from repro.gpu import MOBILE_SOC
-from repro.scene import build_bvh, make_scene
+from repro.scene import build_bvh, build_scene, make_scene
 from repro.tracer import FunctionalTracer, RenderSettings
 
 #: The headline scene/plane.
@@ -43,7 +46,7 @@ SIZE = 128
 #: Traversal-heavy scenes added in full (non ``--quick``) mode.
 FULL_SCENES = ("BUNNY", "SPNZA")
 
-#: ``build_bvh`` runs per scene; the best one is recorded.
+#: ``build_bvh`` and whole-scene build runs per scene; the best is recorded.
 BUILD_REPEATS = 3
 
 
@@ -89,6 +92,12 @@ def bench_scene(name: str, size: int, repeats: int) -> dict:
         build_bvh(scene.triangles)
         build_best = min(build_best, time.perf_counter() - t0)
     entry["build_seconds"] = build_best
+    scene_best = float("inf")
+    for _ in range(BUILD_REPEATS):
+        t0 = time.perf_counter()
+        build_scene(name).packed_bvh
+        scene_best = min(scene_best, time.perf_counter() - t0)
+    entry["scene_seconds"] = scene_best
     entry["frame_bytes_per_entry"] = _frame_bytes_per_entry(scene, size)
     tracer = FunctionalTracer(scene, _settings(size))
     gc.collect()
@@ -150,7 +159,8 @@ def _report(payload: dict) -> str:
             f"{e['scene']} {e['width']}x{e['height']}: "
             f"{e['packet']['rays_per_sec']:,.0f} rays/s traced, "
             f"render {e['packet']['render_seconds'] * 1e3:.1f} ms; "
-            f"build_bvh {e['build_seconds'] * 1e3:.1f} ms; "
+            f"build_bvh {e['build_seconds'] * 1e3:.1f} ms, "
+            f"scene {e['scene_seconds'] * 1e3:.1f} ms; "
             f"frame {e['frame_bytes_per_entry']:.1f} B/entry"
         )
     p = payload["predict"]

@@ -28,7 +28,9 @@ noise:
 
 **Non-gating (warning only):** each scene's ``build_vs_baseline``
 (baseline ``build_bvh`` seconds over the run's; a WARN line below
-0.7x), its ``trace_vs_baseline`` (baseline ``trace_frame`` seconds over
+0.7x), its ``scene_vs_baseline`` (baseline ``scene_seconds``, a whole
+scene build plus its packed BVH, over the run's, likewise), its
+``trace_vs_baseline`` (baseline ``trace_frame`` seconds over
 the run's, likewise), and its ``frame_bytes_vs_baseline`` (baseline
 ``frame_bytes_per_entry`` over the run's, likewise).  Absolute seconds
 are never gated on — they measure the runner, not the code — and
@@ -100,6 +102,11 @@ def compare(current: dict, baseline: dict) -> _Report:
             _warn_ratio(
                 report, f"{name} build_vs_baseline",
                 base["build_seconds"] / entry["build_seconds"], 1.0,
+            )
+        if "scene_seconds" in entry and "scene_seconds" in base:
+            _warn_ratio(
+                report, f"{name} scene_vs_baseline",
+                base["scene_seconds"] / entry["scene_seconds"], 1.0,
             )
         trace = entry["packet"].get("trace_seconds")
         base_trace = base["packet"].get("trace_seconds")

@@ -14,12 +14,13 @@ Two build strategies are provided:
 * ``sah`` — binned surface-area-heuristic split (better trees for the
   clutter-heavy library scenes; the default).
 
-The build runs NumPy reductions over each node's primitives (a few
-thousand nodes per scene, each reducing many rows at once), and produces
-exactly the tree of a scalar per-primitive build.  The traversal hot path
-stays in scalar Python floats rather than numpy: per-node numpy ops on
-3-vectors cost microseconds each, which would dominate the
-multi-million-node-visit frame traces the experiments run.
+The build runs NumPy reductions level by level, over the primitives of
+every open node of a tree level at once, and produces exactly the tree of
+a scalar per-primitive recursive build.  The tree is stored as node
+arrays; the packet tracer (:mod:`repro.scene.bvh_packet`) reads those.
+Scalar traversal, kept for rays the packet kernels hand back, walks
+per-node Python tuples built from the arrays on first use: per-node numpy
+ops on 3-vectors cost microseconds each.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +53,7 @@ if array("I").itemsize != 4:
 
 @dataclass
 class BVHNode:
-    """One node of the flattened BVH.
+    """One node of the BVH, as :attr:`BVH.nodes` materializes it.
 
     Interior nodes have ``left``/``right`` child indices; leaves carry a
     ``first``/``count`` range into the BVH's primitive-index permutation.
@@ -83,69 +86,119 @@ class TraversalRecord:
 
 
 class BVH:
-    """An immutable BVH over a list of triangles.
+    """An immutable BVH over a list of triangles, stored as node arrays.
 
-    Build via :func:`build_bvh`.  ``primitive_order`` is the permutation of
-    the caller's triangle list induced by the build; leaf ranges index into
-    it.
+    Build via :func:`build_bvh`.  Node ``i`` spans ``node_lo[i]`` to
+    ``node_hi[i]``; interior nodes link ``node_left``/``node_right`` (-1
+    on leaves), leaves a ``node_first``/``node_count`` range into
+    ``order``, the permutation of the caller's triangle list induced by
+    the build.  ``node_depth`` is each node's level (root = 0) and
+    ``vertices`` the triangles' corners as a ``(3, N, 3)`` array.  Nodes
+    are numbered in depth-first preorder, left child first.
+
+    The per-node objects (:attr:`nodes`) and the scalar tuples that
+    :meth:`intersect`/:meth:`occluded` walk are built on first use only:
+    packet traversal reads the arrays directly.
     """
 
     def __init__(
         self,
         triangles: list[Triangle],
-        nodes: list[BVHNode],
-        primitive_order: list[int],
+        vertices: np.ndarray,
+        node_lo: np.ndarray,
+        node_hi: np.ndarray,
+        node_left: np.ndarray,
+        node_right: np.ndarray,
+        node_first: np.ndarray,
+        node_count: np.ndarray,
+        node_depth: np.ndarray,
+        order: np.ndarray,
     ) -> None:
         self.triangles = triangles
-        self.nodes = nodes
-        self.primitive_order = primitive_order
-        self._flatten()
+        self.vertices = vertices
+        self.node_lo = node_lo
+        self.node_hi = node_hi
+        self.node_left = node_left
+        self.node_right = node_right
+        self.node_first = node_first
+        self.node_count = node_count
+        self.node_depth = node_depth
+        self.order = order
 
-    def _flatten(self) -> None:
-        """Precompute scalar-tuple views of nodes/triangles for traversal."""
-        nodes = self.nodes
-        lo = np.array([node.bounds.lo for node in nodes], dtype=np.float64)
-        hi = np.array([node.bounds.hi for node in nodes], dtype=np.float64)
-        links = np.array(
-            [(node.left, node.right, node.first, node.count) for node in nodes]
-        )
-        # Per-node: (lox, loy, loz, hix, hiy, hiz, left, right, first, count).
-        self._flat_nodes = [
-            (*box, node.left, node.right, node.first, node.count)
-            for box, node in zip(np.hstack((lo, hi)).tolist(), nodes)
-        ]
-        # Per-interior-node traversal-order hint: axis of largest child
-        # centroid separation and whether the left child sits on its lower
-        # side.  Leaves get (0, True) placeholders.
+    @property
+    def num_nodes(self) -> int:
+        return self.node_lo.shape[0]
+
+    def depth(self) -> int:
+        """Maximum leaf depth (root = depth 0)."""
+        return int(self.node_depth.max())
+
+    @cached_property
+    def order_hints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node closest-hit child-order hint, as ``(axis, left_is_lower)``.
+
+        For an interior node: the axis of largest child centroid
+        separation and whether the left child sits on its lower side.
+        Leaves get ``(0, True)`` placeholders.
+        """
+        lo, hi = self.node_lo, self.node_hi
         centers = 0.5 * (lo + hi)  # AABB.centroid()
-        sep = centers[links[:, 0]] - centers[links[:, 1]]
+        sep = centers[self.node_left] - centers[self.node_right]
         axis = np.argmax(np.abs(sep), axis=1)
-        left_is_lower = sep[np.arange(len(nodes)), axis] <= 0.0
-        leaf = links[:, 3] > 0
+        left_is_lower = sep[np.arange(self.num_nodes), axis] <= 0.0
+        leaf = self.node_count > 0
         axis[leaf] = 0
         left_is_lower[leaf] = True
-        self._order_hints = list(zip(axis.tolist(), left_is_lower.tolist()))
-        # Per-triangle Moller-Trumbore operands as scalars:
-        # (v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z).
-        v0, v1, v2 = _stack_vertices(self.triangles)
-        self._flat_tris = list(
-            map(tuple, np.concatenate((v0, v1 - v0, v2 - v0), axis=1).tolist())
-        )
+        return axis, left_is_lower
+
+    def triangle_operands(self) -> np.ndarray:
+        """Per-triangle Moller-Trumbore operands ``(v0, e1, e2)`` as ``(N, 9)``."""
+        v0, v1, v2 = self.vertices
+        return np.concatenate((v0, v1 - v0, v2 - v0), axis=1)
+
+    # -- scalar views, built on first use ------------------------------
+
+    @cached_property
+    def nodes(self) -> list[BVHNode]:
+        """The tree as :class:`BVHNode` objects (bounds copied out)."""
+        lo = self.node_lo.copy()
+        hi = self.node_hi.copy()
+        return [
+            BVHNode(AABB(lo[i], hi[i]), left, right, first, count)
+            for i, (left, right, first, count) in enumerate(self._links())
+        ]
 
     @property
     def root(self) -> BVHNode:
         return self.nodes[0]
 
-    def depth(self) -> int:
-        """Maximum leaf depth (root = depth 0)."""
+    @cached_property
+    def primitive_order(self) -> list[int]:
+        return self.order.tolist()
 
-        def node_depth(index: int) -> int:
-            node = self.nodes[index]
-            if node.is_leaf:
-                return 0
-            return 1 + max(node_depth(node.left), node_depth(node.right))
+    @cached_property
+    def _flat_nodes(self) -> list[tuple]:
+        """Per node: ``(lox, loy, loz, hix, hiy, hiz, left, right, first, count)``."""
+        boxes = np.hstack((self.node_lo, self.node_hi)).tolist()
+        return [(*box, *link) for box, link in zip(boxes, self._links())]
 
-        return node_depth(0)
+    @cached_property
+    def _order_hints(self) -> list[tuple[int, bool]]:
+        axis, left_is_lower = self.order_hints
+        return list(zip(axis.tolist(), left_is_lower.tolist()))
+
+    @cached_property
+    def _flat_tris(self) -> list[tuple[float, ...]]:
+        """Per triangle: ``(v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z)``."""
+        return list(map(tuple, self.triangle_operands().tolist()))
+
+    def _links(self):
+        return zip(
+            self.node_left.tolist(),
+            self.node_right.tolist(),
+            self.node_first.tolist(),
+            self.node_count.tolist(),
+        )
 
     def intersect(
         self, ray: Ray, record: TraversalRecord | None = None
@@ -308,7 +361,7 @@ def _moller_trumbore(
 ) -> float | None:
     """Scalar Moller-Trumbore: returns the hit ``t`` or ``None``.
 
-    ``tri`` is a flattened (v0, edge1, edge2) tuple from :meth:`BVH._flatten`.
+    ``tri`` is a flattened (v0, edge1, edge2) tuple from ``BVH._flat_tris``.
     """
     v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z = tri
     # pvec = d x e2
@@ -345,11 +398,14 @@ def build_bvh(
 ) -> BVH:
     """Build a BVH over ``triangles``.
 
-    Each node is built with NumPy reductions over its primitives' rows.
-    The tree is defined by the scalar build (chained ``AABB.union``,
-    per-primitive SAH binning, stable list partitions); every step here
-    performs the same IEEE operations, or exact ones (min/max), so the tree
-    is identical node for node.
+    The build is level-synchronous: each pass over a tree level reduces,
+    bins and partitions the slot ranges of every open node of that level
+    at once.  The tree is defined by the scalar build (chained
+    ``AABB.union``, per-primitive SAH binning, stable list partitions,
+    recursion left child first); every step here performs the same IEEE
+    operations, or exact ones (min/max) folded in the same order, and the
+    nodes are renumbered from level order to that build's depth-first
+    preorder, so the tree is identical node for node.
 
     Args:
         triangles: primitive list (not modified; the BVH stores a reference).
@@ -364,7 +420,13 @@ def build_bvh(
         raise ValueError("cannot build a BVH over zero triangles")
     if method not in ("sah", "median"):
         raise ValueError(f"unknown BVH build method: {method!r}")
-    verts = _stack_vertices(triangles)
+    verts = np.stack(
+        [
+            np.array([t.v0 for t in triangles], dtype=np.float64),
+            np.array([t.v1 for t in triangles], dtype=np.float64),
+            np.array([t.v2 for t in triangles], dtype=np.float64),
+        ]
+    )
     bad = ~np.isfinite(verts).all(axis=(0, 2))
     if bad.any():
         raise ValueError(
@@ -372,8 +434,7 @@ def build_bvh(
         )
 
     # One row per slot: (centroid, primitive lo, primitive hi), computed as
-    # Triangle.centroid() and Triangle.bounds() do.  Rows are permuted
-    # together with ``order`` as each node's slot range is partitioned.
+    # Triangle.centroid() and Triangle.bounds() do.
     v0, v1, v2 = verts
     rows = np.concatenate(
         (
@@ -382,104 +443,183 @@ def build_bvh(
             np.maximum(np.maximum(v0, v1), v2),
         ),
         axis=1,
-    ).astype(np.float64)
-    order = np.arange(len(triangles))
-    nodes: list[BVHNode] = []
-
-    def build_range(first: int, count: int) -> int:
-        """Recursively build the subtree over ``order[first:first+count]``."""
-        end = first + count
-        seg = rows[first:end]
-        # Reducing over axis 0 folds the rows in slot order with
-        # np.minimum/np.maximum, as the chained unions do, so even the sign
-        # of a zero bound matches.
-        low = seg.min(axis=0)
-        high = seg.max(axis=0)
-        node_index = len(nodes)
-        # Copies, so a node does not keep its 9-wide reductions alive.
-        node = BVHNode(bounds=AABB(low[3:6].copy(), high[6:9].copy()))
-        nodes.append(node)
-        extent = high[:3] - low[:3]
-        # All centroids coincident: no split can separate them.
-        if count <= leaf_size or bool(np.all(extent < 1e-12)):
-            node.first = first
-            node.count = count
-            return node_index
-
-        axis = int(np.argmax(extent))
-        split = None
-        if method == "sah":
-            split = _sah_partition(
-                seg[:, axis], low[axis], extent[axis], seg[:, 3:6], seg[:, 6:9]
-            )
-        if split is None:  # median build, or SAH found no finite cost
-            perm = np.argsort(seg[:, axis], kind="stable")
-            mid = first + count // 2
-        else:
-            perm, left_count = split
-            mid = first + left_count
-        rows[first:end] = seg[perm]
-        order[first:end] = order[first:end][perm]
-        node.left = build_range(first, mid - first)
-        node.right = build_range(mid, end - mid)
-        return node_index
-
-    build_range(0, len(triangles))
-    return BVH(triangles, nodes, order.tolist())
+    )
+    levels, order = _build_levels(rows, method, leaf_size)
+    return BVH(triangles, verts, *_preorder_nodes(levels), order)
 
 
-def _stack_vertices(triangles: list[Triangle]) -> np.ndarray:
-    """The triangles' vertices as a (3, N, 3) array: ``v0``, ``v1``, ``v2``."""
-    return np.array([(t.v0, t.v1, t.v2) for t in triangles]).transpose(1, 0, 2)
+class _Level(NamedTuple):
+    """The nodes of one tree level, in slot order (level-order numbering).
 
-
-def _sah_partition(
-    keys: np.ndarray,
-    lo: float,
-    extent: float,
-    prim_lo: np.ndarray,
-    prim_hi: np.ndarray,
-) -> tuple[np.ndarray, int] | None:
-    """Binned SAH over one node's rows.
-
-    Returns the stable permutation putting the left side first and the left
-    side's size, or ``None`` when no candidate plane has a finite cost.
-    ``keys`` are the centroids on the split axis, ``lo``/``extent`` their
-    range.
+    ``split`` marks the interior nodes; the ``k``-th of them owns nodes
+    ``2k`` (left) and ``2k + 1`` (right) of the next level.
     """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+    split: np.ndarray
+
+
+def _build_levels(
+    rows: np.ndarray, method: str, leaf_size: int
+) -> tuple[list[_Level], np.ndarray]:
+    """Split slot ranges level by level; returns the levels and the order.
+
+    The working set holds the rows of the open ranges only, concatenated
+    in slot order, with each row's primitive and global slot.  A leaf's
+    rows leave the working set as their range closes; a split permutes
+    rows within their range, so the slots stay put.
+    """
+    n = rows.shape[0]
+    order = np.empty(n, dtype=np.int64)
+    prim = np.arange(n)
+    slot = np.arange(n)
+    first = np.zeros(1, dtype=np.int64)
+    count = np.array([n], dtype=np.int64)
+    levels: list[_Level] = []
+    while True:
+        starts = np.cumsum(count) - count
+        # Reducing over axis 0 folds each range's rows in slot order with
+        # np.minimum/np.maximum, as the chained unions do, so even the
+        # sign of a zero bound matches.
+        low = np.minimum.reduceat(rows, starts, axis=0)
+        high = np.maximum.reduceat(rows, starts, axis=0)
+        extent = high[:, :3] - low[:, :3]
+        # All centroids coincident: no split can separate them.
+        split = (count > leaf_size) & ~(extent < 1e-12).all(axis=1)
+        levels.append(
+            _Level(low[:, 3:6], high[:, 6:9], first, count, split)
+        )
+        closing = np.repeat(~split, count)
+        order[slot[closing]] = prim[closing]
+        if not split.any():
+            break
+        opening = ~closing
+        rows, prim, slot = rows[opening], prim[opening], slot[opening]
+        first, count = first[split], count[split]
+        perm, left_count = _partition(
+            rows, count, low[split, :3], extent[split], method
+        )
+        rows, prim = rows[perm], prim[perm]
+        first = np.stack((first, first + left_count), axis=1).ravel()
+        count = np.stack((left_count, count - left_count), axis=1).ravel()
+    return levels, order
+
+
+def _partition(
+    rows: np.ndarray,
+    count: np.ndarray,
+    c_lo: np.ndarray,
+    c_extent: np.ndarray,
+    method: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partition every range of one level, stably, in one pass.
+
+    ``rows`` are the ranges' rows back to back, ``count`` their sizes and
+    ``c_lo``/``c_extent`` their centroid bounds.  Returns the permutation
+    of ``rows`` that puts each range's left side first, and each range's
+    left size.  SAH ranges split at the first cheapest plane; median
+    ranges, and SAH ranges without a finite-cost plane, sort by centroid
+    on the split axis and split at the middle.
+    """
+    ranges = count.shape[0]
+    axis = np.argmax(c_extent, axis=1)
+    range_of = np.repeat(np.arange(ranges), count)
+    keys = rows[np.arange(rows.shape[0]), axis[range_of]]
+    half = count // 2
+    if method == "median":
+        return np.lexsort((keys, range_of)), half
+    picked = np.arange(ranges)
+    lo = c_lo[picked, axis]
+    extent = c_extent[picked, axis]
     # Same IEEE operations as ``int(8 * (c - lo) / extent)``; truncation
     # matches int() because c >= lo.  A centroid at the top lands in bin 7.
     bins = np.minimum(
-        _SAH_BINS - 1, (_SAH_BINS * (keys - lo) / extent).astype(np.int64)
+        _SAH_BINS - 1,
+        (_SAH_BINS * (keys - lo[range_of]) / extent[range_of]).astype(np.int64),
     )
-    box_lo = np.full((_SAH_BINS, 3), _INF)
-    box_hi = np.full((_SAH_BINS, 3), -_INF)
-    np.minimum.at(box_lo, bins, prim_lo)
-    np.maximum.at(box_hi, bins, prim_hi)
+    # Per-(range, bin) boxes: a stable sort groups each bin's rows in slot
+    # order, so each group's reduceat folds exactly as a sequential
+    # ``np.minimum.at`` into an empty box would.
+    group = range_of * _SAH_BINS + bins
+    by_group = np.argsort(group, kind="stable")
+    sorted_group = group[by_group]
+    heads = np.flatnonzero(np.diff(sorted_group, prepend=-1))
+    filled = sorted_group[heads]
+    box_lo = np.full((ranges * _SAH_BINS, 3), _INF)
+    box_hi = np.full((ranges * _SAH_BINS, 3), -_INF)
+    box_lo[filled] = np.minimum.reduceat(rows[by_group, 3:6], heads, axis=0)
+    box_hi[filled] = np.maximum.reduceat(rows[by_group, 6:9], heads, axis=0)
+    box_lo = box_lo.reshape(ranges, _SAH_BINS, 3)
+    box_hi = box_hi.reshape(ranges, _SAH_BINS, 3)
     # Candidate i splits bins [0, i] from [i + 1, 8).  The lowest centroid
     # is in bin 0 and the highest in bin 7, so no side is ever empty.
-    left_count = np.cumsum(np.bincount(bins, minlength=_SAH_BINS))[:-1]
-    right_count = len(keys) - left_count
+    bin_count = np.bincount(group, minlength=ranges * _SAH_BINS)
+    left_count = np.cumsum(bin_count.reshape(ranges, _SAH_BINS), axis=1)[:, :-1]
+    right_count = count[:, None] - left_count
     left_area = _surface_areas(
-        np.minimum.accumulate(box_lo)[:-1], np.maximum.accumulate(box_hi)[:-1]
+        np.minimum.accumulate(box_lo, axis=1)[:, :-1],
+        np.maximum.accumulate(box_hi, axis=1)[:, :-1],
     )
     right_area = _surface_areas(
-        np.minimum.accumulate(box_lo[::-1])[-2::-1],
-        np.maximum.accumulate(box_hi[::-1])[-2::-1],
+        np.minimum.accumulate(box_lo[:, ::-1], axis=1)[:, -2::-1],
+        np.maximum.accumulate(box_hi[:, ::-1], axis=1)[:, -2::-1],
     )
     cost = left_count * left_area + right_count * right_area
     # A strict ``<`` sweep from +inf: the first minimal finite cost wins
     # (a NaN cost, from an overflowing extent, never does).
     cost[~(cost < _INF)] = _INF
-    plane = int(np.argmin(cost))
-    if cost[plane] == _INF:
-        return None
-    left = bins <= plane
-    perm = np.concatenate((np.flatnonzero(left), np.flatnonzero(~left)))
-    return perm, int(np.count_nonzero(left))
+    plane = np.argmin(cost, axis=1)
+    median = cost[picked, plane] == _INF
+    # Key 0/1 (left/right) for SAH ranges, the centroid for median ones;
+    # lexsort is stable, so each side keeps its slot order.
+    side = np.where(
+        median[range_of], keys, (bins > plane[range_of]).astype(np.float64)
+    )
+    perm = np.lexsort((side, range_of))
+    return perm, np.where(median, half, left_count[picked, plane])
+
+
+def _preorder_nodes(levels: list[_Level]) -> tuple[np.ndarray, ...]:
+    """Node arrays numbered in the recursive build's depth-first preorder.
+
+    A node's left child follows it (``parent + 1``) and its right child
+    follows the whole left subtree (``parent + 1 + size(left)``).
+    """
+    sizes = [np.ones(level.count.shape[0], dtype=np.int64) for level in levels]
+    for depth in range(len(levels) - 2, -1, -1):
+        below = sizes[depth + 1]
+        sizes[depth][levels[depth].split] += below[0::2] + below[1::2]
+    total = int(sizes[0][0])
+    lo = np.empty((total, 3))
+    hi = np.empty((total, 3))
+    left = np.full(total, -1, dtype=np.int64)
+    right = np.full(total, -1, dtype=np.int64)
+    first = np.zeros(total, dtype=np.int64)
+    count = np.zeros(total, dtype=np.int64)
+    node_depth = np.empty(total, dtype=np.int64)
+    index = np.zeros(1, dtype=np.int64)
+    for depth, level in enumerate(levels):
+        lo[index] = level.lo
+        hi[index] = level.hi
+        node_depth[index] = depth
+        leaf = index[~level.split]
+        first[leaf] = level.first[~level.split]
+        count[leaf] = level.count[~level.split]
+        if depth + 1 == len(levels):
+            break
+        parent = index[level.split]
+        left[parent] = parent + 1
+        right[parent] = parent + 1 + sizes[depth + 1][0::2]
+        index = np.stack((left[parent], right[parent]), axis=1).ravel()
+    return lo, hi, left, right, first, count, node_depth
 
 
 def _surface_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Row-wise :meth:`AABB.surface_area` of non-empty boxes (same operations)."""
+    """Elementwise :meth:`AABB.surface_area` of non-empty boxes (same operations)."""
     d = hi - lo
-    return 2.0 * (d[:, 0] * d[:, 1] + d[:, 1] * d[:, 2] + d[:, 2] * d[:, 0])
+    return 2.0 * (
+        d[..., 0] * d[..., 1] + d[..., 1] * d[..., 2] + d[..., 2] * d[..., 0]
+    )

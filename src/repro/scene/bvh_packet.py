@@ -220,39 +220,38 @@ class _Packet:
 
 
 class PackedBVH:
-    """A :class:`BVH` flattened into SoA arrays with packet kernels.
+    """A :class:`BVH` laid out for packet kernels, with those kernels.
 
-    The arrays are materialized from the scalar BVH's own flattened
-    tuples (``BVH._flatten``), so packet and scalar traversal compute
-    from the exact same float values.
+    The arrays come straight from the BVH's own node and vertex arrays
+    (the values the scalar tuples are built from), so packet and scalar
+    traversal compute from the exact same float values.
     """
 
     def __init__(self, bvh: BVH) -> None:
         self.bvh = bvh
-        flat = np.array(bvh._flat_nodes, dtype=np.float64)
-        self.node_lo = np.ascontiguousarray(flat[:, 0:3])
-        self.node_hi = np.ascontiguousarray(flat[:, 3:6])
+        self.node_lo = bvh.node_lo
+        self.node_hi = bvh.node_hi
         # Rows lo x/y/z, hi x/y/z: one ``np.take`` gathers a step's bounds.
-        self._node_cols = np.ascontiguousarray(flat[:, 0:6].T)
-        self.node_left = flat[:, 6].astype(np.intp)
-        self.node_right = flat[:, 7].astype(np.intp)
-        self.node_first = flat[:, 8].astype(np.int64)
-        self.node_count = flat[:, 9].astype(np.int64)
+        self._node_cols = np.ascontiguousarray(
+            np.concatenate((bvh.node_lo, bvh.node_hi), axis=1).T
+        )
+        self.node_left = bvh.node_left.astype(np.intp)
+        self.node_right = bvh.node_right.astype(np.intp)
+        self.node_first = bvh.node_first
+        self.node_count = bvh.node_count
         # Closest-hit child order per (node, ray octant), flattened as
         # ``node * 8 + octant``: the left child is near when the ray's
         # sign on the node's hint axis matches the left child's side.
-        axis = np.array([h[0] for h in bvh._order_hints], dtype=np.int64)
-        left_lower = np.array([h[1] for h in bvh._order_hints], dtype=bool)
+        axis, left_lower = bvh.order_hints
         nonneg = (np.arange(8)[None, :] >> axis[:, None]) & 1 == 1
         left_first = nonneg == left_lower[:, None]
         left = self.node_left[:, None]
         right = self.node_right[:, None]
         self._near_child = np.where(left_first, left, right).ravel()
         self._far_child = np.where(left_first, right, left).ravel()
-        self.order = np.array(bvh.primitive_order, dtype=np.int64)
-        tris = np.array(bvh._flat_tris, dtype=np.float64)
+        self.order = bvh.order
         # Rows v0 x/y/z, e1 x/y/z, e2 x/y/z (the scalar operand tuples).
-        self._tri_cols = np.ascontiguousarray(tris.T)
+        self._tri_cols = np.ascontiguousarray(bvh.triangle_operands().T)
         self.tri_normal = np.array(
             [tri.normal for tri in bvh.triangles], dtype=np.float64
         )

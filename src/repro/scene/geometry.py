@@ -15,7 +15,7 @@ import numpy as np
 
 from .vecmath import EPSILON, cross, dot, normalize
 
-__all__ = ["Ray", "AABB", "Triangle", "HitRecord"]
+__all__ = ["Ray", "AABB", "Triangle", "HitRecord", "triangle_batch"]
 
 _INF = float("inf")
 
@@ -199,3 +199,31 @@ class Triangle:
             material_id=self.material_id,
             primitive_index=index,
         )
+
+
+def triangle_batch(
+    v0: np.ndarray, v1: np.ndarray, v2: np.ndarray, material_id: int = 0
+) -> list[Triangle]:
+    """``[Triangle(v0[i], v1[i], v2[i], material_id) ...]`` with batched normals.
+
+    ``v0``/``v1``/``v2`` are ``(n, 3)`` corner arrays.  The edges and
+    cross products run as column arithmetic, the same IEEE operations
+    :meth:`Triangle.__post_init__` performs per triangle.  The length
+    stays a per-row ``n @ n``: a vectorized sum of squares rounds
+    differently from that BLAS dot product on some rows, and the normals
+    must match bit for bit.
+    """
+    a = v1 - v0
+    b = v2 - v0
+    n = np.empty(a.shape)
+    n[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    n[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    n[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    norm = np.array([math.sqrt(float(row @ row)) for row in n])
+    degenerate = norm < EPSILON
+    normals = n / np.where(degenerate, 1.0, norm)[:, None]
+    normals[degenerate] = (0.0, 0.0, 1.0)
+    return [
+        Triangle(p0, p1, p2, material_id, normal)
+        for p0, p1, p2, normal in zip(v0, v1, v2, normals)
+    ]

@@ -9,10 +9,11 @@ callers can concatenate meshes freely before handing them to a scene.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Triangle
+from .geometry import Triangle, triangle_batch
 from .vecmath import normalize, vec3
 
 __all__ = [
@@ -62,14 +63,23 @@ def grid_quad(
     """
     if divisions_u <= 0 or divisions_v <= 0:
         raise ValueError("grid divisions must be positive")
-    triangles: list[Triangle] = []
     du = edge_u / divisions_u
     dv = edge_v / divisions_v
-    for i in range(divisions_u):
-        for j in range(divisions_v):
-            corner = origin + du * i + dv * j
-            triangles.extend(quad(corner, du, dv, material_id))
-    return triangles
+    # Cell (i, j) in row-major order, with the corners :func:`quad` makes
+    # for it, by the same operations.
+    i = np.repeat(np.arange(divisions_u), divisions_v)[:, None]
+    j = np.tile(np.arange(divisions_v), divisions_u)[:, None]
+    p00 = origin + du * i + dv * j
+    p10 = p00 + du
+    p01 = p00 + dv
+    p11 = p10 + dv
+    # Each cell's two triangles, (p00, p10, p11) then (p00, p11, p01).
+    return triangle_batch(
+        np.repeat(p00, 2, axis=0),
+        np.stack((p10, p11), axis=1).reshape(-1, 3),
+        np.stack((p11, p01), axis=1).reshape(-1, 3),
+        material_id,
+    )
 
 
 def ground_plane(
@@ -129,6 +139,16 @@ def icosphere(
     1280, ...  Level 2-3 gives a mesh dense enough to behave like the
     paper's BUNNY-style "warm" workloads.
     """
+    vertices, faces = _unit_icosphere(subdivisions)
+    corners = center + vertices[faces] * radius
+    return triangle_batch(
+        corners[:, 0], corners[:, 1], corners[:, 2], material_id
+    )
+
+
+@lru_cache(maxsize=8)
+def _unit_icosphere(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit icosphere's ``(V, 3)`` vertices and ``(F, 3)`` faces."""
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     raw = [
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
@@ -159,16 +179,10 @@ def icosphere(
             ca = midpoint(c, a)
             new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
         faces = new_faces
-
-    return [
-        Triangle(
-            center + vertices[a] * radius,
-            center + vertices[b] * radius,
-            center + vertices[c] * radius,
-            material_id,
-        )
-        for a, b, c in faces
-    ]
+    unit = np.array(vertices), np.array(faces, dtype=np.intp)
+    for array in unit:
+        array.flags.writeable = False
+    return unit
 
 
 def cylinder(

@@ -117,7 +117,7 @@ class Scene:
         return len(self.bvh.triangles)
 
     def node_count(self) -> int:
-        return len(self.bvh.nodes)
+        return self.bvh.num_nodes
 
     def material_of(self, tri_index: int):
         """Material of a triangle by primitive index."""

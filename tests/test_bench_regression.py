@@ -83,6 +83,31 @@ def test_build_vs_baseline_is_reported_and_never_gates(baseline):
         )
 
 
+def test_scene_vs_baseline_is_reported_and_never_gates(baseline):
+    name = baseline["scenes"][0]["scene"]
+    baseline["scenes"][0].setdefault("scene_seconds", 0.05)
+    for factor, prefix in ((0.5, "PASS"), (4.0, "WARN")):
+        current = copy.deepcopy(baseline)
+        current["scenes"][0]["scene_seconds"] *= factor
+        report = checker.compare(current, baseline)
+        assert not report.failed
+        ratio = 1.0 / factor
+        assert f"{prefix}  {name} scene_vs_baseline: {ratio:.2f}x" in "\n".join(
+            report.lines
+        )
+
+
+def test_scene_vs_baseline_skipped_without_baseline_field(baseline):
+    # Baselines written before scene_seconds existed: no line, no failure.
+    current = copy.deepcopy(baseline)
+    for entry in (*current["scenes"], *baseline["scenes"]):
+        entry.pop("scene_seconds", None)
+    current["scenes"][0]["scene_seconds"] = 0.05
+    report = checker.compare(current, baseline)
+    assert not report.failed
+    assert not any("scene_vs_baseline" in line for line in report.lines)
+
+
 def test_trace_vs_baseline_is_reported_and_never_gates(baseline):
     name = baseline["scenes"][0]["scene"]
     assert baseline["scenes"][0]["packet"]["trace_seconds"] > 0

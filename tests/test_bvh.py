@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from repro.scene.bvh import BVH, BVHNode, TraversalRecord, build_bvh
 from repro.scene.geometry import AABB, Ray, Triangle
+from repro.scene.library import SCENE_NAMES, make_scene
 from repro.scene.meshes import icosphere, random_blob_field
+from repro.scene.registry import build_scene_from_spec
 from repro.scene.vecmath import vec3
+from repro.tracer import FunctionalTracer, RenderSettings
 
 
 def random_triangles(rng: np.random.Generator, count: int) -> list[Triangle]:
@@ -326,8 +329,26 @@ def reference_flatten(triangles, nodes):
     return flat_nodes, hints, flat_tris
 
 
+def reference_depths(nodes):
+    """Per-node depth by walking the materialized nodes from the root."""
+    depths = [0] * len(nodes)
+    for index, node in enumerate(nodes):  # preorder: parents come first
+        if not node.is_leaf:
+            depths[node.left] = depths[node.right] = depths[index] + 1
+    return depths
+
+
+def recursive_depth(nodes, index=0):
+    """Maximum leaf depth below ``nodes[index]``, by recursion."""
+    node = nodes[index]
+    if node.is_leaf:
+        return 0
+    return 1 + max(recursive_depth(nodes, node.left), recursive_depth(nodes, node.right))
+
+
 def assert_same_tree(triangles, bvh, method, leaf_size):
     ref_nodes, ref_order = reference_build(triangles, method, leaf_size)
+    assert bvh.node_depth.tolist() == reference_depths(ref_nodes)
     assert bvh.primitive_order == ref_order
     assert [(n.left, n.right, n.first, n.count) for n in bvh.nodes] == [
         (n.left, n.right, n.first, n.count) for n in ref_nodes
@@ -389,6 +410,7 @@ class TestMatchesScalarReference:
     def test_property_identical_tree(self, tris, method, leaf_size):
         bvh = build_bvh(tris, method=method, leaf_size=leaf_size)
         assert_same_tree(tris, bvh, method, leaf_size)
+        assert bvh.depth() == recursive_depth(bvh.nodes)
 
     @pytest.mark.parametrize("method", ["sah", "median"])
     def test_random_scene(self, method):
@@ -431,6 +453,27 @@ class TestMatchesScalarReference:
         for method in ("sah", "median"):
             bvh = build_bvh(tris, method=method, leaf_size=1)
             assert_same_tree(tris, bvh, method, 1)
+
+
+class TestArrayStorage:
+    """The node arrays are the BVH; per-node objects are scalar-path views."""
+
+    @pytest.mark.parametrize("scene_name", SCENE_NAMES)
+    def test_array_depth_matches_recursive_depth(self, scene_name):
+        bvh = build_bvh(make_scene(scene_name).triangles)
+        assert bvh.depth() == recursive_depth(bvh.nodes)
+
+    @pytest.mark.parametrize("scene_name", SCENE_NAMES)
+    def test_packet_trace_builds_no_scalar_views(self, scene_name):
+        # A fresh instance: the cached one may have served scalar callers.
+        scene = build_scene_from_spec(scene_name)
+        settings = RenderSettings(width=8, height=8, samples_per_pixel=1, seed=0)
+        FunctionalTracer(scene, settings).trace_frame()
+        scene.describe()
+        views = {"nodes", "_flat_nodes", "_flat_tris"}
+        assert not views & set(vars(scene.bvh))
+        # The views still build on demand, from the same arrays.
+        assert len(scene.bvh.nodes) == scene.node_count()
 
 
 def _ten_triangles():

@@ -1,9 +1,12 @@
-"""EXPERIMENTS.md's headline table must match the results it cites.
+"""EXPERIMENTS.md's numbers must match the results they cite.
 
 The "Measured" column of the Fig. 10 headline table is copied from
 ``results/fig10_park_errors.txt`` (written by
-``benchmarks/bench_fig10_park_errors.py``).  This test re-reads both, so a
-regenerated result file and a stale table cannot both be committed.
+``benchmarks/bench_fig10_park_errors.py``); the baselines paragraph from
+``results/baselines.txt`` (``bench_baselines.py``); the adaptive-control
+paragraph from ``results/extension_adaptive.txt``
+(``bench_extension_adaptive.py``).  These tests re-read both sides, so a
+regenerated result file and stale prose cannot both be committed.
 """
 
 import re
@@ -54,3 +57,53 @@ def _fig10_expected() -> dict[str, list[str]]:
 
 def test_headline_table_matches_fig10_results():
     assert _headline_measured() == _fig10_expected()
+
+
+def _section(heading: str) -> str:
+    """The text of the EXPERIMENTS.md section starting ``## {heading}``."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    return text.split(f"\n## {heading}", 1)[1].split("\n## ", 1)[0]
+
+
+def _table(name: str) -> dict[str, list[str]]:
+    """Scene -> the cells of its row in a ``results/`` table, as written."""
+    lines = (ROOT / "results" / name).read_text().splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.startswith("-----"))
+    return {
+        cells[0]: cells[1:]
+        for cells in (line.split() for line in lines[rule + 1 :])
+        if cells
+    }
+
+
+def _prose(section: str) -> str:
+    return " ".join(section.split())  # undo line wrapping
+
+
+def test_baselines_paragraph_matches_results():
+    text = _prose(_section("Baselines"))
+    rows = _table("baselines.txt")
+    # "PARK 16.6% vs 36.7%": Zatel MAE vs the analytical model's.
+    mae_claims = re.findall(r"\b([A-Z]{3,5}) ([\d.]+)% vs ([\d.]+)%", text)
+    assert mae_claims, "no Zatel-vs-analytical MAE numbers found"
+    for scene, zatel, analytical in mae_claims:
+        assert [zatel, analytical] == rows[scene][0:2], scene
+    # "BATH: 19.5% cycles error vs Zatel's 10.9%": PKA vs Zatel cycles error.
+    pka_claims = re.findall(
+        r"\b([A-Z]{3,5}): ([\d.]+)% cycles error vs Zatel's ([\d.]+)%", text
+    )
+    assert pka_claims, "no PKA-vs-Zatel cycles-error numbers found"
+    for scene, pka, zatel in pka_claims:
+        assert [pka, zatel] == rows[scene][3:5], scene
+
+
+def test_adaptive_paragraph_matches_results():
+    section = _section("Beyond the paper")
+    bullet = section.split("**Adaptive sample-complexity control**", 1)[1]
+    text = _prose(bullet.split("\n* ", 1)[0])
+    rows = _table("extension_adaptive.txt")
+    # "SHIP (...) improves from 12.9% to 5.3%", "SPRNG (12.7% to 14.4%)".
+    claims = re.findall(r"\b([A-Z]{3,5})\b[^%]*?([\d.]+)% to ([\d.]+)%", text)
+    assert {scene for scene, _, _ in claims} == {"SHIP", "BATH", "SPRNG", "PARK"}
+    for scene, fixed, adaptive in claims:
+        assert [fixed, adaptive] == rows[scene][0:2], scene
