@@ -8,7 +8,8 @@ best-of-3 ``build_bvh`` seconds, its best-of-3 ``scene_seconds`` (a whole
 fresh scene build, meshes and BVH, plus its ``packed_bvh``: what
 ``make_scene`` costs on a cache miss before the first trace) and
 ``frame_bytes_per_entry``: the bytes a traced frame retains (tracemalloc)
-per node or triangle record entry.
+per node or triangle record entry.  tracemalloc counts repeat exactly on
+one interpreter, so ``check_bench_regression.py`` gates that figure.
 Results are written to ``BENCH_tracer.json``; timings sit under each
 entry's ``packet`` key (the tracer's batched packet kernels), the key
 the committed baseline has always used.
@@ -20,8 +21,8 @@ Run as a script (what CI's bench-regression job does):
     PYTHONPATH=src python benchmarks/bench_tracer.py --quick
 
 The script never fails on speed; ``check_bench_regression.py`` gates the
-payload's exact ray counts and prediction metrics against the committed
-baseline.  Byte identity with the scalar reference tracer is a test
+payload's exact ray counts, prediction metrics and frame bytes per entry
+against the committed baseline.  Byte identity with the scalar reference tracer is a test
 (``tests/test_wavefront_golden.py``), not part of this benchmark.
 """
 
@@ -51,7 +52,7 @@ BUILD_REPEATS = 3
 
 
 def _total_rays(frame) -> int:
-    return sum(len(t.segments) for t in frame.pixels.values())
+    return frame.columns().segment_count
 
 
 def _settings(size: int) -> RenderSettings:
@@ -62,9 +63,11 @@ def _frame_bytes_per_entry(scene, size: int) -> float:
     """Bytes a traced frame retains per node or triangle entry.
 
     Measured with tracemalloc after ``gc.collect()``; the scene's packed
-    BVH must already be built (it is shared by every frame).
+    BVH must already be built, and the settings' cached plane coordinates
+    are built first (every frame shares them, none retains them).
     """
     tracer = FunctionalTracer(scene, _settings(size))
+    tracer.settings.all_pixels()
     gc.collect()
     tracemalloc.start()
     try:
@@ -73,12 +76,7 @@ def _frame_bytes_per_entry(scene, size: int) -> float:
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    entries = sum(
-        len(s.nodes) + len(s.tris)
-        for trace in frame.pixels.values()
-        for s in trace.segments
-    )
-    return retained / entries
+    return retained / frame.columns().entry_count()
 
 
 def bench_scene(name: str, size: int, repeats: int) -> dict:

@@ -24,18 +24,21 @@ noise:
 * prediction-metric drift — the end-to-end prediction metrics change
   from the baseline's (the model is deterministic: same spec, same
   numbers, on any machine);
-* ray-count drift — the traced workload itself changed size.
+* ray-count drift — the traced workload itself changed size;
+* frame-memory growth — a scene's ``frame_bytes_per_entry`` (the bytes
+  a traced frame retains per record entry, tracemalloc) exceeds
+  :data:`FRAME_BYTES_LIMIT` times the baseline's.  tracemalloc counts
+  repeat exactly on one interpreter; the slack covers other Python and
+  NumPy builds, not a return of per-segment objects (about 7x).
 
 **Non-gating (warning only):** each scene's ``build_vs_baseline``
 (baseline ``build_bvh`` seconds over the run's; a WARN line below
 0.7x), its ``scene_vs_baseline`` (baseline ``scene_seconds``, a whole
-scene build plus its packed BVH, over the run's, likewise), its
-``trace_vs_baseline`` (baseline ``trace_frame`` seconds over
-the run's, likewise), and its ``frame_bytes_vs_baseline`` (baseline
-``frame_bytes_per_entry`` over the run's, likewise).  Absolute seconds
-are never gated on — they measure the runner, not the code — and
-retained bytes shift with the Python version.  Byte identity of the
-tracer with its scalar reference is a test, not a benchmark gate.
+scene build plus its packed BVH, over the run's, likewise) and its
+``trace_vs_baseline`` (baseline ``trace_frame`` seconds over the run's,
+likewise).  Absolute seconds are never gated on — they measure the
+runner, not the code.  Byte identity of the tracer with its scalar
+reference is a test, not a benchmark gate.
 
 The baseline is regenerated on purpose (never silently) with::
 
@@ -52,6 +55,10 @@ from pathlib import Path
 
 BASELINE_DIR = Path(__file__).parent / "baselines"
 DEFAULT_BASELINE = BASELINE_DIR / "BENCH_tracer.baseline.json"
+
+#: Largest allowed ratio of a run's ``frame_bytes_per_entry`` to the
+#: baseline's.
+FRAME_BYTES_LIMIT = 1.25
 
 #: ``benchmark`` field -> committed baseline for that payload kind.
 BASELINES_BY_KIND = {
@@ -115,11 +122,16 @@ def compare(current: dict, baseline: dict) -> _Report:
                 report, f"{name} trace_vs_baseline", base_trace / trace, 1.0
             )
         if "frame_bytes_per_entry" in entry and "frame_bytes_per_entry" in base:
-            _warn_ratio(
-                report, f"{name} frame_bytes_vs_baseline",
-                base["frame_bytes_per_entry"] / entry["frame_bytes_per_entry"],
-                1.0,
-            )
+            ours = entry["frame_bytes_per_entry"]
+            limit = FRAME_BYTES_LIMIT * base["frame_bytes_per_entry"]
+            if ours > limit:
+                report.fail(
+                    f"{name}: frame retains {ours:.2f} B/entry, above "
+                    f"{limit:.2f} ({FRAME_BYTES_LIMIT}x baseline)"
+                )
+            else:
+                report.ok(f"{name}: frame retains {ours:.2f} B/entry "
+                          f"(limit {limit:.2f})")
 
     predict, base_predict = current.get("predict"), baseline.get("predict")
     if predict and base_predict:

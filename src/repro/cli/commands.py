@@ -437,9 +437,10 @@ def cmd_trace(args) -> int:
     )
     save_frame(frame, out)
     size_kb = out.stat().st_size / 1024
+    nodes, _, _ = frame.columns().pixel_totals()
     print(
         f"wrote {out} ({size_kb:.0f} KB, {len(frame.pixels)} pixels, "
-        f"{sum(t.total_nodes() for t in frame.pixels.values())} node visits)"
+        f"{int(nodes.sum())} node visits)"
     )
     return 0
 
@@ -491,10 +492,8 @@ def cmd_inspect(args) -> int:
     from ..tracer import load_frame
 
     frame = load_frame(args.file)
-    nodes = sum(t.total_nodes() for t in frame.pixels.values())
-    tris = sum(t.total_tris() for t in frame.pixels.values())
-    instructions = sum(
-        t.total_instructions() for t in frame.pixels.values()
+    nodes, tris, instructions = (
+        int(total.sum()) for total in frame.columns().pixel_totals()
     )
     print(
         f"{args.file}: scene {frame.scene_name}, "

@@ -23,7 +23,7 @@ from array import array
 
 from ..scene.scene import AddressMap
 from ..tracer.ptx import FILTER_EXIT_INSTRUCTIONS
-from ..tracer.trace import FrameTrace
+from ..tracer.trace import FrameColumns, FrameTrace
 from .warp import ComputeOp, StoreOp, TraceOp, WarpTask
 
 __all__ = ["compile_kernel"]
@@ -55,19 +55,22 @@ def compile_kernel(
         KeyError: if a selected pixel has no trace in ``frame``.
     """
     filtering = selected is not None
+    records = frame.columns()
     warps: list[WarpTask] = []
     for warp_id, base in enumerate(range(0, len(pixels), warp_size)):
         chunk = pixels[base : base + warp_size]
         warps.append(
             _compile_warp(
-                frame, chunk, address_map, selected, warp_size, warp_id, filtering
+                records, frame.width, chunk, address_map, selected,
+                warp_size, warp_id, filtering,
             )
         )
     return warps
 
 
 def _compile_warp(
-    frame: FrameTrace,
+    records: FrameColumns,
+    width: int,
     chunk: list[tuple[int, int]],
     address_map: AddressMap,
     selected: set[tuple[int, int]] | None,
@@ -75,55 +78,54 @@ def _compile_warp(
     warp_id: int,
     filtering: bool,
 ) -> WarpTask:
-    """Lower one warp's pixels into the lock-step op-slot structure."""
+    """Lower one warp's pixels into the lock-step op-slot structure.
+
+    Lanes name segments of ``records`` by id; no record is copied.
+    """
     lanes = len(chunk)
-    traces = []
-    for pixel in chunk:
-        if selected is not None and pixel not in selected:
-            traces.append(None)  # filtered lane
-        else:
-            traces.append(frame.pixels[pixel])
+    # Each lane's (raygen instructions, segment ids), or None when filtered.
+    slots = [
+        None if selected is not None and pixel not in selected
+        else records.slot(pixel)
+        for pixel in chunk
+    ]
 
     # Slot 0: ray-gen setup.  Filtered lanes execute just the injected
     # filter/exit pair; live lanes additionally pay that overhead when
     # filtering is enabled.
     overhead = FILTER_EXIT_INSTRUCTIONS if filtering else 0
     setup = [0] * warp_size
-    for lane in range(lanes):
-        trace = traces[lane]
-        if trace is None:
+    spans: list[range] = []
+    for lane, slot in enumerate(slots):
+        if slot is None:
             setup[lane] = FILTER_EXIT_INSTRUCTIONS
+            spans.append(range(0))
         else:
-            setup[lane] = trace.raygen_instructions + overhead
+            raygen, span = slot
+            setup[lane] = raygen + overhead
+            spans.append(span)
     ops: list = [ComputeOp(tuple(setup))]
 
-    max_segments = max(
-        (len(t.segments) for t in traces if t is not None), default=0
-    )
-    for seg_index in range(max_segments):
-        nodes: list[array | None] = [None] * warp_size
-        tris: list[array | None] = [None] * warp_size
+    shade_of = records.shade_of
+    for seg_index in range(max(map(len, spans), default=0)):
+        segments = array("q", [-1]) * warp_size
         shade = [0] * warp_size
-        for lane in range(lanes):
-            trace = traces[lane]
-            if trace is None or seg_index >= len(trace.segments):
-                continue
-            segment = trace.segments[seg_index]
-            nodes[lane] = segment.nodes
-            tris[lane] = segment.tris
-            shade[lane] = segment.shade_instructions
-        ops.append(TraceOp(tuple(nodes), tuple(tris)))
+        for lane, span in enumerate(spans):
+            if seg_index < len(span):
+                segment = segments[lane] = span[seg_index]
+                shade[lane] = shade_of(segment)
+        ops.append(TraceOp.from_records(records, segments))
         ops.append(ComputeOp(tuple(shade)))
 
     # Reconvergence point: every live lane writes its pixel.
     stores: list[int | None] = [None] * warp_size
     for lane in range(lanes):
-        if traces[lane] is not None:
+        if slots[lane] is not None:
             px, py = chunk[lane]
-            stores[lane] = address_map.pixel_address(px, py, frame.width)
+            stores[lane] = address_map.pixel_address(px, py, width)
     ops.append(StoreOp(tuple(stores)))
 
-    live = sum(1 for t in traces if t is not None)
+    live = sum(1 for slot in slots if slot is not None)
     return WarpTask(
         warp_id=warp_id,
         pixels=tuple(chunk),

@@ -13,7 +13,8 @@ concurrent warps' memory traffic interleaves in time — vital for modelling
 bandwidth contention instead of falsely serializing whole traversals.
 
 A job replays its op from a lazy *step schedule*: each lane's node (then
-triangle) indices map to cache-line addresses through one memo per
+triangle) indices — zero-copy views of the frame's record buffers, taken
+when the job starts — map to cache-line addresses through one memo per
 ``(AddressMap, line_bytes)``, and ``zip_longest`` over the lanes yields one
 step's lines at a time (``None`` for a lane that has finished).  The step
 deduplicates its lines in lane first-touch order and hands them to
@@ -161,14 +162,13 @@ class TraversalJob:
     ) -> None:
         self.unit = unit
         node_lines, tri_lines = line_memos(address_map, line_bytes)
-        node_lists = [n for n in op.per_thread_nodes if n is not None]
-        tri_lists = [t for t in op.per_thread_tris if t is not None]
+        node_lists, tri_lists = op.lane_records()
         self._schedule = chain(
             zip_longest(*[map(node_lines.__getitem__, n) for n in node_lists]),
             zip_longest(*[map(tri_lines.__getitem__, t) for t in tri_lists]),
         )
-        self._node_steps = op.max_node_steps()
-        self._steps = self._node_steps + op.max_tri_steps()
+        self._node_steps = max(map(len, node_lists), default=0)
+        self._steps = self._node_steps + max(map(len, tri_lists), default=0)
         self._step = 0
         self.done = self._steps == 0
         # Hoisted per-step constants (advance() is the simulator's hottest

@@ -9,8 +9,8 @@ list of warp-level ops compiled from its threads' pixel traces
   for the *maximum* lane count (SIMT lock-step), and the instruction
   statistic adds the *sum* (per-thread instruction counting).
 * :class:`TraceOp` — a ``traceRayEXT`` hand-off to the SM's RT unit; each
-  lane carries the BVH node / triangle index sequences its ray will touch
-  (the segment's ``array('I')`` records, shared rather than copied).
+  lane names the BVH node / triangle index sequences its ray will touch
+  (a segment id into the frame's records, never a copy of them).
 * :class:`StoreOp` — the framebuffer write-back at shader exit.
 """
 
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+from ..tracer.trace import lane_columns
 
 __all__ = ["ComputeOp", "TraceOp", "StoreOp", "WarpOp", "WarpTask", "WarpState"]
 
@@ -40,30 +42,68 @@ class ComputeOp:
         return sum(1 for n in self.per_thread_instructions if n > 0)
 
 
-@dataclass
 class TraceOp:
-    """A warp's ray-traversal op; ``None`` lanes have no ray this bounce.
+    """A warp's ray-traversal op; a masked lane has no ray this bounce.
 
-    Each live lane's entry is an index sequence: the traced segment's
-    ``array('I')`` record, or any list of ints in hand-built ops.
+    An op holds frame columns (:class:`~repro.tracer.trace.FrameColumns`)
+    and one segment id per lane (-1 = masked), never a per-lane object or
+    a copy of a record; :meth:`lane_records` hands out zero-copy buffer
+    views when a traversal starts.
+    :func:`~repro.gpu.frontend.compile_kernel` builds ops over the frame's
+    own columns with :meth:`from_records`; the constructor packs
+    hand-built per-lane index sequences (``None`` = masked) into columns
+    of their own.
     """
 
-    per_thread_nodes: tuple[Sequence[int] | None, ...]
-    per_thread_tris: tuple[Sequence[int] | None, ...]
+    __slots__ = ("records", "segments")
+
+    def __init__(
+        self,
+        per_thread_nodes: tuple[Sequence[int] | None, ...] = (),
+        per_thread_tris: tuple[Sequence[int] | None, ...] = (),
+    ) -> None:
+        self.records, self.segments = lane_columns(
+            per_thread_nodes, per_thread_tris
+        )
+
+    @classmethod
+    def from_records(cls, records, segments) -> "TraceOp":
+        """An op over ``records`` (frame columns): lane ``i`` traces
+        segment ``segments[i]``, or nothing when it is negative."""
+        op = cls.__new__(cls)
+        op.records = records
+        op.segments = segments
+        return op
+
+    def lane_records(self) -> tuple[list, list]:
+        """Node and triangle index sequences of the live lanes, lane order."""
+        return self.records.lane_records(self.segments)
+
+    @property
+    def per_thread_nodes(self) -> tuple[Sequence[int] | None, ...]:
+        """Each lane's node sequence (``None`` = masked)."""
+        return tuple(
+            self.records.records(s)[0] if s >= 0 else None
+            for s in self.segments
+        )
+
+    @property
+    def per_thread_tris(self) -> tuple[Sequence[int] | None, ...]:
+        """Each lane's triangle sequence (``None`` = masked)."""
+        return tuple(
+            self.records.records(s)[1] if s >= 0 else None
+            for s in self.segments
+        )
 
     def active_lanes(self) -> int:
-        return sum(1 for n in self.per_thread_nodes if n is not None)
+        return sum(1 for s in self.segments if s >= 0)
 
     def max_node_steps(self) -> int:
         """Traversal steps the RT unit runs (lock-step over the longest ray)."""
-        return max(
-            (len(n) for n in self.per_thread_nodes if n is not None), default=0
-        )
+        return max(map(len, self.lane_records()[0]), default=0)
 
     def max_tri_steps(self) -> int:
-        return max(
-            (len(t) for t in self.per_thread_tris if t is not None), default=0
-        )
+        return max(map(len, self.lane_records()[1]), default=0)
 
     def instruction_count(self) -> int:
         """One ``traceRayEXT`` instruction per lane with a ray."""

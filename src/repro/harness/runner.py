@@ -57,7 +57,9 @@ __all__ = ["Workload", "Runner", "shared_runner", "DEFAULT_WIDTH", "DEFAULT_HEIG
 #: so list-backed frame pickles are never read back.
 #: v14: one tracer: frames and simulation stats no longer carry a tracing
 #: backend field, and workload keys no longer name one.
-CACHE_VERSION = 14
+#: v15: sealed frames store their traces as CSR columns and pickle them
+#: as such (the per-pixel/per-segment column pickle is never read back).
+CACHE_VERSION = 15
 
 DEFAULT_WIDTH = 128
 DEFAULT_HEIGHT = 128

@@ -56,12 +56,12 @@ class AnalyticalModel:
         divergence/queueing interactions (the paper's critique).
         """
         cfg = self.gpu_config
-        traces = frame.pixels.values()
-        total_instructions = sum(t.total_instructions() for t in traces)
-        total_nodes = sum(t.total_nodes() for t in traces)
-        total_tris = sum(t.total_tris() for t in traces)
-        total_segments = sum(len(t.segments) for t in traces)
-        pixels = len(frame.pixels)
+        columns = frame.columns()
+        nodes, tris, instructions = columns.pixel_totals()
+        total_instructions = int(instructions.sum())
+        total_nodes = int(nodes.sum())
+        total_tris = int(tris.sum())
+        pixels = columns.pixel_count
         warps = max(1, (pixels + cfg.warp_size - 1) // cfg.warp_size)
 
         # --- compute interval: issue-port throughput ---

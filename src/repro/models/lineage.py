@@ -54,18 +54,19 @@ class _TraceSummary:
     """Aggregate statistics every lineage generation consumes."""
 
     def __init__(self, scene: Scene, frame: FrameTrace, config: GPUConfig) -> None:
-        traces = frame.pixels.values()
-        self.pixels = len(frame.pixels)
+        columns = frame.columns()
+        nodes, tris, instructions = columns.pixel_totals()
+        self.pixels = columns.pixel_count
         self.warps = max(1, (self.pixels + config.warp_size - 1) // config.warp_size)
         self.mean_active = self.pixels / self.warps
-        self.instructions = sum(t.total_instructions() for t in traces)
-        self.nodes = sum(t.total_nodes() for t in traces)
-        self.tris = sum(t.total_tris() for t in traces)
-        self.segments = sum(len(t.segments) for t in traces)
+        self.instructions = int(instructions.sum())
+        self.nodes = int(nodes.sum())
+        self.tris = int(tris.sum())
+        self.segments = columns.segment_count
         # Lock-step traversal steps: the per-warp maximum is approximated
         # by the mean plus a divergence margin derived from the variance of
         # per-pixel node counts.
-        per_pixel = [t.total_nodes() for t in traces]
+        per_pixel = nodes.tolist()
         mean = self.nodes / max(1, self.pixels)
         var = sum((n - mean) ** 2 for n in per_pixel) / max(1, self.pixels)
         self.divergence = (var**0.5) / mean if mean > 0 else 0.0

@@ -65,13 +65,17 @@ occlusion *answer* is unchanged either way: a validated hit is a real hit.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 
 import numpy as np
 
 from .bvh import BVH, TraversalRecord
 from .geometry import Ray
 
-__all__ = ["PackedBVH", "BatchIntersection", "BatchOcclusion", "PathPredictionCache"]
+__all__ = [
+    "PackedBVH", "BatchIntersection", "BatchOcclusion", "RayRecords",
+    "PathPredictionCache",
+]
 
 _INF = float("inf")
 
@@ -79,14 +83,41 @@ _INF = float("inf")
 _DET_EPS = 1e-12
 
 
+class RayRecords(Sequence):
+    """A batch's per-ray index records: one flat buffer plus offsets.
+
+    Ray ``i``'s record is ``flat[offsets[i]:offsets[i + 1]]`` (``flat`` a
+    uint32 array, ``offsets`` int64 with one more entry than rays), in
+    scalar visit order.  Indexing copies one ray's record out as the
+    ``array('I')`` a :class:`~repro.scene.bvh.TraversalRecord` holds; the
+    tracer reads ``flat`` and ``offsets`` whole.
+    """
+
+    __slots__ = ("flat", "offsets")
+
+    def __init__(self, flat: np.ndarray, offsets: np.ndarray) -> None:
+        self.flat = flat
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def __getitem__(self, index: int) -> array:
+        index = range(len(self))[index]
+        start, stop = self.offsets[index], self.offsets[index + 1]
+        return array("I", self.flat[start:stop].tobytes())
+
+    def counts(self) -> np.ndarray:
+        """Entries per ray."""
+        return np.diff(self.offsets)
+
+
 class BatchIntersection:
     """Closest-hit results for a batch of rays (SoA).
 
     ``t``/``tri`` are per-ray arrays (``tri == -1`` means miss);
-    ``nodes``/``tris`` are per-ray ``array('I')`` records of visited node /
-    tested triangle indices in scalar visit order (the type
-    :class:`~repro.scene.bvh.TraversalRecord` holds), or ``None`` when
-    records were not requested.
+    ``nodes``/``tris`` are the :class:`RayRecords` of visited node /
+    tested triangle indices, or ``None`` when records were not requested.
     """
 
     __slots__ = ("t", "tri", "nodes", "tris")
@@ -101,8 +132,8 @@ class BatchIntersection:
 class BatchOcclusion:
     """Any-hit results for a batch of shadow rays (SoA).
 
-    ``occluded`` is a per-ray bool array; ``nodes``/``tris`` are per-ray
-    ``array('I')`` records as in :class:`BatchIntersection` (a triangle
+    ``occluded`` is a per-ray bool array; ``nodes``/``tris`` are
+    :class:`RayRecords` as in :class:`BatchIntersection` (a triangle
     record stops at the first hit); ``hit_leaf`` records, for occluded rays,
     the leaf node whose triangle produced the hit (-1 otherwise) — the
     training signal for :class:`PathPredictionCache`.
@@ -126,27 +157,40 @@ def _gather_rays(rays: list[Ray]):
     return origins, dirs, t_min, t_max
 
 
-def _assemble_records(steps, ray_count: int) -> list[array]:
-    """Turn per-step (ray_ids, values) arrays into per-ray ``array('I')``.
+def _assemble_records(steps, ray_count: int) -> RayRecords:
+    """Turn per-step (ray_ids, values) arrays into per-ray records.
 
     Steps were appended in traversal order and each ray contributes its
     values in-order within a step, so a stable sort by ray id yields every
     ray's scalar-identical visit sequence.  Each step's ids ascend, so
     the ids are a concatenation of sorted runs, which NumPy's stable
     (timsort) ``int64`` sort merges faster than a ``uint16`` radix sort
-    would order them.  The sorted values become one uint32 ``array``
-    through a single byte copy, and slicing it hands each ray its own
-    compact record: no per-entry Python ints, and far fewer objects than
-    ``np.split`` views.
+    would order them.  The sorted values stay one uint32 buffer; the
+    per-ray counts become its offsets.  No per-ray object is built.
     """
+    offsets = np.zeros(ray_count + 1, dtype=np.int64)
     if not steps:
-        return [array("I") for _ in range(ray_count)]
+        return RayRecords(np.empty(0, dtype=np.uint32), offsets)
     ray_ids = np.concatenate([s[0] for s in steps])
     values = np.concatenate([s[1] for s in steps])
     order = np.argsort(ray_ids, kind="stable")
-    flat = array("I", values[order].astype(np.uint32).tobytes())
-    stops = np.cumsum(np.bincount(ray_ids, minlength=ray_count)).tolist()
-    return list(map(flat.__getitem__, map(slice, [0, *stops[:-1]], stops)))
+    np.cumsum(np.bincount(ray_ids, minlength=ray_count), out=offsets[1:])
+    return RayRecords(values[order].astype(np.uint32), offsets)
+
+
+def _scalar_steps(ray: int, record: TraversalRecord) -> tuple:
+    """A scalar walk's node and triangle records as one step each."""
+    return tuple(
+        (np.full(len(values), ray), np.frombuffer(values, np.uint32))
+        for values in (record.nodes_visited, record.tris_tested)
+    )
+
+
+def _batch_steps(steps, rows: np.ndarray | None) -> list:
+    """Packet steps with their ray ids mapped to batch rows ``rows``."""
+    if rows is None:
+        return steps
+    return [(rows[ids], values) for ids, values in steps]
 
 
 def _segment_local_index(counts: np.ndarray) -> np.ndarray:
@@ -363,9 +407,6 @@ class PackedBVH:
         each ray in turn.
         """
         n = origins.shape[0]
-        nodes_out: list[array] | None = None
-        tris_out: list[array] | None = None
-
         # Zero direction components hit scalar traversal's ±inf slab
         # corner cases; delegate those rays to it verbatim.
         scalar_mask = np.any(dirs == 0.0, axis=1)
@@ -373,16 +414,18 @@ class PackedBVH:
             best_t, best_tri, node_steps, tri_steps = self._traverse_closest(
                 origins, dirs, t_min, t_max.copy(), want_records
             )
-            if want_records:
-                nodes_out = _assemble_records(node_steps, n)
-                tris_out = _assemble_records(tri_steps, n)
-            return BatchIntersection(best_t, best_tri, nodes_out, tris_out)
+            if not want_records:
+                return BatchIntersection(best_t, best_tri, None, None)
+            return BatchIntersection(
+                best_t, best_tri,
+                _assemble_records(node_steps, n),
+                _assemble_records(tri_steps, n),
+            )
 
         best_t = t_max.copy()
         best_tri = np.full(n, -1, dtype=np.int64)
-        if want_records:
-            nodes_out = [array("I") for _ in range(n)]
-            tris_out = [array("I") for _ in range(n)]
+        node_steps: list = []
+        tri_steps: list = []
         for i in np.nonzero(scalar_mask)[0]:
             ray = Ray(
                 origin=origins[i], direction=dirs[i],
@@ -394,27 +437,27 @@ class PackedBVH:
                 best_t[i] = hit.t
                 best_tri[i] = hit.primitive_index
             if record is not None:
-                nodes_out[i] = record.nodes_visited  # type: ignore[index]
-                tris_out[i] = record.tris_tested  # type: ignore[index]
+                nodes, tris = _scalar_steps(i, record)
+                node_steps.append(nodes)
+                tri_steps.append(tris)
 
         packet = np.nonzero(~scalar_mask)[0]
         if packet.size:
-            t_p, tri_p, node_steps, tri_steps = self._traverse_closest(
+            t_p, tri_p, packet_nodes, packet_tris = self._traverse_closest(
                 origins[packet], dirs[packet], t_min[packet],
                 t_max[packet].copy(), want_records,
             )
             best_t[packet] = t_p
             best_tri[packet] = tri_p
-            if want_records:
-                for local, lst in enumerate(
-                    _assemble_records(node_steps, packet.size)
-                ):
-                    nodes_out[int(packet[local])] = lst  # type: ignore[index]
-                for local, lst in enumerate(
-                    _assemble_records(tri_steps, packet.size)
-                ):
-                    tris_out[int(packet[local])] = lst  # type: ignore[index]
-        return BatchIntersection(best_t, best_tri, nodes_out, tris_out)
+            node_steps += _batch_steps(packet_nodes, packet)
+            tri_steps += _batch_steps(packet_tris, packet)
+        if not want_records:
+            return BatchIntersection(best_t, best_tri, None, None)
+        return BatchIntersection(
+            best_t, best_tri,
+            _assemble_records(node_steps, n),
+            _assemble_records(tri_steps, n),
+        )
 
     def _traverse_closest(self, origins, dirs, t_min, best_t, want_records):
         """Packet core: per-ray stacks stepped in lock-step (no zero dirs).
@@ -516,29 +559,28 @@ class PackedBVH:
         n = origins.shape[0]
         occluded = np.zeros(n, dtype=bool)
         hit_leaf = np.full(n, -1, dtype=np.int64)
-        nodes_out: list[array] | None = None
-        tris_out: list[array] | None = None
+        node_steps: list = []
+        tri_steps: list = []
 
         scalar_mask = np.any(dirs == 0.0, axis=1)
         if scalar_mask.any():
-            if want_records:
-                nodes_out = [array("I") for _ in range(n)]
-                tris_out = [array("I") for _ in range(n)]
             for i in np.nonzero(scalar_mask)[0]:
                 ray = Ray(
                     origin=origins[i], direction=dirs[i],
                     t_min=float(t_min[i]), t_max=float(t_max[i]),
                 )
-                record = TraversalRecord() if want_records else None
-                occluded[i] = self.bvh.occluded(ray, record)
-                if record is not None:
-                    nodes_out[i] = record.nodes_visited  # type: ignore[index]
-                    tris_out[i] = record.tris_tested  # type: ignore[index]
+                # Always recorded: the walk ends in the hitting leaf.
+                record = TraversalRecord()
+                if self.bvh.occluded(ray, record):
+                    occluded[i] = True
+                    hit_leaf[i] = record.nodes_visited[-1]
+                if want_records:
+                    nodes, tris = _scalar_steps(i, record)
+                    node_steps.append(nodes)
+                    tri_steps.append(tris)
             pending = np.nonzero(~scalar_mask)[0]
-            full_batch = False
         else:
             pending = np.arange(n)
-            full_batch = True
 
         keys = None
         if cache is not None and pending.size:
@@ -546,15 +588,15 @@ class PackedBVH:
             predicted = cache.lookup(keys)
             candidates = np.nonzero(predicted >= 0)[0]
             if candidates.size:
-                rows = pending[candidates]
+                hits = pending[candidates]
                 confirmed = self._leaf_any_hit(
                     predicted[candidates],
-                    origins[rows],
-                    dirs[rows],
-                    t_min[rows],
-                    t_max[rows],
+                    origins[hits],
+                    dirs[hits],
+                    t_min[hits],
+                    t_max[hits],
                 )
-                hit_rows = rows[confirmed]
+                hit_rows = hits[confirmed]
                 occluded[hit_rows] = True
                 hit_leaf[hit_rows] = predicted[candidates[confirmed]]
                 cache.note_results(
@@ -565,37 +607,26 @@ class PackedBVH:
                 keep[candidates[confirmed]] = False
                 pending = pending[keep]
                 keys = keys[keep]
-                full_batch = False
 
         if pending.size:
-            occ_p, leaf_p, node_steps, tri_steps = self._traverse_any(
+            occ_p, leaf_p, packet_nodes, packet_tris = self._traverse_any(
                 origins[pending], dirs[pending], t_min[pending],
                 t_max[pending], want_records,
             )
             occluded[pending] = occ_p
             hit_leaf[pending] = leaf_p
-            if want_records:
-                if full_batch:
-                    nodes_out = _assemble_records(node_steps, n)
-                    tris_out = _assemble_records(tri_steps, n)
-                else:
-                    if nodes_out is None:
-                        nodes_out = [array("I") for _ in range(n)]
-                        tris_out = [array("I") for _ in range(n)]
-                    for local, lst in enumerate(
-                        _assemble_records(node_steps, pending.size)
-                    ):
-                        nodes_out[int(pending[local])] = lst
-                    for local, lst in enumerate(
-                        _assemble_records(tri_steps, pending.size)
-                    ):
-                        tris_out[int(pending[local])] = lst
+            # Packet ray ids are batch rows unless rays were set aside.
+            rows = None if pending.size == n else pending
+            node_steps += _batch_steps(packet_nodes, rows)
+            tri_steps += _batch_steps(packet_tris, rows)
             if cache is not None and keys is not None:
                 cache.train(keys, occ_p, leaf_p)
-        elif want_records and nodes_out is None:
-            nodes_out = [array("I") for _ in range(n)]
-            tris_out = [array("I") for _ in range(n)]
-        return BatchOcclusion(occluded, nodes_out, tris_out, hit_leaf)
+        if not want_records:
+            return BatchOcclusion(occluded, None, None, hit_leaf)
+        return BatchOcclusion(
+            occluded, _assemble_records(node_steps, n),
+            _assemble_records(tri_steps, n), hit_leaf,
+        )
 
     def _traverse_any(self, origins, dirs, t_min, t_max, want_records):
         """Any-hit packet core (scalar push order: right then left)."""

@@ -17,9 +17,13 @@ small, versioned, compressed binary format:
                            node indices..., tri indices...
 
 All integers are little-endian; indices are u32 (BVHs beyond 4G nodes are
-beyond this simulator anyway).  A segment's index records are written and
-read as the raw bytes of its ``array('I')`` records, byteswapped only on
-big-endian hosts.
+beyond this simulator anyway).  The body is the frame's columns
+(:class:`~repro.tracer.trace.FrameColumns`) walked pixel by pixel: each
+record is written as the raw bytes of a view of the frame's uint32
+buffers (byteswapped only on big-endian hosts), and the loader joins the
+records back into one little-endian node buffer and one triangle buffer.
+The format and the body bytes are the same as when each segment held its
+own records.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ import zlib
 from array import array
 from pathlib import Path
 
-from .trace import KIND_CODES, KINDS, FrameTrace, PixelTrace, RaySegment
+import numpy as np
+
+from .trace import KINDS, FrameColumns, FrameTrace
 
 __all__ = ["save_frame", "load_frame", "FORMAT_VERSION"]
 
@@ -42,21 +48,13 @@ FORMAT_VERSION = 1
 _SWAP = sys.byteorder == "big"
 
 
-def _record_bytes(record: array) -> bytes:
+def _record_bytes(record: memoryview) -> bytes:
     """A record's indices as little-endian u32 bytes."""
     if _SWAP:
-        record = array("I", record)
-        record.byteswap()
+        swapped = array("I", record)
+        swapped.byteswap()
+        return swapped.tobytes()
     return record.tobytes()
-
-
-def _record(view: memoryview) -> array:
-    """The ``array('I')`` record packed as little-endian u32 in ``view``."""
-    record = array("I")
-    record.frombytes(view)
-    if _SWAP:
-        record.byteswap()
-    return record
 
 
 def save_frame(frame: FrameTrace, path: str | Path) -> Path:
@@ -66,37 +64,37 @@ def save_frame(frame: FrameTrace, path: str | Path) -> Path:
         ValueError: naming the file and pixel, when a value does not fit
             its field (e.g. more than 65535 shade instructions).
     """
+    columns = frame.columns()
     header = json.dumps(
         {
             "width": frame.width,
             "height": frame.height,
             "spp": frame.samples_per_pixel,
             "scene": frame.scene_name,
-            "pixels": len(frame.pixels),
+            "pixels": columns.pixel_count,
         }
     ).encode()
 
+    kinds = columns.kind.tolist()
+    hits = columns.hit.tolist()
     chunks: list[bytes] = []
-    for (px, py), trace in frame.pixels.items():
+    for px, py, raygen, segments in columns.rows():
         try:
-            chunks.append(
-                struct.pack(
-                    "<HHHH", px, py, trace.raygen_instructions, len(trace.segments)
-                )
-            )
-            for segment in trace.segments:
+            chunks.append(struct.pack("<HHHH", px, py, raygen, len(segments)))
+            for segment in segments:
+                nodes, tris = columns.records(segment)
                 chunks.append(
                     struct.pack(
                         "<BBHII",
-                        KIND_CODES[segment.kind],
-                        1 if segment.hit else 0,
-                        segment.shade_instructions,
-                        len(segment.nodes),
-                        len(segment.tris),
+                        kinds[segment],
+                        hits[segment],
+                        columns.shade_of(segment),
+                        len(nodes),
+                        len(tris),
                     )
                 )
-                chunks.append(_record_bytes(segment.nodes))
-                chunks.append(_record_bytes(segment.tris))
+                chunks.append(_record_bytes(nodes))
+                chunks.append(_record_bytes(tris))
         except struct.error as error:
             raise ValueError(
                 f"{path}: pixel ({px}, {py}) does not fit the .ztrace "
@@ -186,16 +184,23 @@ def load_frame(path: str | Path) -> FrameTrace:
         raise ValueError(f"{path}: trailing bytes after the .ztrace body")
 
     width, height, spp, scene, declared = _header_fields(path, header)
-    frame = FrameTrace(width, height, spp, scene)
-    pixels = frame.pixels
+    xs, ys, raygens, segment_counts = [], [], [], []
+    kinds, hits, shades, node_counts, tri_counts = [], [], [], [], []
+    nodes: list[memoryview] = []
+    tris: list[memoryview] = []
+    seen: set[tuple[int, int]] = set()
     cursor = 0
     try:
         for _ in range(declared):
             px, py, raygen, n_segments = struct.unpack_from("<HHHH", body, cursor)
             cursor += 8
-            if (px, py) in pixels:
+            if (px, py) in seen:
                 raise ValueError(f"{path}: pixel ({px}, {py}) appears twice")
-            trace = PixelTrace(px=px, py=py, raygen_instructions=raygen)
+            seen.add((px, py))
+            xs.append(px)
+            ys.append(py)
+            raygens.append(raygen)
+            segment_counts.append(n_segments)
             for _ in range(n_segments):
                 kind_code, hit, shade, n_nodes, n_tris = struct.unpack_from(
                     "<BBHII", body, cursor
@@ -209,17 +214,14 @@ def load_frame(path: str | Path) -> FrameTrace:
                 tris_end = nodes_end + 4 * n_tris
                 if tris_end > len(body):
                     raise struct.error("record runs past the body")
-                trace.segments.append(
-                    RaySegment(
-                        KINDS[kind_code],
-                        _record(body[cursor + 12 : nodes_end]),
-                        _record(body[nodes_end:tris_end]),
-                        bool(hit),
-                        shade,
-                    )
-                )
+                kinds.append(kind_code)
+                hits.append(hit)
+                shades.append(shade)
+                node_counts.append(n_nodes)
+                tri_counts.append(n_tris)
+                nodes.append(body[cursor + 12 : nodes_end])
+                tris.append(body[nodes_end:tris_end])
                 cursor = tris_end
-            pixels[(px, py)] = trace
     except struct.error as error:
         raise ValueError(f"{path}: truncated .ztrace body") from error
     if cursor != len(body):
@@ -227,7 +229,12 @@ def load_frame(path: str | Path) -> FrameTrace:
             f"{path}: {len(body) - cursor} trailing bytes after the "
             f"{declared} declared pixels"
         )
+    columns = FrameColumns(
+        width, height, xs, ys, raygens, segment_counts, kinds, hits, shades,
+        node_counts, np.frombuffer(b"".join(nodes), dtype="<u4"),
+        tri_counts, np.frombuffer(b"".join(tris), dtype="<u4"),
+    )
     try:
-        return frame.seal()
+        return FrameTrace.from_columns(columns, spp, scene)
     except IndexError as error:
         raise ValueError(f"{path}: pixel outside the image plane") from error

@@ -1,7 +1,8 @@
 """The functional ray tracer (Vulkan-Sim "functional mode" stand-in).
 
 This tracer renders pixels *and* records, for every ray, the BVH nodes
-visited and triangles tested (:class:`~repro.tracer.trace.RaySegment`).
+visited and triangles tested (a segment of the frame's
+:class:`~repro.tracer.trace.FrameColumns`).
 Those traces serve two Zatel roles:
 
 1. **Profiling** — per-pixel cost drives the execution-time heatmap
@@ -42,9 +43,12 @@ tracer kept with the tests (``tests/reference_tracer.py``):
 * diffuse bounce directions are computed on Python floats with
   ``vecmath.spherical_direction``'s operations in its order, so they
   carry its bits;
-* segments are appended to each pixel's trace in path order (samples in
-  order; per sample: primary/continuation segment, then one shadow
-  segment per light).
+* each pixel's segments are laid out in path order (samples in order;
+  per sample: primary/continuation segment, then one shadow segment per
+  light).  A wave records its segments batch by batch as columns — one
+  batch per closest-hit or shadow query, its records one flat buffer
+  with offsets — and :func:`_wave_columns` re-lays them pixel by pixel,
+  so no per-segment or per-ray object is built.
 
 The :class:`~repro.scene.bvh_packet.PathPredictionCache` is wired into
 the shadow batches only when traversal records are *not* collected
@@ -57,9 +61,7 @@ the occlusion answer.
 from __future__ import annotations
 
 import _random
-import gc
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,7 +71,7 @@ from ..scene.bvh_packet import PathPredictionCache
 from ..scene.lights import DirectionalLight, PointLight
 from ..scene.scene import Scene
 from ..scene.vecmath import EPSILON, reflect
-from .trace import FrameTrace, PixelTrace, RaySegment, SegmentKind
+from .trace import KIND_CODES, RAYGEN_INSTRUCTIONS, FrameColumns, FrameTrace, SegmentKind
 
 __all__ = ["RenderSettings", "FunctionalTracer", "trace_frame"]
 
@@ -91,26 +93,74 @@ _SKY_HIGH = np.array([0.4, 0.6, 0.9], dtype=np.float64)
 _RAY_T_MIN = 1e-6
 _INF = float("inf")
 
+_SHADOW = KIND_CODES[SegmentKind.SHADOW]
+_REFLECTION = KIND_CODES[SegmentKind.REFLECTION]
+_BOUNCE = KIND_CODES[SegmentKind.BOUNCE]
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector for the ``with`` block.
 
-    Restores the collector only if it was enabled on entry, so a nested
-    pause leaves it paused.  The collector is process-wide: a concurrent
-    pause in another thread may end early, and a process forked meanwhile
-    starts with it paused.  Both only cost speed or a little memory (a
-    whole SPNZA 128x128 predict with the collector off leaves ~2,600
-    cyclic objects and the same peak RSS).
+def _ordered_records(records, order: np.ndarray):
+    """Batches' per-ray records, re-laid in segment order ``order``.
+
+    ``records`` are the batches' :class:`~repro.scene.bvh_packet.RayRecords`
+    in emission order (one segment per ray); ``order`` lists emission
+    indices in frame order.  Returns the per-segment counts in frame order
+    and one uint32 buffer: each batch's flat buffer is scattered to its
+    segments' destinations, so no per-ray array is ever built.
     """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
+    counts = np.concatenate([r.counts() for r in records])
+    ordered = counts[order]
+    starts = np.empty_like(counts)
+    starts[order] = np.cumsum(ordered) - ordered
+    out = np.empty(int(ordered.sum()), dtype=np.uint32)
+    base = 0
+    for r in records:
+        rays = len(r)
+        if r.flat.size:
+            # Entry j of ray i lands at starts[i] + (j - offsets[i]).
+            dest = np.repeat(
+                starts[base:base + rays] - r.offsets[:-1],
+                counts[base:base + rays],
+            )
+            dest += np.arange(r.flat.size)
+            out[dest] = r.flat
+        base += rays
+    return ordered, out
+
+
+def _wave_columns(batches, paths: int, spp: int) -> tuple:
+    """A wave's segment batches as frame columns, pixel by pixel.
+
+    Each batch is ``(path ids, kind codes, hit, shade, node records,
+    triangle records)`` with one segment per path id.  Batches were
+    emitted in path order (per depth: the primary or continuation
+    segment, then one shadow segment per light), so a stable sort by path
+    id lists each path's segments in order, and a pixel's ``spp`` paths
+    are consecutive.  Returns segments per pixel, then the per-segment
+    kind, hit and shade columns, node counts, nodes, triangle counts and
+    triangles.
+    """
+    path_ids = np.concatenate([b[0] for b in batches])
+    order = np.argsort(path_ids, kind="stable")
+    per_pixel = np.bincount(path_ids, minlength=paths)
+    if spp > 1:
+        per_pixel = per_pixel.reshape(-1, spp).sum(axis=1)
+    kind = np.concatenate(
+        [np.broadcast_to(np.uint8(b[1]), b[0].shape) for b in batches]
+    )
+    node_counts, nodes = _ordered_records([b[4] for b in batches], order)
+    tri_counts, tris = _ordered_records([b[5] for b in batches], order)
+    return (
+        per_pixel,
+        kind[order],
+        np.concatenate([b[2] for b in batches])[order],
+        np.concatenate([b[3] for b in batches])[order],
+        node_counts, nodes, tri_counts, tris,
+    )
+
+
+def _concat(parts: list):
+    """One array of ``parts``, without a copy when there is one part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _cosine_direction(
@@ -189,7 +239,7 @@ class _ShadingTables:
 
     def __init__(self, scene: Scene) -> None:
         mats = [scene.materials[i] for i in range(len(scene.materials))]
-        self.shade_cost = [m.shade_cost for m in mats]
+        self.shade_cost = np.array([m.shade_cost for m in mats], dtype=np.int64)
         self.reflectivity = [m.reflectivity for m in mats]
         # The roulette's survival probability, ``float(np.max(albedo))``.
         self.survive = [float(np.max(m.albedo)) for m in mats]
@@ -303,9 +353,9 @@ class FunctionalTracer:
     ):
         """Advance one wave of (pixel, sample) paths to termination.
 
-        Returns ``(seg_lists, colors)``: per-path segment lists (``None``
-        unless ``collect_records``) and per-path radiance rows (``None``
-        unless ``compute_radiance``).
+        Returns ``(records, colors)``: the wave's frame columns from
+        :func:`_wave_columns` (``None`` unless ``collect_records``) and
+        per-path radiance rows (``None`` unless ``compute_radiance``).
         """
         scene = self.scene
         packed = scene.packed_bvh
@@ -315,8 +365,10 @@ class FunctionalTracer:
         seed = self.settings.seed
         n = len(px_list)
 
-        kinds: list[SegmentKind] = [SegmentKind.PRIMARY] * n
-        seg_lists = [[] for _ in range(n)] if collect_records else None
+        # Segment batches (see _wave_columns) and each path's kind code;
+        # every path starts PRIMARY (code 0).
+        batches: list = []
+        path_kinds = np.zeros(n, dtype=np.uint8)
         rngs: list[_random.Random | None] = [None] * n
         colors = np.zeros((n, 3)) if compute_radiance else None
         throughput = np.ones((n, 3)) if compute_radiance else None
@@ -361,27 +413,12 @@ class FunctionalTracer:
             hit_rows_l = hit_rows.tolist()
 
             if collect_records:
-                res_nodes = res.nodes
-                res_tris = res.tris
-                if depth == 0:
-                    # Depth 0: pid == row and every kind is PRIMARY.
-                    primary = SegmentKind.PRIMARY
-                    for r in np.nonzero(~hit_mask)[0].tolist():
-                        seg_lists[r].append(
-                            RaySegment(
-                                primary, res_nodes[r], res_tris[r],
-                                False, _MISS_SHADE_COST,
-                            )
-                        )
-                else:
-                    for r in np.nonzero(~hit_mask)[0].tolist():
-                        pid = pid_list[r]
-                        seg_lists[pid].append(
-                            RaySegment(
-                                kinds[pid], res_nodes[r], res_tris[r],
-                                False, _MISS_SHADE_COST,
-                            )
-                        )
+                # One segment per ray; hit rows get their material's shade
+                # cost below.
+                shade = np.full(hit_mask.shape[0], _MISS_SHADE_COST)
+                batches.append(
+                    (pids, path_kinds[pids], hit_mask, shade, res.nodes, res.tris)
+                )
             if compute_radiance:
                 miss_rows = np.nonzero(~hit_mask)[0]
                 if miss_rows.size:
@@ -401,6 +438,7 @@ class FunctionalTracer:
             hd = dirs[hit_rows]
             pts = origins[hit_rows] + hd * th[:, None]
             tri = res.tri[hit_rows]
+            materials = packed.tri_material[tri]
             nrm = packed.tri_normal[tri]
             flip = (
                 nrm[:, 0] * hd[:, 0]
@@ -408,32 +446,14 @@ class FunctionalTracer:
                 + nrm[:, 2] * hd[:, 2]
             ) > 0.0
             nrm = np.where(flip[:, None], -nrm, nrm)
-            mids = packed.tri_material[tri].tolist()
+            mids = materials.tolist()
             # Offset origin shared by shadow and continuation rays
             # (``hit.point + hit.normal * 1e-4`` per ray).
             offset_org = pts + nrm * 1e-4
             hpids = pids[hit_rows]
 
             if collect_records:
-                shade_cost = tables.shade_cost
-                if depth == 0:
-                    primary = SegmentKind.PRIMARY
-                    for k, r in enumerate(hit_rows_l):
-                        seg_lists[r].append(
-                            RaySegment(
-                                primary, res_nodes[r], res_tris[r],
-                                True, shade_cost[mids[k]],
-                            )
-                        )
-                else:
-                    for k, r in enumerate(hit_rows_l):
-                        pid = pid_list[r]
-                        seg_lists[pid].append(
-                            RaySegment(
-                                kinds[pid], res_nodes[r], res_tris[r],
-                                True, shade_cost[mids[k]],
-                            )
-                        )
+                shade[hit_rows] = tables.shade_cost[materials]
             if compute_radiance:
                 em = [k for k, m in enumerate(mids) if tables.emissive[m]]
                 if em:
@@ -454,26 +474,11 @@ class FunctionalTracer:
                 )
                 occluded = occ.occluded
                 if collect_records:
-                    occ_nodes = occ.nodes
-                    occ_tris = occ.tris
-                    occ_l = occluded.tolist()
-                    shadow = SegmentKind.SHADOW
-                    if depth == 0:
-                        for k, r in enumerate(hit_rows_l):
-                            seg_lists[r].append(
-                                RaySegment(
-                                    shadow, occ_nodes[k], occ_tris[k],
-                                    occ_l[k], _SHADOW_SHADE_COST,
-                                )
-                            )
-                    else:
-                        for k, r in enumerate(hit_rows_l):
-                            seg_lists[pid_list[r]].append(
-                                RaySegment(
-                                    shadow, occ_nodes[k], occ_tris[k],
-                                    occ_l[k], _SHADOW_SHADE_COST,
-                                )
-                            )
+                    # The last segment each hit path has recorded so far.
+                    last_shade = np.full(hit_rows.shape[0], _SHADOW_SHADE_COST)
+                    batches.append(
+                        (hpids, _SHADOW, occluded, last_shade, occ.nodes, occ.tris)
+                    )
                 if compute_radiance:
                     lit = np.nonzero(~occluded)[0]
                     if lit.size:
@@ -526,7 +531,7 @@ class FunctionalTracer:
                         rngs[pid] = rng
                 if refl > 0.0 and rng.random() < refl:
                     direction = reflect(dirs[r], nrm[k])
-                    kinds[pid] = SegmentKind.REFLECTION
+                    path_kinds[pid] = _REFLECTION
                     if compute_radiance:
                         throughput[pid] = throughput[pid] * albedo_tab[m]
                 elif max_bounces >= 2:
@@ -536,24 +541,27 @@ class FunctionalTracer:
                     direction = _cosine_direction(
                         rng.random(), rng.random(), *nrm_l[k]
                     )
-                    kinds[pid] = SegmentKind.BOUNCE
+                    path_kinds[pid] = _BOUNCE
                     if compute_radiance:
                         throughput[pid] = (
                             throughput[pid] * albedo_tab[m] / max(survive, 1e-6)
                         )
                 else:
                     continue
-                if collect_records:
-                    # The continuation ray's setup cost attaches to the
-                    # segment just recorded (the last shadow segment when
-                    # lights exist, the hit segment otherwise).
-                    seg_lists[pid][-1].shade_instructions += _CONTINUATION_COST
                 next_rows.append(k)
                 next_dirs.append(direction)
                 next_pids.append(pid)
 
             if not next_rows:
                 break
+            if collect_records:
+                # The continuation ray's setup cost attaches to the
+                # segment just recorded (the last shadow segment when
+                # lights exist, the hit segment otherwise).
+                if lights:
+                    last_shade[next_rows] += _CONTINUATION_COST
+                else:
+                    shade[hit_rows[next_rows]] += _CONTINUATION_COST
             origins = offset_org[next_rows]
             dirs = np.array(next_dirs, dtype=np.float64)
             pids = np.array(next_pids)
@@ -562,7 +570,12 @@ class FunctionalTracer:
             t_min = np.full(m2, _RAY_T_MIN)
             t_max = np.full(m2, _INF)
 
-        return seg_lists, colors
+        if not collect_records:
+            return None, colors
+        return (
+            _wave_columns(batches, n, self.settings.samples_per_pixel),
+            colors,
+        )
 
     # ------------------------------------------------------------------
     # public API
@@ -595,43 +608,36 @@ class FunctionalTracer:
     ) -> FrameTrace:
         """Trace a set of pixels (default: the whole plane).
 
-        Returns a sealed :class:`FrameTrace`; radiance values are not
-        computed — use :meth:`render_image` when colours are wanted.
-        Traversal records are always collected, so the path-prediction
-        cache stays off and every record is the full walk.
+        Returns a sealed :class:`FrameTrace` whose pixels keep the order
+        of ``pixels`` (a repeated pixel is traced once, at its first
+        place); radiance values are not computed — use
+        :meth:`render_image` when colours are wanted.  Traversal records
+        are always collected, so the path-prediction cache stays off and
+        every record is the full walk.
         """
         settings = self.settings
         spp = settings.samples_per_pixel
-        frame = FrameTrace(
-            width=settings.width,
-            height=settings.height,
-            samples_per_pixel=spp,
-            scene_name=self.scene.name,
-        )
         if pixels is None:
             pixels = settings.all_pixels()
-        frame_pixels = frame.pixels
-        # A frame is ~10^5 acyclic segment objects built in one go; the
-        # cyclic collector would re-scan them on every generation-2 pass
-        # (about a quarter of the trace time) and could free nothing.
-        with _collector_paused():
-            for px_l, py_l, s_l in self._iter_waves(pixels):
-                seg_lists, _ = self._trace_wave(
-                    px_l, py_l, s_l,
-                    collect_records=True, compute_radiance=False, cache=None,
-                )
-                if spp == 1:
-                    for x, y, segments in zip(px_l, py_l, seg_lists):
-                        frame_pixels[(x, y)] = PixelTrace(x, y, segments)
-                else:
-                    for i in range(0, len(px_l), spp):
-                        segments = seg_lists[i]
-                        for s in range(1, spp):
-                            segments.extend(seg_lists[i + s])
-                        frame_pixels[(px_l[i], py_l[i])] = PixelTrace(
-                            px_l[i], py_l[i], segments
-                        )
-            return frame.seal()
+        else:
+            pixels = dict.fromkeys(pixels)
+        xs, ys, waves = [], [], []
+        for px_l, py_l, s_l in self._iter_waves(pixels):
+            records, _ = self._trace_wave(
+                px_l, py_l, s_l,
+                collect_records=True, compute_radiance=False, cache=None,
+            )
+            xs += px_l[::spp]
+            ys += py_l[::spp]
+            waves.append(records)
+        if not waves:
+            waves = [([],) * 8]
+        columns = FrameColumns(
+            settings.width, settings.height, xs, ys,
+            np.full(len(xs), RAYGEN_INSTRUCTIONS),
+            *(_concat([wave[k] for wave in waves]) for k in range(8)),
+        )
+        return FrameTrace.from_columns(columns, spp, self.scene.name)
 
     def occlusion_pass(
         self,

@@ -3,7 +3,9 @@
 The checker compares a fresh ``bench_tracer.py`` payload against the
 committed baseline; these tests feed it synthetic payloads and the real
 committed baseline file to pin the gating semantics: prediction-metric
-and ray-count drift fail, wall-clock and memory ratios only report.
+and ray-count drift fail, and so does a frame retaining more than
+``FRAME_BYTES_LIMIT`` times the baseline's bytes per entry; wall-clock
+ratios only report.
 """
 
 from __future__ import annotations
@@ -122,19 +124,21 @@ def test_trace_vs_baseline_is_reported_and_never_gates(baseline):
         )
 
 
-def test_frame_bytes_vs_baseline_is_reported_and_never_gates(baseline):
+@pytest.mark.parametrize(
+    "factor, fails", [(0.5, False), (1.0, False), (1.25, False), (1.3, True), (7.0, True)]
+)
+def test_frame_bytes_above_limit_fails(baseline, factor, fails):
     name = baseline["scenes"][0]["scene"]
-    assert baseline["scenes"][0]["frame_bytes_per_entry"] > 0
-    for factor, prefix in ((0.5, "PASS"), (4.0, "WARN")):
-        current = copy.deepcopy(baseline)
-        current["scenes"][0]["frame_bytes_per_entry"] *= factor
-        report = checker.compare(current, baseline)
-        assert not report.failed
-        ratio = 1.0 / factor
-        assert (
-            f"{prefix}  {name} frame_bytes_vs_baseline: {ratio:.2f}x"
-            in "\n".join(report.lines)
-        )
+    base = baseline["scenes"][0]["frame_bytes_per_entry"]
+    assert base > 0
+    current = copy.deepcopy(baseline)
+    current["scenes"][0]["frame_bytes_per_entry"] = base * factor
+    report = checker.compare(current, baseline)
+    assert report.failed is fails
+    prefix = "FAIL" if fails else "PASS"
+    assert f"{prefix}  {name}: frame retains {base * factor:.2f} B/entry" in (
+        "\n".join(report.lines)
+    )
 
 
 @pytest.fixture()

@@ -214,6 +214,24 @@ class TestPacketMatchesScalarOnEdgeBatches:
                 assert res.nodes[i] == record.nodes_visited
                 assert res.tris[i] == record.tris_tested
 
+    @pytest.mark.parametrize("want_records", [True, False])
+    def test_fallback_rows_report_the_hitting_leaf(self, edge_scene, want_records):
+        # Zero-direction rays take the scalar walk, which stops in the
+        # leaf whose triangle occludes the ray.
+        batch = _random_batch(edge_scene, 257, seed=77, zero_share=0.6)
+        res = edge_scene.packed_bvh.occluded_arrays(
+            *batch, want_records=want_records
+        )
+        fallback = np.nonzero(np.any(batch[1] == 0.0, axis=1))[0]
+        occluded_rows = 0
+        for i in fallback:
+            record = TraversalRecord()
+            occluded = edge_scene.bvh.occluded(_scalar_ray(*batch, i), record)
+            leaf = record.nodes_visited[-1] if occluded else -1
+            assert res.hit_leaf[i] == leaf
+            occluded_rows += occluded
+        assert occluded_rows > 0
+
     @pytest.mark.parametrize("kernel", ["intersect_arrays", "occluded_arrays"])
     def test_mostly_missing_batch_compacts(self, edge_scene, kernel, monkeypatch):
         calls = []

@@ -1,9 +1,11 @@
-"""Traversal records as uint32 arrays, and the columnar frame pickle.
+"""Frames as CSR columns, uint32 records, and the columnar frame pickle.
 
-Every ray's node and triangle record is an ``array('I')`` from the tracer
-to the simulator.  These tests hold the memory budget that layout buys,
-the conversion and range check at the :class:`RaySegment` boundary, and
-the columnar pickle's round trip (seal state, cost map, pixel order).
+A sealed frame keeps its traces as columns: one uint32 node buffer and
+one triangle buffer plus offsets, with no per-segment object; a segment
+read through ``frame.pixels`` is an ``array('I')`` view built on request.
+These tests hold the memory contract that layout buys, the conversion and
+range check at the :class:`RaySegment` boundary, and the round trips of
+hand-built and traced frames through ``seal()``, pickle and ``.ztrace``.
 """
 
 import gc
@@ -29,9 +31,10 @@ from repro.tracer import (
 from tests.reference_tracer import ReferenceTracer
 
 #: Retained bytes allowed per node or triangle entry of a traced frame.
-#: A list of Python ints costs about 35 B an entry; uint32 records,
-#: with their per-record and per-segment overhead, about 14 B on this
-#: frame (its records are short, so the fixed costs weigh more).
+#: A list of Python ints costs about 35 B an entry, one ``array('I')`` per
+#: record with its segment object 70 B on SPRNG 128x128 (short records,
+#: so the per-segment objects dominate); CSR columns about 10 B there and
+#: 5 B on BUNNY, where records are long.
 BYTES_PER_ENTRY_BUDGET = 16
 
 
@@ -71,26 +74,64 @@ def _round_trip(frame: FrameTrace) -> FrameTrace:
     return pickle.loads(pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL))
 
 
+def _retained_bytes(tracer: FunctionalTracer) -> tuple[FrameTrace, int]:
+    """A full-plane frame and the bytes it retains (tracemalloc)."""
+    # Build the scene's packed BVH and the settings' cached plane
+    # coordinates first: every frame shares them, none retains them.
+    tracer.trace_frame([(0, 0)])
+    tracer.settings.all_pixels()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        frame = tracer.trace_frame()
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return frame, retained
+
+
+def _tracked_objects_retained(size: int) -> tuple[int, int]:
+    """Segments of a SPRNG ``size``x``size`` frame, and the GC-tracked
+    objects tracing it added to the heap."""
+    tracer = FunctionalTracer(
+        make_scene("SPRNG"), RenderSettings(width=size, height=size)
+    )
+    tracer.trace_frame([(0, 0)])
+    tracer.settings.all_pixels()  # shared by every frame, like the BVH
+    gc.collect()
+    before = len(gc.get_objects())
+    frame = tracer.trace_frame()
+    gc.collect()
+    return frame.columns().segment_count, len(gc.get_objects()) - before
+
+
 class TestMemoryBudget:
     def test_packet_frame_retains_at_most_budget_per_entry(self):
         tracer = FunctionalTracer(
             make_scene("BUNNY"),
             RenderSettings(width=48, height=48),
         )
-        # Build the scene's packed BVH first: it is shared by every
-        # frame, not retained by this one.
-        tracer.trace_frame([(0, 0)])
-        gc.collect()
-        tracemalloc.start()
-        try:
-            frame = tracer.trace_frame()
-            gc.collect()
-            retained, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        frame, retained = _retained_bytes(tracer)
         entries = _entries(frame)
         assert entries > 100_000
         assert retained / entries <= BYTES_PER_ENTRY_BUDGET
+
+    def test_short_record_frame_retains_at_most_budget_per_entry(self):
+        # SPRNG's records are short, so per-segment overhead dominates.
+        tracer = FunctionalTracer(
+            make_scene("SPRNG"), RenderSettings(width=128, height=128)
+        )
+        frame, retained = _retained_bytes(tracer)
+        entries = frame.columns().entry_count()
+        assert entries == _entries(frame) > 100_000
+        assert retained / entries <= BYTES_PER_ENTRY_BUDGET
+
+    def test_tracked_objects_do_not_grow_with_segments(self):
+        small_segments, small_objects = _tracked_objects_retained(16)
+        large_segments, large_objects = _tracked_objects_retained(128)
+        assert large_segments > 50 * small_segments
+        assert large_objects == small_objects < 50
 
 
 class TestRecordType:
@@ -119,7 +160,7 @@ class TestRecordType:
             Ray(origin=np.array([0.0, 1.0, 4.0]), direction=np.array([0.1, -0.2, -1.0])),
         ]
         for result in (packed.intersect_batch(rays), packed.occluded_batch(rays)):
-            for record in result.nodes + result.tris:
+            for record in [*result.nodes, *result.tris]:
                 assert type(record) is array and record.typecode == "I"
 
     def test_hand_built_lists_become_uint32_arrays(self):
@@ -217,3 +258,72 @@ class TestColumnarPickle:
         assert reread.sealed
         assert np.array_equal(reread.cost_map(), traced.cost_map())
         assert list(reread.pixels) == list(traced.pixels)
+
+
+class TestHandBuiltRoundTrip:
+    """A traced frame rebuilt by hand packs to the very same columns."""
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        return FunctionalTracer(
+            make_scene("SPRNG"),
+            RenderSettings(width=12, height=10, samples_per_pixel=2),
+        ).trace_frame()
+
+    @staticmethod
+    def _rebuild(traced: FrameTrace) -> FrameTrace:
+        """Mutable copies of every view, in the traced pixel order."""
+        frame = FrameTrace(
+            traced.width, traced.height, traced.samples_per_pixel,
+            traced.scene_name,
+        )
+        for key, view in traced.pixels.items():
+            frame.pixels[key] = PixelTrace(
+                view.px, view.py,
+                [
+                    RaySegment(
+                        s.kind, list(s.nodes), list(s.tris), s.hit,
+                        s.shade_instructions,
+                    )
+                    for s in view.segments
+                ],
+                view.raygen_instructions,
+            )
+        return frame
+
+    def test_seal_packs_the_traced_columns(self, traced):
+        frame = self._rebuild(traced)
+        assert frame == traced
+        assert frame.seal() == traced
+        assert frame.columns().equals(traced.columns())
+        assert np.array_equal(frame.cost_map(), traced.cost_map())
+
+    def test_pickle(self, traced):
+        for frame in (self._rebuild(traced), self._rebuild(traced).seal()):
+            restored = _round_trip(frame)
+            assert restored == traced
+            assert restored.sealed == frame.sealed
+            assert restored.columns().equals(traced.columns())
+
+    def test_ztrace(self, traced, tmp_path):
+        from repro.tracer import load_frame, save_frame
+
+        for name, frame in (
+            ("hand.ztrace", self._rebuild(traced)), ("traced.ztrace", traced)
+        ):
+            loaded = load_frame(save_frame(frame, tmp_path / name))
+            assert loaded == traced
+            assert loaded.columns().equals(traced.columns())
+        assert (tmp_path / "hand.ztrace").read_bytes() == (
+            tmp_path / "traced.ztrace"
+        ).read_bytes()
+
+    def test_views_are_read_only(self, traced):
+        trace = traced.get(0, 0)
+        assert traced.get(0, 0) is trace  # one view while it is held
+        with pytest.raises(TypeError, match="sealed"):
+            trace.raygen_instructions = 1
+        with pytest.raises(TypeError, match="sealed"):
+            trace.segments[0].shade_instructions += 1
+        with pytest.raises(AttributeError):
+            trace.segments.append(trace.segments[0])

@@ -196,21 +196,3 @@ class TestContinuationHelpers:
                 expected = spherical_direction(u, v, normal)
                 got = np.array(_cosine_direction(u, v, *normal.tolist()))
                 assert got.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_pause_restores_the_collector(self, enabled):
-        import gc
-
-        from repro.tracer.tracer import _collector_paused
-
-        was = gc.isenabled()
-        try:
-            (gc.enable if enabled else gc.disable)()
-            with _collector_paused():
-                assert not gc.isenabled()
-                with _collector_paused():
-                    assert not gc.isenabled()
-                assert not gc.isenabled()
-            assert gc.isenabled() == enabled
-        finally:
-            (gc.enable if was else gc.disable)()
