@@ -10,7 +10,12 @@ checks the acceptance contract from the outside, over plain HTTP:
 2. repeating the identical request is an observable cache hit: the
    response carries ``"cached": true`` and the telemetry-bus
    ``service.cache_hits`` counter on ``GET /metrics`` increments;
-3. a malformed request is refused with 400, and ``GET /healthz`` says ok.
+3. a malformed request is refused with 400, and ``GET /healthz`` says ok;
+4. the golden predict ran in a job process, whose timeline and latency
+   observations reached the server: ``/api/timeline`` has lanes and the
+   ``service.predict_seconds`` histogram holds one count;
+5. SIGTERM stops the server with exit code 0, and every process it had
+   forked (its job processes) is gone: the server reaped them.
 
 Run locally with::
 
@@ -19,8 +24,10 @@ Run locally with::
 
 from __future__ import annotations
 
+import os
 import sys
 import tempfile
+from pathlib import Path
 
 from smoke_common import (
     GOLDEN_REQUEST,
@@ -29,6 +36,19 @@ from smoke_common import (
     http_get,
     http_post,
 )
+
+
+def child_pids(parent: int) -> set[int]:
+    """PIDs whose parent is ``parent``, read from ``/proc/*/stat``."""
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process exited while we looked
+            continue
+        if int(fields[1]) == parent:
+            children.add(int(stat.parent.name))
+    return children
 
 
 def main() -> int:
@@ -45,6 +65,13 @@ def main() -> int:
         assert first["cached"] is False, first
         assert_golden_metrics(first["metrics"])
         assert first["degraded"] is False
+
+        # 4. the job process's timeline and histograms reached the server
+        status, timeline = http_get(base, "/api/timeline")
+        assert status == 200 and timeline["lane_count"] > 0, (status, timeline)
+        _, metrics = http_get(base, "/metrics")
+        predict_counts = metrics["histograms"]["service.predict_seconds"]["counts"]
+        assert sum(predict_counts) == 1, predict_counts
 
         _, metrics = http_get(base, "/metrics")
         hits_before = metrics["counters"]["service.cache_hits"]
@@ -66,9 +93,20 @@ def main() -> int:
         _, metrics = http_get(base, "/metrics")
         assert metrics["counters"]["service.invalid"] >= 1
 
+        # 5. a graceful stop reaps every job process
+        forked = child_pids(server.process.pid)
+        assert forked, "the server forked no job process"
+        server.process.terminate()
+        code = server.process.wait(timeout=60)
+        assert code == 0, f"zatel serve exited with code {code}"
+        left = {pid for pid in forked if os.path.exists(f"/proc/{pid}")}
+        assert not left, f"job processes left after the server stopped: {left}"
+
         print(
             f"service smoke OK: golden metrics served byte-identical, "
-            f"cache hits {hits_before} -> {hits_after}, 400 on bad input"
+            f"cache hits {hits_before} -> {hits_after}, 400 on bad input, "
+            f"timeline with {timeline['lane_count']} lanes, "
+            f"{len(forked)} job process(es) reaped on SIGTERM"
         )
         return 0
 

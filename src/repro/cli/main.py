@@ -328,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port; 0 picks an ephemeral port")
     serve.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="worker threads consuming the job queue (default 2)",
+        help=(
+            "jobs run at once: each worker thread runs its jobs in its "
+            "own forked job process (default 2)"
+        ),
     )
     serve.add_argument(
         "--exec-workers", type=int, default=None, metavar="N",

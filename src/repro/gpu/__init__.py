@@ -21,13 +21,11 @@ from .stats import (
 from .telemetry import (
     METRIC_REGISTRY,
     METRIC_SPECS,
-    SERVICE_LATENCY_EDGES,
     Counter,
     Histogram,
     IntervalSnapshot,
     MetricSpec,
     RatioGauge,
-    ServiceStats,
     StatGroup,
     TelemetryBus,
     TelemetryRecord,
@@ -68,10 +66,8 @@ __all__ = [
     "RTUnit",
     "RTX_2060",
     "RatioGauge",
-    "SERVICE_LATENCY_EDGES",
     "SM",
     "SMStats",
-    "ServiceStats",
     "SimulationStats",
     "StatGroup",
     "StoreOp",

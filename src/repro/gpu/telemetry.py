@@ -56,10 +56,7 @@ __all__ = [
     "Histogram",
     "RatioGauge",
     "StatGroup",
-    "SERVICE_LATENCY_EDGES",
     "FleetStats",
-    "ServiceStats",
-    "latency_bucket",
     "TimelineEvent",
     "IntervalSnapshot",
     "TelemetryRecord",
@@ -439,87 +436,8 @@ class StatGroup:
 
 
 # ----------------------------------------------------------------------
-# service stat group (the prediction service's observability surface)
+# fleet stat group (the distributed fleet's observability surface)
 # ----------------------------------------------------------------------
-
-#: Upper edges (seconds) of the service latency histograms; the last
-#: bucket is open-ended.  Roughly logarithmic 1-2-5 steps from 1 ms to
-#: 60 s — cached hits land in the first buckets, cold full predictions
-#: in the last.
-SERVICE_LATENCY_EDGES: tuple[float, ...] = (
-    0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
-    1.0, 2.0, 5.0, 10.0, 30.0, 60.0, float("inf"),
-)
-
-
-def latency_bucket(seconds: float) -> int:
-    """Histogram bucket index for a latency observation."""
-    for index, edge in enumerate(SERVICE_LATENCY_EDGES):
-        if seconds < edge:
-            return index
-    return len(SERVICE_LATENCY_EDGES) - 1
-
-
-class ServiceStats(StatGroup):
-    """The prediction service's counters and latency histograms.
-
-    Registered on the service's :class:`TelemetryBus` under the
-    ``service`` component, so ``GET /metrics`` is a plain dump of
-    telemetry-bus counters — the same substrate the simulator's
-    components report through.  The latency histograms use the
-    :data:`SERVICE_LATENCY_EDGES` buckets; record into them with
-    :meth:`observe`.
-    """
-
-    requests = Counter("HTTP requests received, all endpoints")
-    predicts = Counter("POST /predict requests that passed validation")
-    cache_hits = Counter("predictions served from the result cache")
-    cache_misses = Counter("predictions that had to consult the queue")
-    coalesced = Counter("requests coalesced onto an in-flight identical job")
-    rejected = Counter("requests rejected with 429 (queue at capacity)")
-    invalid = Counter("requests rejected with 400 (validation failure)")
-    completed = Counter("jobs that finished successfully")
-    failed = Counter("jobs that raised an execution error")
-    abandoned = Counter("hung jobs force-failed at the shutdown drain deadline")
-    campaigns = Counter("POST /campaigns requests that passed validation")
-    campaign_points = Counter("campaign points executed across all campaigns")
-    seq_cache_lookups = Counter(
-        "path-prediction cache lookups during sequence carry-over passes"
-    )
-    seq_cache_carried_hits = Counter(
-        "validated hits served by cache entries carried from a previous frame"
-    )
-    dashboard_hits = Counter("GET /dashboard page loads")
-    api_hits = Counter("dashboard JSON API requests (any /api/* route)")
-    queue_peak = MaxGauge("high-water mark of queued + running jobs")
-    cache_hit_rate = RatioGauge(
-        "cache_hits", "predicts", "fraction of accepted predictions served from cache"
-    )
-    #: Per-stage latency histograms of the request lifecycle.
-    queue_seconds = Histogram(
-        len(SERVICE_LATENCY_EDGES), "time jobs spent queued before a worker"
-    )
-    trace_seconds = Histogram(
-        len(SERVICE_LATENCY_EDGES), "functional frame-trace stage wall-clock"
-    )
-    predict_seconds = Histogram(
-        len(SERVICE_LATENCY_EDGES), "Zatel pipeline stage wall-clock"
-    )
-    total_seconds = Histogram(
-        len(SERVICE_LATENCY_EDGES), "end-to-end job wall-clock"
-    )
-
-    def observe(self, histogram: str, seconds: float) -> None:
-        """Record ``seconds`` into the named latency histogram."""
-        getattr(self, histogram)[latency_bucket(seconds)] += 1
-
-    def histograms(self) -> dict[str, list[int]]:
-        """The latency histograms (bucket counts) by name."""
-        return {
-            name: list(getattr(self, name))
-            for name, instrument in self._instruments.items()
-            if isinstance(instrument, Histogram)
-        }
 
 
 class FleetStats(StatGroup):

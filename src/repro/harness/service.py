@@ -120,18 +120,43 @@ class ServiceRunner:
             seed=spec.seed,
         )
 
-    def execute(self, spec: PredictSpec, stats=None) -> dict:
+    def execute(self, spec: PredictSpec, stats=None, child=None) -> dict:
         """Run one spec end to end; returns the result payload.
 
         ``stats`` is an optional
-        :class:`~repro.gpu.telemetry.ServiceStats`: when given, the
+        :class:`~repro.service.stats.ServiceStats`: when given, the
         trace and predict stage latencies are recorded into its
-        histograms.
+        histograms.  ``child`` is an optional job process (see
+        :meth:`_in_child`) that runs :meth:`execute_local` instead of
+        this process.
 
         Raises:
             SimulationError: when the pipeline fails beyond rescue
                 (quorum violation, unrecoverable corruption).
         """
+        if child is not None:
+            return self._in_child(child, "predict", spec, stats)
+        return self.execute_local(spec, stats)
+
+    def _in_child(self, child, kind: str, spec, stats) -> dict:
+        """Run a job in ``child`` and fold its side effects in here.
+
+        ``child(kind, spec)`` runs the job body in another process and
+        returns ``(payload, job_stats, timelines)``: the payload, a
+        :class:`~repro.service.stats.ServiceStats` holding only this
+        job's observations, and the ``timeline_sink`` calls the body
+        made there, as argument tuples.
+        """
+        payload, job_stats, timelines = child(kind, spec)
+        if stats is not None:
+            stats.fold(job_stats)
+        if self.timeline_sink is not None:
+            for record in timelines:
+                self.timeline_sink(*record)
+        return payload
+
+    def execute_local(self, spec: PredictSpec, stats=None) -> dict:
+        """The body of :meth:`execute`, run in the calling process."""
         runner = self.runner
         workload = self.workload(spec)
         gpu = preset(spec.gpu)
@@ -192,15 +217,23 @@ class ServiceRunner:
             "campaign_result", campaign.fingerprint(), CACHE_VERSION
         )
 
-    def execute_campaign(self, campaign, stats=None) -> dict:
+    def execute_campaign(self, campaign, stats=None, child=None) -> dict:
         """Run one campaign end to end; returns the JSON-able report.
 
         Uses the wrapped runner's disk-backed store for every frame
         trace and stage artifact, so campaign points share work with
         served single predictions and CLI sweeps.  ``stats`` (a
-        :class:`~repro.gpu.telemetry.ServiceStats`) picks up the
+        :class:`~repro.service.stats.ServiceStats`) picks up the
         per-point and sequence-cache counters for ``GET /metrics``.
+        ``child`` runs the body in another process, as in
+        :meth:`execute`.
         """
+        if child is not None:
+            return self._in_child(child, "campaign", campaign, stats)
+        return self.execute_campaign_local(campaign, stats)
+
+    def execute_campaign_local(self, campaign, stats=None) -> dict:
+        """The body of :meth:`execute_campaign`, run in the calling process."""
         from .reporting import campaign_report
 
         start = time.perf_counter()

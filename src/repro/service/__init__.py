@@ -11,7 +11,9 @@ fingerprint-keyed result cache in milliseconds:
 * :mod:`.cache` — result cache layered on the content-addressed
   artifact store;
 * :mod:`.server` — the asyncio HTTP front-end plus the worker pool that
-  drives the stage graph through the fault-tolerant executor;
+  drives the stage graph through the fault-tolerant executor, each
+  worker in its own forked job process;
+* :mod:`.stats` — the service's counters and latency histograms;
 * :mod:`.dashboard` — the ``GET /dashboard`` page and ``/api/*`` JSON
   views (timeline lanes, structured metrics, fleet leases), shared
   between the live service and ``zatel trace --serve`` offline mode.

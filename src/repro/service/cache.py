@@ -10,7 +10,7 @@ and corrupt-entry recovery, repeat requests are served in milliseconds
 sweeps have already produced under the same cache root.
 
 Hit/miss accounting lands on the service's
-:class:`~repro.gpu.telemetry.ServiceStats`, so the ``/metrics``
+:class:`~repro.service.stats.ServiceStats`, so the ``/metrics``
 endpoint exposes cache effectiveness without a separate code path.
 """
 

@@ -32,13 +32,9 @@ from pathlib import Path
 from typing import Any, NamedTuple
 from urllib.parse import parse_qsl
 
-from ..gpu.telemetry import (
-    SERVICE_LATENCY_EDGES,
-    downsample_events,
-    load_zperf,
-    slice_events,
-)
+from ..gpu.telemetry import downsample_events, load_zperf, slice_events
 from ..viz.timeline_model import activity_series, lanes_payload
+from .stats import SERVICE_LATENCY_EDGES
 
 __all__ = [
     "DASHBOARD_MARKER",
@@ -265,7 +261,7 @@ class DashboardRouter:
 
     Missing capabilities (an offline trace has no fleet) answer 404
     with a machine-readable error, so one page serves both modes.
-    ``stats`` (optional) is a :class:`~repro.gpu.telemetry.ServiceStats`
+    ``stats`` (optional) is a :class:`~repro.service.stats.ServiceStats`
     receiving ``dashboard_hits`` / ``api_hits``.
     """
 

@@ -1,47 +1,65 @@
 """The asyncio HTTP front-end and worker pool of ``zatel serve``.
 
-Architecture (one process, stdlib only)::
+Architecture (stdlib only)::
 
-    asyncio event loop (HTTP/1.1 over asyncio streams)
-      POST /predict   validate -> fingerprint -> result cache ->
-                      bounded single-flight queue -> await job
-      GET  /jobs/<id> job status / result
-      GET  /healthz   liveness (always 200 while the process serves)
-      GET  /readyz    readiness (503 + reasons when saturated or the
-                      fleet is below its worker quorum)
-      GET  /metrics   telemetry-bus counters + latency histograms
-                 |
-            JobQueue (bounded, single-flight, 429 on overflow)
-                 |
-    worker threads (N)  ->  ServiceRunner.execute(spec)
-                              -> stage graph over the shared
-                                 ArtifactStore, groups through the
-                                 fault-tolerant GroupExecutor
+    server process
+      asyncio event loop (HTTP/1.1 over asyncio streams)
+        POST /predict   validate -> fingerprint -> result cache ->
+                        bounded single-flight queue -> await job
+        GET  /jobs/<id> job status / result
+        GET  /healthz   liveness (always 200 while the process serves)
+        GET  /readyz    readiness (503 + reasons when saturated or the
+                        fleet is below its worker quorum)
+        GET  /metrics   telemetry-bus counters + latency histograms
+                   |
+              JobQueue (bounded, single-flight, 429 on overflow)
+                   |
+      worker threads (N)  ->  ServiceRunner.execute(spec, child=...)
+                   |  pipe: spec out; payload, job stats and
+                   |  timeline records back
+    job processes (N, one per worker thread, forked at start)
+      ServiceRunner.execute_local(spec)
+        -> stage graph over the shared on-disk ArtifactStore,
+           groups through the fault-tolerant GroupExecutor
 
 The front-end never blocks the event loop on simulation work: waiting
-handlers park on the job's event via ``asyncio.to_thread``.  Worker
-threads hold the GIL only between simulator steps; per-prediction
-parallelism still comes from ``GroupExecutor``'s forked workers (set
-``ExecutionPolicy.workers`` on the service policy), so service workers
-are *throughput* knobs (how many requests progress concurrently), not
-CPU knobs.
+handlers park on the job's event via ``asyncio.to_thread``.  A worker
+thread hands each job to its own job process and waits on the pipe
+without holding the GIL, so tracing and simulation never compete with
+the loop that answers cached hits, and N misses use N cores.  The
+result cache, the queue and single-flight stay in the server process;
+a job process only writes stage artifacts to the shared store.  A job
+process that dies mid-job fails that job as ``WorkerCrashError`` and is
+replaced before the next one.  With a fleet, or an injected
+``executor_fn``, jobs run in the worker threads instead.
+Per-prediction parallelism still comes from ``GroupExecutor``'s forked
+workers (``ExecutionPolicy.workers`` on the service policy), which fork
+from inside the job process.
 
 Shutdown is graceful by default: stop intake (new submits get 503),
 drain in-flight jobs, then stop the loop — so a deploy never discards
-accepted work.
+accepted work.  Job processes exit when their pipe closes, and the
+server reaps every one before it exits.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
+import multiprocessing
+import os
+import signal
+import stat
 import threading
 import time
 from collections import OrderedDict
 from typing import Any, Callable
 
-from ..gpu.telemetry import SERVICE_LATENCY_EDGES, ServiceStats, TelemetryBus
+from .. import errors
+from ..errors import WorkerCrashError
+from ..gpu.telemetry import TelemetryBus
 from ..harness.service import ServiceRunner
 from .cache import ResultCache
 from .dashboard import DashboardRouter, RawBody, histogram_views, structure_counters
@@ -51,6 +69,7 @@ from .protocol import (
     parse_predict_payload,
 )
 from .queue import JOB_DONE, JobQueue, QueueClosedError, QueueFullError
+from .stats import SERVICE_LATENCY_EDGES, ServiceStats
 
 __all__ = ["ZatelService"]
 
@@ -85,22 +104,28 @@ class ZatelService:
             the shared artifact store (default: the process-wide one).
         host/port: bind address; ``port=0`` picks an ephemeral port
             (``self.port`` holds the real one once ``started`` is set).
-        workers: worker threads consuming the job queue.
+        workers: worker threads consuming the job queue; each runs its
+            jobs in its own forked job process (see
+            :meth:`_start_workers`), so ``workers`` jobs run at once.
         queue_capacity: max queued + running jobs before 429s.
         policy: :class:`~repro.core.executor.ExecutionPolicy` applied to
             every served prediction (e.g. forked group workers).
         executor_fn: override of the per-spec execution function —
-            tests inject deterministic/blocking stand-ins here.
+            tests inject deterministic/blocking stand-ins here.  It runs
+            in the worker thread, not in a job process.
         use_cache: serve repeat requests from the result cache.
         wait_timeout: cap on how long a ``wait=true`` request blocks
             before returning 504 with the job id (``None`` = unbounded).
         drain_timeout: graceful-shutdown budget for in-flight jobs;
-            jobs still running at the deadline are abandoned as failed
-            so the process exits cleanly.
+            jobs still running at the deadline are abandoned as failed,
+            and their job processes killed, so the process exits
+            cleanly.
         fleet: optional :class:`~repro.fleet.coordinator.
             FleetCoordinator` — served predictions scatter their group
             simulations to its workers; its stats join ``/metrics`` and
             its view joins ``/healthz`` and the ``/readyz`` quorum.
+            Jobs then run in the worker threads, next to the
+            coordinator.
         fleet_supervisor: optional :class:`~repro.fleet.supervisor.
             WorkerSupervisor` to stop (before the fleet drains) at
             shutdown.
@@ -170,8 +195,9 @@ class ZatelService:
         self._traces_lock = threading.Lock()
         self._trace_counter = 0
         self.dashboard = DashboardRouter(self, stats=self.stats)
-        self._executor_fn = executor_fn or self._execute_job
+        self._executor_fn = executor_fn
         self._worker_threads: list[threading.Thread] = []
+        self._children: list[_JobChild] = []
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self.started = threading.Event()
@@ -193,6 +219,7 @@ class ZatelService:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._start_time = time.monotonic()
+        # Before the listener binds, so no job process holds its socket.
         self._start_workers()
         server = await asyncio.start_server(
             self._handle_client, self.host, self.port
@@ -249,7 +276,9 @@ class ZatelService:
         Jobs still unfinished at the drain deadline (hung simulation,
         wedged fleet gather) are *abandoned* — recorded as failed so
         their waiters wake with an error — and the process exits cleanly
-        instead of blocking on them forever.
+        instead of blocking on them forever.  The job processes are
+        killed at that deadline; otherwise each exits when its pipe
+        closes.  Either way every one is reaped before this returns.
         """
         inflight = self.queue.depth
         self.queue.close()
@@ -266,6 +295,8 @@ class ZatelService:
                 "drain timed out after %gs; abandoned %d hung job(s) as failed",
                 self.drain_timeout, abandoned,
             )
+            for child in self._children:
+                child.kill()
         if self.fleet_supervisor is not None:
             # Stop respawning first, then SIGTERM the worker processes so
             # they drain before the coordinator dismisses the fleet.
@@ -277,35 +308,68 @@ class ZatelService:
         for thread in self._worker_threads:
             thread.join(timeout=5.0)
         self._worker_threads.clear()
+        for child in self._children:
+            child.close()
+        self._children.clear()
 
     # ------------------------------------------------------------------
     # worker pool
     # ------------------------------------------------------------------
 
-    def _execute_job(self, spec) -> dict:
+    def _execute_job(self, spec, child: "_JobChild | None" = None) -> dict:
         """Default per-job execution: dispatch on the submitted type.
 
         The queue carries both single :class:`PredictSpec`\\ s and whole
         :class:`~repro.core.stages.campaign.Campaign`\\ s; the worker
         pool, single-flight coalescing and drain semantics are shared.
+        With a ``child``, the job body runs in that job process.
         """
         from ..core.stages.campaign import Campaign
 
+        runner = self.service_runner
         if isinstance(spec, Campaign):
-            return self.service_runner.execute_campaign(spec, stats=self.stats)
-        return self.service_runner.execute(spec, stats=self.stats)
+            return runner.execute_campaign(spec, stats=self.stats, child=child)
+        return runner.execute(spec, stats=self.stats, child=child)
 
     def _start_workers(self) -> None:
-        for index in range(self.num_workers):
+        """Start the worker threads, deciding once where jobs run.
+
+        By default each worker owns a job process (:class:`_JobChild`),
+        all forked here before any worker thread starts.  A job then
+        holds no GIL in this process, so the event loop answers cached
+        hits at full speed while misses simulate.  Jobs stay in the
+        worker thread for an injected ``executor_fn``, with a fleet
+        (whose coordinator lives in this process), and on a platform
+        without ``fork``.
+        """
+        in_thread = (
+            self._executor_fn is not None
+            or self.fleet is not None
+            or "fork" not in multiprocessing.get_all_start_methods()
+        )
+        if in_thread:
+            runs = [self._executor_fn or self._execute_job] * self.num_workers
+        else:
+            _import_job_path()
+            self._children = [
+                _JobChild(self.service_runner, f"zatel-job-{index}")
+                for index in range(self.num_workers)
+            ]
+            runs = [
+                functools.partial(self._execute_job, child=child)
+                for child in self._children
+            ]
+        for index, run in enumerate(runs):
             thread = threading.Thread(
                 target=self._worker_loop,
+                args=(run,),
                 name=f"zatel-worker-{index}",
                 daemon=True,
             )
             thread.start()
             self._worker_threads.append(thread)
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, run: Callable[[Any], dict]) -> None:
         queue = self.queue
         while True:
             job = queue.next(timeout=0.2)
@@ -315,10 +379,17 @@ class ZatelService:
                 continue
             self.stats.observe("queue_seconds", job.queue_seconds())
             try:
-                payload = self._executor_fn(job.spec)
+                payload = run(job.spec)
             except Exception as error:  # noqa: BLE001 - job isolation boundary
-                logger.warning("job %s failed: %s", job.id, error)
-                self.stats.failed += 1
+                # A job process's exception arrives under its own type
+                # name and a dead one as WorkerCrashError; a job whose
+                # process the drain deadline killed is already counted
+                # as abandoned.
+                if not job.finished:
+                    logger.warning(
+                        "job %s failed: %s: %s", job.id, type(error).__name__, error
+                    )
+                    self.stats.failed += 1
                 queue.complete(job, error=error)
             else:
                 if self.cache is not None:
@@ -771,3 +842,160 @@ class _HttpError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = status
+
+
+# ----------------------------------------------------------------------
+# job processes
+# ----------------------------------------------------------------------
+
+
+class _JobChild:
+    """One worker's long-lived job process, forked from the server.
+
+    Calling it, ``child(kind, spec)``, sends the job over a pipe and
+    blocks on the reply without holding the GIL; the process runs
+    :meth:`ServiceRunner.execute_local` (``kind == "predict"``) or
+    :meth:`ServiceRunner.execute_campaign_local` (``"campaign"``)
+    against the same on-disk store and answers ``(payload, job_stats,
+    timelines)`` — see :meth:`ServiceRunner._in_child`.  A job's
+    exception comes back under its own type name.  A process that dies
+    mid-job fails the job as :class:`~repro.errors.WorkerCrashError`
+    and is replaced before the next one.
+
+    Forked rather than spawned, so each process starts from the server's
+    warm heap.  A replacement is forked from a worker thread while other
+    threads run; the job path takes no lock those threads hold except
+    the stats lock, which :mod:`.stats` renews in the child.
+    """
+
+    #: Seconds between liveness checks while a job runs: a dead process
+    #: whose pipe a grandchild still holds open gives no EOF.
+    POLL_SECONDS = 0.5
+
+    def __init__(self, service_runner: ServiceRunner, name: str) -> None:
+        self.service_runner = service_runner
+        self.name = name
+        self._spawn()
+
+    def _spawn(self) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        # Not daemonic: GroupExecutor forks its own workers in here.
+        self.process = ctx.Process(
+            target=_child_main,
+            args=(child_end, self.service_runner),
+            name=self.name,
+        )
+        self.process.start()
+        child_end.close()
+
+    def __call__(self, kind: str, spec) -> tuple:
+        if not self.process.is_alive():
+            self.conn.close()
+            self._spawn()
+        try:
+            self.conn.send((kind, spec))
+            while not self.conn.poll(self.POLL_SECONDS):
+                if not self.process.is_alive():
+                    break
+            reply = self.conn.recv() if self.conn.poll() else None
+        except (EOFError, OSError):
+            reply = None
+        if reply is None:
+            self.kill()
+            raise WorkerCrashError(
+                f"job process {self.process.pid} died with exit code "
+                f"{self.process.exitcode} before replying"
+            )
+        if reply[0] == "error":
+            raise _remote_error(reply[1], reply[2])
+        return reply[1:]
+
+    def kill(self) -> None:
+        """Kill and reap the process; a no-op kill if it is already dead."""
+        self.process.kill()
+        self.process.join()
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Close the pipe, so the process exits, and reap it."""
+        self.conn.close()
+        self.process.join(timeout)
+        if self.process.is_alive():
+            self.kill()
+
+
+def _child_main(conn, service_runner: ServiceRunner) -> None:
+    """Job-process entry: run jobs from ``conn`` until it reaches EOF."""
+    # The server's SIGTERM handler would drain a loop this process does
+    # not run, and Ctrl-C is the server's to handle.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _close_inherited_sockets(keep=conn.fileno())
+    timelines: list[tuple] = []
+    service_runner.timeline_sink = lambda *record: timelines.append(record)
+    while True:
+        try:
+            kind, spec = conn.recv()
+        except EOFError:
+            return
+        stats = ServiceStats()
+        timelines.clear()
+        if kind == "campaign":
+            body = service_runner.execute_campaign_local
+        else:
+            body = service_runner.execute_local
+        try:
+            reply = ("ok", body(spec, stats), stats, list(timelines))
+        except Exception as error:  # noqa: BLE001 - re-raised by the worker thread
+            reply = ("error", type(error).__name__, str(error))
+        try:
+            conn.send(reply)
+        except OSError:  # the server is gone
+            return
+
+
+def _remote_error(name: str, message: str) -> Exception:
+    """A job process's exception, rebuilt under its own type name.
+
+    :mod:`repro.errors` types come back as themselves; any other as a
+    stand-in class of the same name.  Either way the job's error reads
+    ``"<Type>: <message>"`` exactly as it would have in-thread.
+    """
+    known = getattr(errors, name, None)
+    if isinstance(known, type) and issubclass(known, errors.SimulationError):
+        return known(message)
+    return type(name, (Exception,), {})(message)
+
+
+def _close_inherited_sockets(keep: int) -> None:
+    """Close every socket a job process inherited except its pipe.
+
+    The initial processes are forked before the listener binds, but a
+    replacement forked later would otherwise hold the listening socket
+    and open client connections.  The Python objects owning them stay
+    unused here, and the process leaves through ``os._exit``, so nothing
+    closes those descriptors a second time.
+    """
+    try:
+        descriptors = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:  # no /proc: keep what was inherited
+        return
+    for fd in descriptors:
+        if fd <= 2 or fd == keep:
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:  # the listing's own descriptor, already closed
+            pass
+
+
+def _import_job_path() -> None:
+    """Import what a job imports lazily, once, before the forks.
+
+    Scene builds load ``numpy.random`` and ``numpy.ma`` on first use;
+    loaded here, every job process inherits them instead of paying for
+    them during warm-up.
+    """
+    import numpy.ma  # noqa: F401
+    import numpy.random  # noqa: F401

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.gpu.telemetry import ServiceStats
+from repro.service.stats import ServiceStats
 from repro.harness.runner import Runner
 from repro.service import ZatelService
 from repro.service.dashboard import (

@@ -11,16 +11,22 @@ in-process prediction.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+from repro.core.executor import ExecutionPolicy
 from repro.core.stages.requests import PredictSpec
 from repro.core.stages.singleflight import SingleFlight
-from repro.gpu.telemetry import ServiceStats
+from repro.service.stats import ServiceStats
+from repro.errors import SimulationError
 from repro.harness.runner import Runner
 from repro.harness.service import ServiceRunner
 from repro.service import (
@@ -255,6 +261,54 @@ class TestJobQueue:
         queue.next(timeout=1)  # running, never completed
         queue.close()
         assert queue.drain(timeout=0.1) is False
+
+
+# ---------------------------------------------------------------------------
+# ServiceStats.fold
+# ---------------------------------------------------------------------------
+
+
+class TestServiceStatsFold:
+    def test_fold_adds_only_what_the_job_recorded(self):
+        stats = ServiceStats(cache_hits=5, queue_peak=3.0)
+        job = ServiceStats(campaign_points=2, queue_peak=1.0)
+        job.observe("trace_seconds", 0.004)
+        stats.fold(job)
+        assert stats.cache_hits == 5
+        assert stats.campaign_points == 2
+        assert stats.queue_peak == 3.0
+        assert sum(stats.trace_seconds) == 1
+        assert stats.histograms()["trace_seconds"] == job.histograms()["trace_seconds"]
+
+    def test_concurrent_folds_lose_no_update(self):
+        rounds, folders = 2000, 3
+        stats = ServiceStats()
+        job = ServiceStats(campaign_points=1)
+        job.observe("predict_seconds", 0.3)
+
+        def fold_jobs():
+            for _ in range(rounds):
+                stats.fold(job)
+
+        def count_hits():
+            for _ in range(rounds):
+                stats.cache_hits += 1
+
+        threads = [threading.Thread(target=fold_jobs) for _ in range(folders)]
+        threads.append(threading.Thread(target=count_hits))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stats.cache_hits == rounds
+        assert stats.campaign_points == folders * rounds
+        assert sum(stats.predict_seconds) == folders * rounds
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +627,185 @@ class TestServiceEndToEnd:
         assert served["downscale_factor"] == local["downscale_factor"]
         assert served["degraded"] is False
         assert served["serial_fallback"] is False
+
+
+class TestJobProcesses:
+    """Served jobs run in per-worker forked job processes.
+
+    Each test patches :meth:`ServiceRunner.execute_local`, the body a job
+    process runs, before the service starts: the fork inherits the patch.
+    """
+
+    @staticmethod
+    def _patch_body(monkeypatch, body):
+        monkeypatch.setattr(
+            ServiceRunner, "execute_local", lambda self, spec, stats=None: body(spec)
+        )
+
+    @staticmethod
+    def _gone(pid: int) -> bool:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        return False
+
+    def test_job_runs_in_another_process(self, monkeypatch, service_factory):
+        self._patch_body(monkeypatch, lambda spec: {"pid": os.getpid()})
+        service, base = service_factory(use_cache=False)
+        status, served, _ = _post(base, {"scene": "SPRNG", "size": 16})
+        assert status == 200
+        assert served["pid"] != os.getpid()
+        assert served["pid"] == service._children[0].process.pid
+
+    def test_killed_child_is_worker_crash_and_replaced(
+        self, monkeypatch, service_factory
+    ):
+        def body(spec):
+            if spec.size == 13:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return {"pid": os.getpid()}
+
+        self._patch_body(monkeypatch, body)
+        service, base = service_factory(use_cache=False)
+        first_pid = service._children[0].process.pid
+        status, failed, _ = _post(base, {"scene": "SPRNG", "size": 13})
+        assert status == 500
+        assert failed["error"].startswith("WorkerCrashError: ")
+        assert str(first_pid) in failed["error"]
+        assert service.stats.failed == 1
+
+        status, served, _ = _post(base, {"scene": "SPRNG", "size": 16})
+        assert status == 200
+        assert served["pid"] not in (first_pid, os.getpid())
+        assert self._gone(first_pid)
+
+    @pytest.mark.parametrize(
+        "error, expected",
+        [
+            (SimulationError("quorum lost"), "SimulationError: quorum lost"),
+            (ValueError("bad knob"), "ValueError: bad knob"),
+            (KeyError("gpu"), "KeyError: 'gpu'"),
+        ],
+    )
+    def test_child_exception_keeps_its_type_name(
+        self, monkeypatch, service_factory, error, expected
+    ):
+        def body(spec):
+            raise error
+
+        self._patch_body(monkeypatch, body)
+        service, base = service_factory(use_cache=False)
+        status, failed, _ = _post(base, {"scene": "SPRNG", "size": 16})
+        assert status == 500
+        status, job = _get(base, f"/jobs/{failed['job']}")
+        assert status == 200
+        assert job["status"] == "failed"
+        assert job["error"] == expected
+        # The job process survives a job's exception.
+        assert service._children[0].process.is_alive()
+
+    def test_hung_child_is_killed_at_drain_deadline(self, monkeypatch, tmp_path):
+        self._patch_body(monkeypatch, lambda spec: time.sleep(60))
+        service = ZatelService(
+            runner=Runner(cache_dir=tmp_path / "cache"), port=0,
+            workers=2, queue_capacity=4, use_cache=False, drain_timeout=0.5,
+        )
+        with service.background():
+            pids = [child.process.pid for child in service._children]
+            base = f"http://127.0.0.1:{service.port}"
+            status, ticket, _ = _post(
+                base, {"scene": "SPRNG", "size": 16, "wait": False}
+            )
+            assert status == 202
+            deadline = time.monotonic() + 10
+            while service.queue.running == 0 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert service.queue.running == 1
+        job = service.jobs[ticket["job"]]
+        assert job.status == "failed"
+        assert "drain deadline" in job.error
+        assert service.stats.abandoned == 1
+        assert service.stats.failed == 1
+        assert len(pids) == 2
+        assert all(self._gone(pid) for pid in pids)
+
+    def test_forked_group_workers_serve_the_golden_payload(self, service_factory):
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "golden_predict.json").read_text()
+        )
+        service, base = service_factory(policy=ExecutionPolicy(workers=2))
+        status, served, _ = _post(
+            base,
+            {"scene": "SPRNG", "size": 24, "spp": 1, "seed": 0, "gpu": "mobile"},
+        )
+        assert status == 200, served
+        assert served["metrics"] == golden["metrics"]["SPRNG"]
+        assert served["serial_fallback"] is False
+
+    def test_job_counters_and_histograms_reach_metrics(self, service_factory):
+        service, base = service_factory()
+        status, _, _ = _post(base, {"scene": "SPRNG", "size": 10})
+        assert status == 200
+        status, report = TestCampaignEndpoint._post_campaign(
+            base,
+            TestCampaignEndpoint._sheet(
+                [
+                    {
+                        "scene": {
+                            "sequence": "saturation",
+                            "frames": 2,
+                            "knobs": {"level": 0.3},
+                            "seed": 1,
+                            "orbit_degrees": 8.0,
+                        }
+                    }
+                ]
+            ),
+        )
+        assert status == 200 and report["succeeded"] is True
+
+        _, metrics = _get(base, "/metrics")
+        counters = metrics["counters"]
+        assert counters["service.campaign_points"] == 2
+        assert counters["service.seq_cache_lookups"] > 0
+        assert counters["service.seq_cache_carried_hits"] >= 0
+        assert counters["service.completed"] == 2
+        histograms = metrics["histograms"]
+        assert sum(histograms["service.trace_seconds"]["counts"]) == 1
+        assert sum(histograms["service.predict_seconds"]["counts"]) == 1
+        assert sum(histograms["service.queue_seconds"]["counts"]) == 2
+        assert sum(histograms["service.total_seconds"]["counts"]) == 2
+
+    def test_served_timeline_equals_in_process_events(self, tmp_path):
+        from repro.service.dashboard import parse_timeline_query, timeline_payload
+
+        spec = PredictSpec(scene="SPRNG", size=16)
+        local = []
+        ServiceRunner(
+            Runner(cache_dir=tmp_path / "local"),
+            timeline_interval=1024,
+            timeline_sink=lambda *record: local.append(record),
+        ).execute(spec)
+        (label, events, cycles, deltas), = local
+
+        service = ZatelService(
+            runner=Runner(cache_dir=tmp_path / "served"), port=0, workers=1
+        )
+        with service.background():
+            base = f"http://127.0.0.1:{service.port}"
+            status, _, _ = _post(base, {"scene": "SPRNG", "size": 16})
+            assert status == 200
+            assert service.timeline_trace(None) == (events, cycles, deltas)
+            status, served = _get(base, "/api/timeline")
+        assert status == 200
+        assert service.timeline_traces()[0]["label"] == label
+        expected = json.loads(
+            json.dumps(timeline_payload(events, cycles, parse_timeline_query(""), deltas))
+        )
+        for key in ("trace", "traces"):
+            served.pop(key)
+        assert served == expected
 
 
 class TestCampaignEndpoint:
