@@ -1,19 +1,18 @@
 """Observability-dashboard smoke test, run by CI's dashboard-smoke job.
 
-Boots the real service (via :mod:`smoke_common`) as a fleet coordinator
-with two workers, drives the golden SPRNG 24x24 predict through it, and
-checks the dashboard contract from the outside, over plain HTTP:
+Boots the real service (via :mod:`smoke_common`) with one worker, drives
+the golden SPRNG 24x24 predict through it, and checks the dashboard
+contract from the outside, over plain HTTP:
 
 1. ``GET /dashboard`` returns 200 with the expected page marker — the
    stdlib-served HTML actually shipped;
-2. after a real predict, ``GET /api/timeline`` has non-empty lanes whose
-   windows are monotonically ordered by start cycle, and the paginated
-   range echo is coherent;
-3. ``GET /api/fleet`` shows both fleet workers live with active lease
-   accounting fields present;
-4. ``GET /api/metrics`` is the structured view (nested counter groups,
+2. after a real predict, which runs in the worker's job process,
+   ``GET /api/timeline`` has non-empty lanes whose windows are
+   monotonically ordered by start cycle, and the paginated range echo
+   is coherent;
+3. ``GET /api/metrics`` is the structured view (nested counter groups,
    not a flat dump) and counts the dashboard hits this very smoke made;
-5. a malformed time-range query (``start`` >= ``end``) is refused
+4. a malformed time-range query (``start`` >= ``end``) is refused
    with 400.
 
 Run locally with::
@@ -41,8 +40,7 @@ from repro.service.dashboard import DASHBOARD_MARKER  # noqa: E402
 def main() -> int:
     with tempfile.TemporaryDirectory() as cache_dir, SmokeServer(
         "dashboard-smoke",
-        ["--cache-dir", cache_dir, "--workers", "1",
-         "--fleet", "2", "--min-workers", "2"],
+        ["--cache-dir", cache_dir, "--workers", "1"],
     ) as server:
         base = server.base
 
@@ -82,16 +80,7 @@ def main() -> int:
             len(lane["windows"]) for lane in lanes
         ), timeline
 
-        # 3. the fleet view shows both workers live
-        status, fleet = http_get(base, "/api/fleet")
-        assert status == 200, (status, fleet)
-        assert fleet["live_workers"] == 2, fleet
-        workers = fleet["workers"]
-        assert len(workers) == 2, workers
-        assert all(w["state"] == "live" for w in workers), workers
-        assert "counters" in fleet and "leases" in fleet, fleet
-
-        # 4. /api/metrics is structured and self-observing
+        # 3. /api/metrics is structured and self-observing
         status, metrics = http_get(base, "/api/metrics")
         assert status == 200, (status, metrics)
         assert metrics["mode"] == "service", metrics["mode"]
@@ -100,7 +89,7 @@ def main() -> int:
         assert service_group["api_hits"] >= 3, service_group
         assert service_group["predicts"] >= 1, service_group
 
-        # 5. malformed time ranges are refused loudly
+        # 4. malformed time ranges are refused loudly
         status, error = http_get(base, "/api/timeline?start=50&end=10")
         assert status == 400, (status, error)
         assert "error" in error, error
@@ -110,8 +99,8 @@ def main() -> int:
         print(
             "dashboard smoke OK: page served with marker, "
             f"{len(lanes)} timeline lanes over "
-            f"{timeline['total_cycles']:.0f} cycles, 2 fleet workers "
-            "live, structured metrics counting, 400 on bad ranges"
+            f"{timeline['total_cycles']:.0f} cycles, structured metrics "
+            "counting, 400 on bad ranges"
         )
         return 0
 

@@ -122,9 +122,8 @@ class SmokeServer:
     bound — no pre-picked free port, so parallel CI jobs cannot race
     each other for one.  All output is teed to ``smoke-logs/<name>.log``
     for the failure artifact.  Entering the context blocks until
-    ``/readyz`` answers 200 (which also covers fleet quorum when the
-    smoke passes ``--min-workers``), so callers never see a
-    half-started service.
+    ``/readyz`` answers 200, so callers never see a half-started
+    service.
     """
 
     def __init__(

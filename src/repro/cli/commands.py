@@ -277,11 +277,8 @@ def _cmd_predict_remote(args) -> int:
 def cmd_serve(args) -> int:
     """``zatel serve``: run the HTTP prediction service until Ctrl-C.
 
-    With ``--fleet N`` the service becomes a coordinator: it opens the
-    fleet listener, spawns N supervised ``repro worker`` processes
-    against the shared cache directory, and scatters every prediction's
-    group simulations to them.  SIGTERM drains gracefully either way:
-    stop intake, finish (or abandon) in-flight jobs, dismiss the fleet.
+    SIGTERM drains gracefully: stop intake, finish (or abandon)
+    in-flight jobs, reap the job processes.
     """
     import logging
     import signal
@@ -298,30 +295,6 @@ def cmd_serve(args) -> int:
     policy = ExecutionPolicy(
         workers=args.exec_workers if args.exec_workers else 1
     )
-    fleet = None
-    supervisor = None
-    if getattr(args, "fleet", 0):
-        from ..fleet import FleetCoordinator, FleetPolicy, WorkerSupervisor
-
-        fleet = FleetCoordinator(
-            policy=FleetPolicy(
-                lease_timeout=args.lease_timeout,
-                heartbeat_grace=args.heartbeat_grace,
-                min_workers=args.min_workers,
-            ),
-            host=args.host,
-            port=args.fleet_port,
-        ).start()
-        from ..fleet.dispatch import make_result_validator
-
-        fleet.result_validator = make_result_validator(runner.store)
-        supervisor = WorkerSupervisor(
-            address=fleet.address,
-            cache_dir=str(runner.store.root),
-            count=args.fleet,
-            chaos_json=getattr(args, "chaos", None),
-        )
-        supervisor.start()
     service = ZatelService(
         runner=runner,
         host=args.host,
@@ -330,57 +303,10 @@ def cmd_serve(args) -> int:
         queue_capacity=args.queue_capacity,
         policy=policy,
         use_cache=not args.no_cache,
-        fleet=fleet,
-        fleet_supervisor=supervisor,
         timeline_interval=getattr(args, "timeline_interval", 1024),
     )
     signal.signal(signal.SIGTERM, lambda signum, frame: service.shutdown())
-    try:
-        service.run()
-    finally:
-        if supervisor is not None:
-            supervisor.stop()
-        if fleet is not None:
-            fleet.close()
-    return 0
-
-
-def cmd_worker(args) -> int:
-    """``zatel worker``: one fleet worker process.
-
-    Connects to the coordinator named by ``--connect``, executes leased
-    groups through the shared cache directory, and drains gracefully on
-    SIGTERM (finishes the current lease, says goodbye, exits 0).
-    """
-    import logging
-    import signal
-
-    from ..core.stages.store import ArtifactStore
-    from ..fleet import FleetWorker
-
-    logging.basicConfig(
-        level=logging.INFO, format="%(asctime)s %(name)s %(message)s"
-    )
-    host, _, port_text = args.connect.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise ValueError(
-            f"--connect must be HOST:PORT, got {args.connect!r}"
-        )
-    chaos = None
-    if getattr(args, "chaos", None):
-        from ..testing.chaos import ChaosPlan
-
-        chaos = ChaosPlan.from_json(args.chaos)
-    worker = FleetWorker(
-        host=host,
-        port=int(port_text),
-        store=ArtifactStore(args.cache_dir),
-        worker_id=args.worker_id,
-        chaos=chaos,
-    )
-    signal.signal(signal.SIGTERM, lambda signum, frame: worker.request_drain())
-    worker.connect()
-    worker.run()
+    service.run()
     return 0
 
 

@@ -23,10 +23,8 @@ Subcommands cover the workflows a downstream user runs most:
 ``inspect``    summarize a ``.ztrace`` file
 ``serve``      run the HTTP prediction service (``POST /predict``,
                ``GET /jobs/<id>``, ``GET /healthz``, ``GET /readyz``,
-               ``GET /metrics``); ``--fleet N`` scatters group work to
-               N supervised worker processes
-``worker``     run one fleet worker process connected to a coordinator
-               (normally spawned by ``serve --fleet``)
+               ``GET /metrics``); each worker thread runs its jobs in
+               its own forked job process
 =============  ==========================================================
 
 Every command accepts ``--size`` (plane side length) and caches frame
@@ -51,7 +49,6 @@ from .commands import (
     cmd_serve,
     cmd_simulate,
     cmd_trace,
-    cmd_worker,
 )
 
 __all__ = ["build_parser", "console_main", "main"]
@@ -356,45 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the fingerprint-keyed result cache",
     )
     serve.add_argument(
-        "--fleet", type=int, default=0, metavar="N",
-        help=(
-            "scatter group simulations to N supervised `repro worker` "
-            "processes instead of running them in-process (0 = off)"
-        ),
-    )
-    serve.add_argument(
-        "--fleet-port", type=int, default=0, metavar="PORT",
-        help="fleet coordinator listener port (default: ephemeral)",
-    )
-    serve.add_argument(
-        "--min-workers", type=int, default=1, metavar="N",
-        help=(
-            "readiness quorum: /readyz turns 503 while fewer live fleet "
-            "workers are connected (default 1)"
-        ),
-    )
-    serve.add_argument(
-        "--lease-timeout", type=float, default=120.0, metavar="SECONDS",
-        help=(
-            "per-dispatch wall-clock budget for one leased group before "
-            "the coordinator revokes and re-queues it (default 120)"
-        ),
-    )
-    serve.add_argument(
-        "--heartbeat-grace", type=float, default=5.0, metavar="SECONDS",
-        help=(
-            "heartbeat silence after which a fleet worker is declared "
-            "dead and its leases re-queue (default 5)"
-        ),
-    )
-    serve.add_argument(
-        "--chaos", default=None, metavar="JSON",
-        help=(
-            "deterministic chaos schedule forwarded to every fleet "
-            "worker (see repro.testing.chaos; testing only)"
-        ),
-    )
-    serve.add_argument(
         "--timeline-interval", type=int, default=1024, metavar="CYCLES",
         help=(
             "telemetry snapshot interval served predictions run with, "
@@ -403,31 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.set_defaults(func=cmd_serve)
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="run one fleet worker (normally spawned by `serve --fleet`)",
-    )
-    worker.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="the coordinator's fleet listener address",
-    )
-    worker.add_argument(
-        "--cache-dir", required=True, metavar="DIR",
-        help=(
-            "artifact-store root shared with the coordinator (bundles "
-            "and results travel through it, not the socket)"
-        ),
-    )
-    worker.add_argument(
-        "--worker-id", default=None, metavar="ID",
-        help="stable worker identity (default: w<pid>)",
-    )
-    worker.add_argument(
-        "--chaos", default=None, metavar="JSON",
-        help="deterministic chaos schedule for this worker (testing only)",
-    )
-    worker.set_defaults(func=cmd_worker)
 
     return parser
 

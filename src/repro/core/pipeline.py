@@ -289,8 +289,8 @@ class Zatel:
     def __init__(self, gpu_config: GPUConfig, config: ZatelConfig | None = None) -> None:
         self.gpu_config = gpu_config
         self.config = config if config is not None else ZatelConfig()
-        #: The pluggable pixel-selection engine (frozen, picklable — fleet
-        #: workers receive it inside the predictor bundle).
+        #: The pluggable pixel-selection engine (frozen, picklable — job
+        #: processes and ``GroupExecutor`` workers run the same one).
         self.sampler = make_sampler(self.config)
 
     def sampler_provenance(self) -> dict:

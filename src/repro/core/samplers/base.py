@@ -13,8 +13,8 @@ Contract highlights:
 
 * ``design`` is a **pure function** of ``(quantized, pixels, fraction,
   seed)`` — same inputs give the identical design in any process, which
-  the stage-fingerprint dedup and the fleet's scattered workers both
-  rely on;
+  the stage-fingerprint dedup, the job processes and the
+  ``GroupExecutor`` workers all rely on;
 * a single-replicate design (the default
   :class:`~.heatmap_kmeans.HeatmapKMeansSampler`) reproduces the
   historical pipeline byte-for-byte: one selection, one simulation,
@@ -107,8 +107,8 @@ class Sampler(ABC):
 
     Subclasses set ``name`` (the registry / CLI / spec identifier) and
     implement :meth:`design`.  Samplers must be cheap, picklable values:
-    the fleet ships them inside the predictor bundle, and workers must
-    reproduce the coordinator's designs exactly.
+    a predictor crosses into job processes and ``GroupExecutor``
+    workers, which must reproduce the server's designs exactly.
     """
 
     name: ClassVar[str] = "sampler"

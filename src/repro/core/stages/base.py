@@ -104,12 +104,6 @@ class StageContext:
     without ``fork``.  Notes describe *this* execution only, so they are
     never cached with artifacts; drivers copy them onto their result
     (``ZatelResult.serial_fallback``) after resolving the graph.
-
-    ``fleet`` is an optional :class:`~repro.fleet.coordinator.
-    FleetCoordinator`: when present, :class:`~.concrete.
-    SimulateGroupStage` scatters group work to remote workers instead of
-    the in-process executor.  Like ``policy``, it changes *how* groups
-    run, never what they compute, so it is excluded from fingerprints.
     """
 
     store: ArtifactStore = field(default_factory=ArtifactStore)
@@ -117,7 +111,6 @@ class StageContext:
     policy: Any | None = None
     fault_plan: Any | None = None
     execution_notes: dict[str, Any] = field(default_factory=dict)
-    fleet: Any | None = None
 
 
 class Stage(ABC):
@@ -305,28 +298,6 @@ class StageGraph:
                 ctx, _inputs_of(current, resolved, keys)
             )
         return resolved[id(node)]
-
-    def topological_levels(self) -> list[list[StageNode]]:
-        """Nodes grouped by dependency depth (level 0 has no stage deps).
-
-        Within a level no node depends on another, so a level is safe to
-        run as independent indexed tasks through the group executor.
-        """
-        depth: dict[int, int] = {}
-
-        def node_depth(node: StageNode) -> int:
-            node_id = id(node)
-            if node_id not in depth:
-                deps = node.dependencies()
-                depth[node_id] = (
-                    0 if not deps else 1 + max(node_depth(d) for d in deps)
-                )
-            return depth[node_id]
-
-        levels: dict[int, list[StageNode]] = {}
-        for node in self.nodes:
-            levels.setdefault(node_depth(node), []).append(node)
-        return [levels[d] for d in sorted(levels)]
 
 
 def _inputs_of(

@@ -229,10 +229,6 @@ class SimulateGroupStage(Stage):
 
     def run(self, ctx: StageContext, frame, quantized, groups, scaled, fractions, scene):
         scaled_gpu, _ = scaled
-        if ctx.fleet is not None:
-            return self._run_fleet(
-                ctx, frame, quantized, groups, scaled_gpu, fractions, scene
-            )
         simulator = CycleSimulator(scaled_gpu, scene.addresses)
         predictor = self.predictor
 
@@ -260,37 +256,6 @@ class SimulateGroupStage(Stage):
             ctx.execution_notes["serial_fallback"] = True
         predictions = [report.results[i] for i in sorted(report.results)]
         return predictions, report.failures
-
-    def _run_fleet(
-        self, ctx: StageContext, frame, quantized, groups, scaled_gpu,
-        fractions, scene,
-    ):
-        """Scatter the groups across the distributed fleet instead.
-
-        Same return shape and degraded semantics as the local path —
-        the combine stage cannot tell which one ran.  With no faults
-        the fleet reproduces the local results bit-identically (workers
-        run the same ``_predict_group`` with the same derived seeds),
-        so the shared artifact cache stays valid across both paths.
-        """
-        from ...fleet.dispatch import scatter_groups
-
-        predictions, failures, redispatches = scatter_groups(
-            ctx.fleet,
-            ctx.store,
-            self.predictor,
-            frame,
-            quantized,
-            groups,
-            scaled_gpu,
-            fractions,
-            scene,
-        )
-        if redispatches:
-            ctx.execution_notes["fleet_redispatches"] = (
-                ctx.execution_notes.get("fleet_redispatches", 0) + redispatches
-            )
-        return predictions, failures
 
 
 class CombineStage(Stage):

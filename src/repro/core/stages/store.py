@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -63,6 +63,11 @@ class StoreStats:
     @property
     def hits(self) -> int:
         return self.memory_hits + self.disk_hits
+
+    def fold(self, delta: "StoreStats") -> None:
+        """Add ``delta``'s counts, e.g. those one job process made."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(delta, f.name))
 
 
 class ArtifactStore:

@@ -56,7 +56,6 @@ __all__ = [
     "Histogram",
     "RatioGauge",
     "StatGroup",
-    "FleetStats",
     "TimelineEvent",
     "IntervalSnapshot",
     "TelemetryRecord",
@@ -433,35 +432,6 @@ class StatGroup:
             f"{name}={getattr(self, name)!r}" for name in self._instruments
         )
         return f"{type(self).__name__}({fields})"
-
-
-# ----------------------------------------------------------------------
-# fleet stat group (the distributed fleet's observability surface)
-# ----------------------------------------------------------------------
-
-
-class FleetStats(StatGroup):
-    """The distributed fleet's counters (coordinator-side).
-
-    Registered on the service's :class:`TelemetryBus` under the
-    ``fleet`` component, so ``GET /metrics`` exposes failover behaviour
-    (re-dispatches, lost workers, open circuit breakers) through the
-    same substrate as everything else.
-    """
-
-    workers_connected = Counter("workers that completed registration")
-    workers_lost = Counter("workers declared dead (EOF, missed heartbeats)")
-    workers_ejected = Counter("workers ejected by the circuit breaker")
-    workers_drained = Counter("workers that said goodbye cleanly")
-    heartbeats = Counter("heartbeat messages received")
-    leases_dispatched = Counter("lease dispatch attempts sent to workers")
-    leases_completed = Counter("leases that returned a validated result")
-    leases_failed = Counter("leases permanently failed (dispatches exhausted)")
-    leases_expired = Counter("assigned leases revoked past their deadline")
-    redispatches = Counter("leases re-queued after a failure or expiry")
-    results_corrupt = Counter("worker results rejected by validation")
-    workers_peak = MaxGauge("high-water mark of simultaneously live workers")
-    leases_inflight_peak = MaxGauge("high-water mark of assigned leases")
 
 
 # ----------------------------------------------------------------------

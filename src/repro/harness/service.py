@@ -22,12 +22,14 @@ harness already maintains.  :class:`ServiceRunner` is that entry point:
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 
 from ..core.executor import ExecutionPolicy
 from ..core.pipeline import ZatelResult
 from ..core.stages.base import StageContext
 from ..core.stages.requests import PredictSpec, build_spec_graph, spec_fingerprint
+from ..core.stages.store import StoreStats
 from ..gpu.config import preset
 from ..scene.spec import scene_label
 from .runner import CACHE_VERSION, Runner, Workload, shared_runner
@@ -84,7 +86,6 @@ class ServiceRunner:
         self,
         runner: Runner | None = None,
         policy: ExecutionPolicy | None = None,
-        fleet=None,
         timeline_interval: int = 0,
         timeline_sink=None,
     ) -> None:
@@ -92,11 +93,6 @@ class ServiceRunner:
         #: Execution policy applied to every served prediction (an
         #: operator knob: how the service runs, never what it returns).
         self.policy = policy if policy is not None else ExecutionPolicy()
-        #: Optional :class:`~repro.fleet.coordinator.FleetCoordinator`:
-        #: when set, group simulations scatter to remote workers.  Like
-        #: ``policy``, purely an execution knob — results are
-        #: byte-identical to the in-process path when no faults occur.
-        self.fleet = fleet
         #: Telemetry snapshot interval (cycles) served predictions run
         #: with, feeding the dashboard's timeline view; 0 = off.  An
         #: observability knob like ``policy``: enabling telemetry never
@@ -106,6 +102,12 @@ class ServiceRunner:
         #: ``sink(label, events, total_cycles, deltas)`` called after
         #: every instrumented prediction (from worker threads).
         self.timeline_sink = timeline_sink
+        #: Artifact-store traffic of the jobs run in job processes, which
+        #: ``runner.store.stats`` in this process never sees.  Kept apart
+        #: so that worker threads fold into it under one lock while the
+        #: event loop counts result-cache lookups on the store's own.
+        self.child_store_stats = StoreStats()
+        self._fold_lock = threading.Lock()
 
     def fingerprint(self, spec: PredictSpec) -> str:
         """The spec's result-cache / single-flight key."""
@@ -142,14 +144,18 @@ class ServiceRunner:
         """Run a job in ``child`` and fold its side effects in here.
 
         ``child(kind, spec)`` runs the job body in another process and
-        returns ``(payload, job_stats, timelines)``: the payload, a
-        :class:`~repro.service.stats.ServiceStats` holding only this
-        job's observations, and the ``timeline_sink`` calls the body
-        made there, as argument tuples.
+        returns ``(payload, job_stats, store_stats, timelines)``: the
+        payload, a :class:`~repro.service.stats.ServiceStats` holding
+        only this job's observations, a
+        :class:`~repro.core.stages.store.StoreStats` holding only the
+        artifact-store traffic the job made there, and the
+        ``timeline_sink`` calls the body made there, as argument tuples.
         """
-        payload, job_stats, timelines = child(kind, spec)
+        payload, job_stats, store_stats, timelines = child(kind, spec)
         if stats is not None:
             stats.fold(job_stats)
+        with self._fold_lock:
+            self.child_store_stats.fold(store_stats)
         if self.timeline_sink is not None:
             for record in timelines:
                 self.timeline_sink(*record)
@@ -175,7 +181,7 @@ class ServiceRunner:
             spec, scene, frame, quorum=self.policy.quorum,
             gpu_overrides=gpu_overrides,
         )
-        ctx = StageContext(store=runner.store, policy=self.policy, fleet=self.fleet)
+        ctx = StageContext(store=runner.store, policy=self.policy)
         predict_start = time.perf_counter()
         result: ZatelResult = graph.resolve(terminal, ctx).value
         predict_seconds = time.perf_counter() - predict_start

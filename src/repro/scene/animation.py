@@ -5,8 +5,9 @@ recipe: knob values interpolate linearly from ``knobs`` to ``end_knobs``
 while the camera orbits the look-at point by ``orbit_degrees`` across
 ``frames`` frames.  Each frame materializes as a self-contained
 ``kind="frame"`` :class:`~repro.scene.spec.SceneSpec` — it embeds the
-whole sequence definition plus its index, so a fleet worker (or a cache
-key) can rebuild frame k without any out-of-band sequence state.
+whole sequence definition plus its index, so a job process, a
+``GroupExecutor`` worker or a cache key can rebuild frame k without any
+out-of-band sequence state.
 
 Sequences are what make cross-frame locality exploitable: consecutive
 frames share most of their geometry and ray distribution, so the

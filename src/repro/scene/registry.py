@@ -17,8 +17,8 @@ unifies them behind :class:`~repro.scene.spec.SceneSpec`:
   one instance, and old recipe scenes age out.
 
 Every scene built here carries its spec on ``scene.spec``, which is what
-lets fingerprints and fleet bundles round-trip scene identity without
-the library.
+lets fingerprints, job processes and ``GroupExecutor`` workers
+round-trip scene identity without the library.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ breaks down the moment scenes are *generated*: two
 ``saturation_scene(level=0.4)`` calls with different seeds share the
 display name ``SAT040`` but are different workloads, and an animated
 sequence has no name at all.  A :class:`SceneSpec` is the first-class,
-picklable identity every layer (fingerprints, caches, fleet bundles,
-service payloads) keys on instead:
+picklable identity every layer (fingerprints, caches, the specs sent
+to job processes, service payloads) keys on instead:
 
 * ``kind="library"`` — one of the fixed LumiBench-like library scenes;
 * ``kind="recipe"`` — a procedural generator plus its knob values and
@@ -17,7 +17,7 @@ service payloads) keys on instead:
 
 Identity is *content*: :meth:`SceneSpec.fingerprint` hashes every field
 through :func:`~repro.core.stages.fingerprint.stable_hash`, so equal
-specs share caches and bundles while a changed knob, seed or frame index
+specs share caches and artifacts while a changed knob, seed or frame index
 never collides.  Construction validates eagerly (unknown library scene,
 unknown recipe, out-of-range knob all raise ``ValueError``), matching
 :class:`~repro.core.stages.requests.PredictSpec`'s contract that a spec

@@ -15,7 +15,7 @@ fingerprint-keyed result cache in milliseconds:
   worker in its own forked job process;
 * :mod:`.stats` — the service's counters and latency histograms;
 * :mod:`.dashboard` — the ``GET /dashboard`` page and ``/api/*`` JSON
-  views (timeline lanes, structured metrics, fleet leases), shared
+  views (timeline lanes, structured metrics, jobs), shared
   between the live service and ``zatel trace --serve`` offline mode.
 
 Everything is stdlib-only (``asyncio`` streams, hand-rolled HTTP/1.1):

@@ -6,15 +6,15 @@ explorer) a browser surface over everything PRs 4-9 made observable:
 * ``GET /dashboard`` — a single static HTML/JS page (no external
   assets, no frameworks — the service layer's stdlib-only rule applies
   to the browser side too) rendering canvas timeline lanes, live
-  stat tiles and the fleet lease table;
+  stat tiles and the job table;
 * ``GET /api/timeline`` — coalesced ``.zperf`` windows through the
   shared :mod:`repro.viz.timeline_model`, with lane filtering,
   time-range slicing and ``next_start`` pagination;
 * ``GET /api/metrics`` — a *structured* view over the telemetry bus
   (counters nested per component, derived rates, latency histograms)
   instead of ``/metrics``' literal flat dump;
-* ``GET /api/fleet`` / ``/api/jobs`` / ``/api/campaigns`` — lease
-  states and breaker ejections, queue depth, per-point QC verdicts.
+* ``GET /api/jobs`` / ``/api/campaigns`` — job states, queue depth,
+  per-point QC verdicts.
 
 The router is transport-agnostic: :class:`ZatelService` calls it from
 its asyncio front-end, and :func:`make_trace_server` mounts the same
@@ -217,8 +217,8 @@ def timeline_payload(
 def structure_counters(counters: dict[str, float]) -> dict[str, dict[str, float]]:
     """Nest flat ``component.statistic`` counters per component.
 
-    ``{"service.requests": 3, "fleet.heartbeats": 9}`` becomes
-    ``{"service": {"requests": 3}, "fleet": {"heartbeats": 9}}`` — the
+    ``{"service.requests": 3, "dram.0.requests": 9}`` becomes
+    ``{"service": {"requests": 3}, "dram.0": {"requests": 9}}`` — the
     structured shape ``/api/metrics`` serves in place of ``/metrics``'
     literal flat dump.
     """
@@ -256,10 +256,10 @@ class DashboardRouter:
     * ``timeline_trace(trace_id | None) -> tuple | None`` — one trace as
       ``(events, total_cycles, deltas | None)``; ``None`` id means the
       newest;
-    * ``metrics_view() -> dict``, ``fleet_view() -> dict | None``,
-      ``jobs_view() -> dict``, ``campaigns_view() -> dict``.
+    * ``metrics_view() -> dict``, ``jobs_view() -> dict | None``,
+      ``campaigns_view() -> dict | None``.
 
-    Missing capabilities (an offline trace has no fleet) answer 404
+    Missing capabilities (an offline trace has no jobs) answer 404
     with a machine-readable error, so one page serves both modes.
     ``stats`` (optional) is a :class:`~repro.service.stats.ServiceStats`
     receiving ``dashboard_hits`` / ``api_hits``.
@@ -288,8 +288,6 @@ class DashboardRouter:
             return self._timeline(query)
         if path == "/api/metrics":
             return self._view("metrics_view", "metrics")
-        if path == "/api/fleet":
-            return self._view("fleet_view", "fleet")
         if path == "/api/jobs":
             return self._view("jobs_view", "jobs")
         if path == "/api/campaigns":
@@ -372,9 +370,6 @@ class TraceSource:
             "counters": structure_counters(summary.get("counters", {})),
             "metrics": summary.get("metrics", {}),
         }
-
-    def fleet_view(self) -> None:
-        return None
 
     def jobs_view(self) -> None:
         return None
@@ -478,7 +473,6 @@ DASHBOARD_HTML = """<!DOCTYPE html>
           border: 1px solid #30363d; border-radius: 6px; }
   th, td { text-align: left; padding: 5px 10px; border-bottom: 1px solid #21262d; }
   th { color: #8b949e; font-weight: normal; }
-  .state-live { color: #3fb950; } .state-dead, .state-ejected { color: #f85149; }
   #status { color: #8b949e; font-size: 11px; }
   .muted { color: #484f58; }
 </style>
@@ -490,7 +484,6 @@ DASHBOARD_HTML = """<!DOCTYPE html>
   <section><h2>Timeline lanes</h2>
     <canvas id="timeline" height="320"></canvas>
     <div id="timeline-note" class="muted"></div></section>
-  <section><h2>Fleet</h2><div id="fleet"></div></section>
   <section><h2>Jobs</h2><div id="jobs"></div></section>
 </main>
 <script>
@@ -576,24 +569,6 @@ async function refreshTimeline() {
     `${body.lane_count} lanes · ${body.window_count} windows` +
     (body.next_start !== null ? ` · paged (next_start=${body.next_start})` : "");
 }
-function fleetTable(view) {
-  const rows = (view.workers || []).map((w) =>
-    `<tr><td>${w.id}</td><td class="state-${w.state}">${w.state}</td>` +
-    `<td>${fmt(w.pid)}</td><td>${fmt(w.completed)}</td>` +
-    `<td>${fmt(w.consecutive_failures)}</td>` +
-    `<td>${fmt(w.heartbeat_age_seconds)} s</td></tr>`).join("");
-  const l = view.leases || {};
-  return `<table><tr><th>worker</th><th>state</th><th>pid</th>` +
-    `<th>completed</th><th>consec. failures</th><th>heartbeat age</th></tr>` +
-    `${rows}</table><p>live ${view.live_workers}/${view.quorum} quorum · ` +
-    `leases active ${fmt(l.active)} (pending ${fmt(l.pending)}, ` +
-    `assigned ${fmt(l.assigned)})${view.draining ? " · DRAINING" : ""}</p>`;
-}
-async function refreshFleet() {
-  const { ok, body } = await getJSON("/api/fleet");
-  $("fleet").innerHTML = ok ? fleetTable(body)
-    : `<p class="muted">${body.error || "no fleet"}</p>`;
-}
 async function refreshJobs() {
   const { ok, body } = await getJSON("/api/jobs");
   if (!ok) { $("jobs").innerHTML = `<p class="muted">${body.error}</p>`; return; }
@@ -609,8 +584,7 @@ async function refreshJobs() {
 }
 async function tick() {
   try {
-    await Promise.all([refreshMetrics(), refreshTimeline(),
-                       refreshFleet(), refreshJobs()]);
+    await Promise.all([refreshMetrics(), refreshTimeline(), refreshJobs()]);
     $("status").textContent = "· live " + new Date().toLocaleTimeString();
   } catch (err) {
     $("status").textContent = "· unreachable (" + err + ")";

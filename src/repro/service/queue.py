@@ -276,9 +276,9 @@ class JobQueue:
         """Force-finish every unfinished job as failed; returns how many.
 
         The graceful-shutdown watchdog calls this after :meth:`drain`
-        times out: a job hung inside a simulation (or a wedged fleet
-        gather) is recorded as failed — its waiters wake with an error
-        instead of blocking forever — and the process can exit cleanly.
+        times out: a job hung inside a simulation is recorded as failed —
+        its waiters wake with an error instead of blocking forever — and
+        the process can exit cleanly.
         The eventual ``complete()`` from the stuck worker thread, if it
         ever lands, is a no-op.
         """

@@ -8,8 +8,8 @@ Architecture (stdlib only)::
                         bounded single-flight queue -> await job
         GET  /jobs/<id> job status / result
         GET  /healthz   liveness (always 200 while the process serves)
-        GET  /readyz    readiness (503 + reasons when saturated or the
-                        fleet is below its worker quorum)
+        GET  /readyz    readiness (503 + reasons when saturated or
+                        draining)
         GET  /metrics   telemetry-bus counters + latency histograms
                    |
               JobQueue (bounded, single-flight, 429 on overflow)
@@ -30,8 +30,8 @@ the loop that answers cached hits, and N misses use N cores.  The
 result cache, the queue and single-flight stay in the server process;
 a job process only writes stage artifacts to the shared store.  A job
 process that dies mid-job fails that job as ``WorkerCrashError`` and is
-replaced before the next one.  With a fleet, or an injected
-``executor_fn``, jobs run in the worker threads instead.
+replaced before the next one.  With an injected ``executor_fn``, or on a
+platform without ``fork``, jobs run in the worker threads instead.
 Per-prediction parallelism still comes from ``GroupExecutor``'s forked
 workers (``ExecutionPolicy.workers`` on the service policy), which fork
 from inside the job process.
@@ -58,6 +58,7 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 from .. import errors
+from ..core.stages.store import StoreStats
 from ..errors import WorkerCrashError
 from ..gpu.telemetry import TelemetryBus
 from ..harness.service import ServiceRunner
@@ -120,15 +121,6 @@ class ZatelService:
             jobs still running at the deadline are abandoned as failed,
             and their job processes killed, so the process exits
             cleanly.
-        fleet: optional :class:`~repro.fleet.coordinator.
-            FleetCoordinator` — served predictions scatter their group
-            simulations to its workers; its stats join ``/metrics`` and
-            its view joins ``/healthz`` and the ``/readyz`` quorum.
-            Jobs then run in the worker threads, next to the
-            coordinator.
-        fleet_supervisor: optional :class:`~repro.fleet.supervisor.
-            WorkerSupervisor` to stop (before the fleet drains) at
-            shutdown.
         timeline_interval: snapshot interval (cycles) for the telemetry
             instrumentation served predictions run with so the dashboard
             has timelines to show; ``0`` disables instrumentation (and
@@ -152,19 +144,14 @@ class ZatelService:
         wait_timeout: float | None = 600.0,
         drain_timeout: float = 60.0,
         job_history: int = 1024,
-        fleet=None,
-        fleet_supervisor=None,
         timeline_interval: int = 1024,
         trace_history: int = 8,
     ) -> None:
         if workers < 1:
             raise ValueError("service needs at least one worker")
-        self.fleet = fleet
-        self.fleet_supervisor = fleet_supervisor
         self.service_runner = ServiceRunner(
             runner,
             policy=policy,
-            fleet=fleet,
             timeline_interval=timeline_interval,
             timeline_sink=self._record_trace,
         )
@@ -180,8 +167,6 @@ class ZatelService:
         # of telemetry-bus counters; the service never drives advance().
         self.bus = TelemetryBus(interval=1)
         self.bus.register("service", self.stats)
-        if fleet is not None:
-            self.bus.register("fleet", fleet.stats)
         self.queue = JobQueue(queue_capacity)
         self.cache = (
             ResultCache(self.service_runner.runner.store, self.stats)
@@ -273,10 +258,10 @@ class ZatelService:
     def _drain(self) -> None:
         """Graceful-shutdown tail: stop intake, finish accepted work.
 
-        Jobs still unfinished at the drain deadline (hung simulation,
-        wedged fleet gather) are *abandoned* — recorded as failed so
-        their waiters wake with an error — and the process exits cleanly
-        instead of blocking on them forever.  The job processes are
+        Jobs still unfinished at the drain deadline (a hung simulation)
+        are *abandoned* — recorded as failed so their waiters wake with
+        an error — and the process exits cleanly instead of blocking on
+        them forever.  The job processes are
         killed at that deadline; otherwise each exits when its pipe
         closes.  Either way every one is reaped before this returns.
         """
@@ -297,14 +282,6 @@ class ZatelService:
             )
             for child in self._children:
                 child.kill()
-        if self.fleet_supervisor is not None:
-            # Stop respawning first, then SIGTERM the worker processes so
-            # they drain before the coordinator dismisses the fleet.
-            self.fleet_supervisor.stop()
-        if self.fleet is not None:
-            # Unblocks any worker thread still stuck in a fleet gather
-            # (its leases fail terminally), then dismisses the workers.
-            self.fleet.drain(timeout=min(5.0, self.drain_timeout))
         for thread in self._worker_threads:
             thread.join(timeout=5.0)
         self._worker_threads.clear()
@@ -338,13 +315,11 @@ class ZatelService:
         all forked here before any worker thread starts.  A job then
         holds no GIL in this process, so the event loop answers cached
         hits at full speed while misses simulate.  Jobs stay in the
-        worker thread for an injected ``executor_fn``, with a fleet
-        (whose coordinator lives in this process), and on a platform
+        worker thread for an injected ``executor_fn`` and on a platform
         without ``fork``.
         """
         in_thread = (
             self._executor_fn is not None
-            or self.fleet is not None
             or "fork" not in multiprocessing.get_all_start_methods()
         )
         if in_thread:
@@ -645,8 +620,8 @@ class ZatelService:
         serving, so orchestrators do not restart a merely-busy service.
         Readiness answers "should this instance receive traffic *now*?"
         — 503 with machine-readable reasons while the queue is saturated
-        or the fleet is below its worker quorum, so load balancers can
-        route around a struggling instance without killing it.
+        or the service drains, so load balancers can route around a
+        struggling instance without killing it.
         """
         reasons: list[str] = []
         if self.queue.closed:
@@ -656,29 +631,22 @@ class ZatelService:
                 f"queue_saturated: {self.queue.depth}/{self.queue.capacity} "
                 "jobs queued + running; new predicts would be rejected"
             )
-        if self.fleet is not None and self.fleet.below_quorum():
-            reasons.append(
-                f"fleet_below_quorum: {self.fleet.live_workers()} live "
-                f"worker(s) < quorum {self.fleet.policy.min_workers}"
-            )
         if reasons:
             return 503, {"status": "unavailable", "reasons": reasons}, None
         return 200, {"status": "ready", "reasons": []}, None
 
     def _health_payload(self) -> dict:
-        payload = {
+        return {
             "status": "ok",
             "uptime_seconds": round(time.monotonic() - self._start_time, 3),
             "workers": self.num_workers,
             "queue_depth": self.queue.depth,
             "cache": self.cache is not None,
         }
-        if self.fleet is not None:
-            payload["fleet"] = self.fleet.fleet_view()
-        return payload
 
     def _metrics_payload(self) -> dict:
-        store_stats = self.service_runner.runner.store.stats
+        own = self.service_runner.runner.store.stats
+        jobs = self.service_runner.child_store_stats
         edges = [
             None if edge == float("inf") else edge
             for edge in SERVICE_LATENCY_EDGES
@@ -697,19 +665,15 @@ class ZatelService:
                 "capacity": self.queue.capacity,
                 "closed": self.queue.closed,
             },
+            # This process's result-cache traffic plus the stage-artifact
+            # traffic of every job run in a job process.
             "store": {
-                "memory_hits": store_stats.memory_hits,
-                "disk_hits": store_stats.disk_hits,
-                "misses": store_stats.misses,
-                "writes": store_stats.writes,
-                "corrupt": store_stats.corrupt,
+                name: getattr(own, name) + getattr(jobs, name)
+                for name in (
+                    "memory_hits", "disk_hits", "misses", "writes", "corrupt"
+                )
             },
             "uptime_seconds": round(time.monotonic() - self._start_time, 3),
-            **(
-                {"fleet": self.fleet.fleet_view()}
-                if self.fleet is not None
-                else {}
-            ),
         }
 
     # ------------------------------------------------------------------
@@ -774,21 +738,6 @@ class ZatelService:
             "store": flat["store"],
             "uptime_seconds": flat["uptime_seconds"],
         }
-
-    def fleet_view(self) -> dict | None:
-        """``/api/fleet``: lease states plus the failover counters."""
-        if self.fleet is None:
-            return None
-        view = self.fleet.fleet_view()
-        stats = self.fleet.stats
-        view["counters"] = {
-            "redispatches": stats.redispatches,
-            "workers_ejected": stats.workers_ejected,
-            "workers_lost": stats.workers_lost,
-            "leases_expired": stats.leases_expired,
-            "results_corrupt": stats.results_corrupt,
-        }
-        return view
 
     def jobs_view(self) -> dict:
         with self._jobs_lock:
@@ -857,8 +806,8 @@ class _JobChild:
     :meth:`ServiceRunner.execute_local` (``kind == "predict"``) or
     :meth:`ServiceRunner.execute_campaign_local` (``"campaign"``)
     against the same on-disk store and answers ``(payload, job_stats,
-    timelines)`` — see :meth:`ServiceRunner._in_child`.  A job's
-    exception comes back under its own type name.  A process that dies
+    store_stats, timelines)`` — see :meth:`ServiceRunner._in_child`.  A
+    job's exception comes back under its own type name.  A process that dies
     mid-job fails the job as :class:`~repro.errors.WorkerCrashError`
     and is replaced before the next one.
 
@@ -933,19 +882,21 @@ def _child_main(conn, service_runner: ServiceRunner) -> None:
     _close_inherited_sockets(keep=conn.fileno())
     timelines: list[tuple] = []
     service_runner.timeline_sink = lambda *record: timelines.append(record)
+    store = service_runner.runner.store
     while True:
         try:
             kind, spec = conn.recv()
         except EOFError:
             return
         stats = ServiceStats()
+        store.stats = StoreStats()
         timelines.clear()
         if kind == "campaign":
             body = service_runner.execute_campaign_local
         else:
             body = service_runner.execute_local
         try:
-            reply = ("ok", body(spec, stats), stats, list(timelines))
+            reply = ("ok", body(spec, stats), stats, store.stats, list(timelines))
         except Exception as error:  # noqa: BLE001 - re-raised by the worker thread
             reply = ("error", type(error).__name__, str(error))
         try:

@@ -1,28 +1,12 @@
-"""Deterministic test harnesses: executor fault injection and fleet chaos."""
+"""Deterministic test harness: executor fault injection."""
 
-from .chaos import (
-    ChaosPlan,
-    ChaosSpec,
-    WorkerKilled,
-    corrupt_result,
-    hang_worker,
-    kill_worker,
-    slow_worker,
-)
 from .faults import FaultPlan, FaultSpec, crash, exception, hang, corrupt_checkpoint
 
 __all__ = [
-    "ChaosPlan",
-    "ChaosSpec",
     "FaultPlan",
     "FaultSpec",
-    "WorkerKilled",
     "corrupt_checkpoint",
-    "corrupt_result",
     "crash",
     "exception",
     "hang",
-    "hang_worker",
-    "kill_worker",
-    "slow_worker",
 ]

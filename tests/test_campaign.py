@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.pipeline import Zatel
 from repro.core.stages.campaign import (
     Campaign,
     CampaignPlanner,
@@ -503,71 +502,28 @@ class TestAcceptanceCampaign:
 
 
 # ---------------------------------------------------------------------------
-# fleet bundles carry scene specs
+# recipe specs cross process boundaries
 # ---------------------------------------------------------------------------
 
 
-class TestFleetRecipeBundles:
-    def _simulate_inputs(self, scene, store):
-        """Resolve the Zatel graph up to the simulate stage's inputs."""
-        from repro.core.stages.base import StageContext
-        from repro.tracer.tracer import FunctionalTracer, RenderSettings
+def test_recipe_spec_pickles_and_rebuilds_the_same_scene():
+    # Job processes receive specs over a pipe and rebuild scenes from
+    # them alone, with no registry state from the sending process.
+    import pickle
 
-        frame = FunctionalTracer(
-            scene, RenderSettings(width=10, height=10)
-        ).trace_frame()
-        predictor = Zatel(MOBILE_SOC)
-        graph, _ = predictor.build_graph(scene, frame)
-        nodes = {node.stage.name: node for node in graph.nodes}
-        ctx = StageContext(store=store)
-        quantized = graph.resolve(nodes["quantize"], ctx).value
-        groups = graph.resolve(nodes["partition"], ctx).value
-        fractions = graph.resolve(nodes["select"], ctx).value
-        scaled_gpu, _ = graph.resolve(nodes["downscale"], ctx).value
-        return predictor, frame, quantized, groups, scaled_gpu, fractions
-
-    def test_bundle_key_separates_equal_display_names(self):
-        from repro.fleet.dispatch import bundle_key_for
-
-        store = ArtifactStore()
-        spec_a = SceneSpec.recipe("saturation", {"level": 0.4}, seed=1)
-        spec_b = SceneSpec.recipe("saturation", {"level": 0.4}, seed=2)
-        scene_a, scene_b = resolve_scene(spec_a), resolve_scene(spec_b)
-        assert scene_a.name == scene_b.name  # display names collide
-        keys = set()
-        for scene in (scene_a, scene_b):
-            predictor, frame, quantized, groups, scaled, fractions = (
-                self._simulate_inputs(scene, store)
-            )
-            keys.add(
-                bundle_key_for(
-                    predictor, frame, quantized, groups, scaled, fractions,
-                    scene,
-                )
-            )
-        assert len(keys) == 2  # specs, not names, address the bundles
-
-    def test_execute_lease_rebuilds_recipe_scene_from_spec(self):
-        from repro.core.pipeline import GroupPrediction
-        from repro.fleet.dispatch import execute_lease, pack_bundle
-
-        store = ArtifactStore()
-        spec = SceneSpec.recipe("saturation", {"level": 0.3}, seed=4)
-        scene = resolve_scene(spec)
-        predictor, frame, quantized, groups, scaled, fractions = (
-            self._simulate_inputs(scene, store)
-        )
-        bundle_key = pack_bundle(
-            store, predictor, frame, quantized, groups, scaled, fractions,
-            scene,
-        )
-        # The bundle carries the self-contained spec, not the scene.
-        assert store.get(bundle_key)["scene"] == spec
-
-        # A worker that has never built this scene (cold registry)
-        # rebuilds it from the spec alone and computes the group.
-        clear_scene_cache()
-        result_key = execute_lease(store, bundle_key, 0)
-        prediction = store.get(result_key)
-        assert isinstance(prediction, GroupPrediction)
-        assert prediction.index == 0
+    spec = SceneSpec.recipe("saturation", {"level": 0.3}, seed=4)
+    scene = resolve_scene(spec)
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec
+    assert clone.fingerprint() == spec.fingerprint()
+    clear_scene_cache()
+    rebuilt = resolve_scene(clone)
+    assert rebuilt is not scene
+    assert rebuilt.spec == spec
+    assert [
+        (t.v0.tolist(), t.v1.tolist(), t.v2.tolist(), t.material_id)
+        for t in rebuilt.triangles
+    ] == [
+        (t.v0.tolist(), t.v1.tolist(), t.v2.tolist(), t.material_id)
+        for t in scene.triangles
+    ]

@@ -210,11 +210,11 @@ class TestTimelinePayload:
 
 def test_structure_counters_nests_by_component():
     nested = structure_counters(
-        {"service.requests": 3.0, "service.cache_hits": 1.0, "fleet.heartbeats": 9.0}
+        {"service.requests": 3.0, "service.cache_hits": 1.0, "dram.0.requests": 9.0}
     )
     assert nested == {
         "service": {"requests": 3.0, "cache_hits": 1.0},
-        "fleet": {"heartbeats": 9.0},
+        "dram.0": {"requests": 9.0},
     }
 
 
@@ -272,8 +272,8 @@ class TestRouterOffline:
         assert payload["mode"] == "trace"
         assert "counters" in payload
 
-    def test_fleet_jobs_campaigns_404_offline(self, router):
-        for path in ("/api/fleet", "/api/jobs", "/api/campaigns"):
+    def test_jobs_campaigns_404_offline(self, router):
+        for path in ("/api/jobs", "/api/campaigns"):
             status, payload = router.route("GET", path)
             assert status == 404, path
             assert "error" in payload
@@ -357,7 +357,7 @@ class TestReadyLine:
 
     def test_tolerates_extra_fields(self):
         parsed = parse_ready_line(
-            "ZATEL_SERVE_READY host=10.0.0.2 port=9000 workers=4 fleet=2"
+            "ZATEL_SERVE_READY host=10.0.0.2 port=9000 workers=4 queue=16"
         )
         assert parsed == ("10.0.0.2", 9000)
 
@@ -452,7 +452,7 @@ class TestServiceDashboard:
         status, error = _get_json(base, "/api/timeline?start=9&end=3")
         assert status == 400
 
-    def test_metrics_fleet_jobs_campaign_views(self, service):
+    def test_metrics_jobs_campaign_views(self, service):
         svc, base = service
 
         status, metrics = _get_json(base, "/api/metrics")
@@ -460,10 +460,6 @@ class TestServiceDashboard:
         assert metrics["mode"] == "service"
         assert "service" in metrics["counters"]
         assert "queue" in metrics and "histograms" in metrics
-
-        # single-process service: the fleet view is honestly absent
-        status, fleet = _get_json(base, "/api/fleet")
-        assert status == 404
 
         status, jobs = _get_json(base, "/api/jobs")
         assert status == 200

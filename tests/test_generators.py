@@ -72,9 +72,10 @@ class TestSaturationDeterminism:
     """The generator boundary levels reproduce bit-identically anywhere.
 
     Campaign fingerprints assume a recipe spec rebuilds the same scene
-    in any process (fleet workers rebuild from specs alone), so the
-    geometry at the knob extremes must not depend on interpreter state,
-    hash randomization, or set/dict iteration order.
+    in any process (job processes and ``GroupExecutor`` workers rebuild
+    from specs alone), so the geometry at the knob extremes must not
+    depend on interpreter state, hash randomization, or set/dict
+    iteration order.
     """
 
     @pytest.mark.parametrize("level", [0.0, 1.0])

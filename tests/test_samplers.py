@@ -116,8 +116,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", SAMPLER_NAMES)
     def test_predictor_pickle_roundtrip(self, quantized, plane_pixels, name):
-        # Fleet workers unpickle the predictor bundle and must reproduce
-        # the coordinator's designs and stage fingerprints exactly.
+        # A pickled predictor must reproduce the original's designs and
+        # stage fingerprints exactly, in any process.
         predictor = Zatel(MOBILE_SOC, ZatelConfig(sampler=name, replicates=3))
         clone = pickle.loads(pickle.dumps(predictor))
         assert clone.sampler == predictor.sampler

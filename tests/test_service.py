@@ -25,6 +25,7 @@ import pytest
 from repro.core.executor import ExecutionPolicy
 from repro.core.stages.requests import PredictSpec
 from repro.core.stages.singleflight import SingleFlight
+from repro.core.stages.store import StoreStats
 from repro.service.stats import ServiceStats
 from repro.errors import SimulationError
 from repro.harness.runner import Runner
@@ -309,6 +310,33 @@ class TestServiceStatsFold:
         assert stats.cache_hits == rounds
         assert stats.campaign_points == folders * rounds
         assert sum(stats.predict_seconds) == folders * rounds
+
+    def test_concurrent_child_store_folds_lose_no_update(self, tmp_path):
+        rounds, folders = 2000, 3
+        service_runner = ServiceRunner(Runner(cache_dir=tmp_path / "cache"))
+
+        def child(kind, spec):
+            return {}, ServiceStats(), StoreStats(misses=1, writes=2), []
+
+        def fold_jobs():
+            for _ in range(rounds):
+                service_runner._in_child(child, "predict", None, None)
+
+        threads = [threading.Thread(target=fold_jobs) for _ in range(folders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert service_runner.child_store_stats == StoreStats(
+            misses=folders * rounds, writes=2 * folders * rounds
+        )
+        assert service_runner.runner.store.stats == StoreStats()
 
 
 # ---------------------------------------------------------------------------
@@ -776,6 +804,61 @@ class TestJobProcesses:
         assert sum(histograms["service.predict_seconds"]["counts"]) == 1
         assert sum(histograms["service.queue_seconds"]["counts"]) == 2
         assert sum(histograms["service.total_seconds"]["counts"]) == 2
+
+    def test_job_store_traffic_reaches_metrics(self, service_factory):
+        # No result cache, so every store count comes from the job process.
+        service, base = service_factory(use_cache=False)
+        assert service._children
+        status, _, _ = _post(base, {"scene": "SPRNG", "size": 10})
+        assert status == 200
+        _, cold = _get(base, "/metrics")
+        assert cold["store"]["writes"] > 0
+        assert cold["store"]["misses"] > 0
+
+        status, _, _ = _post(base, {"scene": "SPRNG", "size": 10})
+        assert status == 200
+        _, warm = _get(base, "/metrics")
+        warm_hits = warm["store"]["memory_hits"] + warm["store"]["disk_hits"]
+        cold_hits = cold["store"]["memory_hits"] + cold["store"]["disk_hits"]
+        assert warm_hits > cold_hits
+
+    def test_faulted_group_degrades_the_served_prediction(
+        self, monkeypatch, service_factory
+    ):
+        import functools
+
+        import repro.harness.service as service_module
+        from repro.core.stages.base import StageContext
+        from repro.testing import FaultPlan, exception
+        from repro.testing.faults import ALWAYS
+
+        # Every served prediction's group 1 fails on every attempt; the
+        # job process inherits the patch when the service forks it.
+        monkeypatch.setattr(
+            service_module,
+            "StageContext",
+            functools.partial(
+                StageContext, fault_plan=FaultPlan([exception(1, attempts=ALWAYS)])
+            ),
+        )
+        service, base = service_factory()
+        assert service._children
+        request = {"scene": "SPRNG", "size": 12}
+        status, served, _ = _post(base, request)
+        assert status == 200, served
+        assert served["degraded"] is True
+        assert served["cached"] is False
+        assert [failure["group"] for failure in served["failures"]] == [1]
+        assert served["failures"][0]["attempts"] == 3
+        assert 0.0 < served["coverage"] < 1.0
+
+        # A degraded result never enters the result cache.
+        spec, _ = parse_predict_payload(request)
+        assert not service.cache.contains(service.service_runner.fingerprint(spec))
+        status, again, _ = _post(base, request)
+        assert status == 200
+        assert again["cached"] is False and again["degraded"] is True
+        assert service.stats.cache_hits == 0
 
     def test_served_timeline_equals_in_process_events(self, tmp_path):
         from repro.service.dashboard import parse_timeline_query, timeline_payload

@@ -41,7 +41,7 @@ class TestStableHash:
 
     def test_numpy_float_hashes_like_python_float(self):
         # The repr of a float subclass depends on the NumPy version; the
-        # hash must not (fleet bundle keys hash select-stage fractions).
+        # hash must not (stage params may hold NumPy floats).
         assert stable_hash(np.float64(0.45)) == stable_hash(0.45)
         assert stable_hash([np.float64(0.3), 0.6]) == stable_hash([0.3, 0.6])
 
