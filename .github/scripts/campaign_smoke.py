@@ -10,9 +10,9 @@ contract from the outside:
    (``max_ci_half_width`` on a point-estimate run) degrades the frames
    instead of failing the campaign — the report says ``degraded`` with
    the violation spelled out, and ``succeeded`` stays true;
-3. the cross-frame prediction-cache carry-over is visible on
-   ``GET /metrics``: ``service.seq_cache_lookups`` is nonzero and
-   ``service.seq_cache_carried_hits`` recorded carried confirmations;
+3. the frames ran in order, one wave each, and no point carries a
+   ``sequence_cache`` block; ``GET /metrics`` counts the campaign and
+   both of its points;
 4. an invalid samplesheet is refused with 400 naming the bad row.
 
 Run locally with::
@@ -78,18 +78,14 @@ def main() -> int:
         ), points
         assert report["succeeded"] is True, report
 
-        # 3. frame 1 reused frame 0's prediction cache, observably
+        # 3. the frames ran as two frame-ordered waves, and the
+        # campaign counters reached /metrics
+        assert report["waves"] == 2, report
+        assert not any("sequence_cache" in p for p in points), points
         _, metrics = http_get(base, "/metrics")
         counters = metrics["counters"]
-        lookups = counters.get("service.seq_cache_lookups", 0)
-        carried = counters.get("service.seq_cache_carried_hits", 0)
         assert counters.get("service.campaigns") == 1, counters
         assert counters.get("service.campaign_points") == 2, counters
-        assert lookups > 0, counters
-        assert carried > 0, (
-            "no carried prediction-cache hits recorded across frames: "
-            f"{counters}"
-        )
 
         # 4. invalid samplesheets are refused loudly, naming the row
         status, error = http_post(base, "/campaigns", BAD_SHEET)
@@ -97,9 +93,8 @@ def main() -> int:
         assert "points[0]" in error["error"], error
 
         print(
-            "campaign smoke OK: 2-frame sequence served, QC gate "
-            f"degraded both frames as designed, seq cache lookups="
-            f"{lookups} carried_hits={carried}, 400 on bad samplesheet"
+            "campaign smoke OK: 2-frame sequence served in 2 waves, QC "
+            "gate degraded both frames as designed, 400 on bad samplesheet"
         )
         return 0
 

@@ -1,7 +1,7 @@
 """Tracer benchmark: functional-tracer throughput on library scenes.
 
 Times ``FunctionalTracer.trace_frame`` (records on, the profiling path)
-and ``render_image`` (records off, path-prediction cache on), and the
+and ``render_image`` (records off, radiance on), and the
 cold end-to-end ``Zatel.predict`` wall-clock (functional trace +
 prediction) with its metrics.  Each benched scene also records its
 best-of-3 ``build_bvh`` seconds, its best-of-3 ``scene_seconds`` (a whole

@@ -441,12 +441,6 @@ def _print_campaign_report(report: dict) -> None:
         if entry.get("error"):
             notes.append(entry["error"])
         notes.extend(entry.get("violations", ()))
-        sequence = entry.get("sequence_cache")
-        if sequence:
-            notes.append(
-                f"carried {sequence['carried_hits']}/{sequence['lookups']} "
-                "occlusion lookups"
-            )
         cycles = entry.get("metrics", {}).get("cycles", "-")
         rows.append(
             [
@@ -475,12 +469,6 @@ def _print_campaign_report(report: dict) -> None:
         f"{dag['unique_nodes']} unique "
         f"({dag['deduplicated_nodes']} deduplicated)"
     )
-    if report.get("sequence_hit_rate"):
-        print(
-            "sequence cache: "
-            f"{report['sequence_hit_rate']:.1%} of confirmed occlusion "
-            "predictions came from entries carried across frames"
-        )
     verdicts = ", ".join(
         f"{name}={count}"
         for name, count in report["verdicts"].items()

@@ -15,11 +15,8 @@ Three things distinguish a campaign from a plain sweep:
   knobs share one cached scene (and their profile/quantize stages dedup
   by content fingerprint) while a changed knob or seed never collides;
 * **sequences** — an animated row expands into per-frame points that
-  execute in frame-ordered *waves*, and the tracer's
-  :class:`~repro.scene.bvh_packet.PathPredictionCache` is threaded from
-  frame ``k`` into frame ``k+1`` (rebound to the new BVH, stale leaves
-  pruned), so cross-frame ray coherence shows up as a measured
-  ``carried_hits`` rate in the campaign report;
+  execute in frame-ordered *waves*, so each frame's QC verdict is known
+  before the next frame of its row runs;
 * **QC gates** — each point may declare quality gates (minimum plane
   coverage, maximum relative confidence-interval half-width) that mark
   its outcome ``degraded`` or ``failed``; a failed sequence frame skips
@@ -477,16 +474,13 @@ def load_samplesheet(path: str | Path) -> Campaign:
 
 @dataclass
 class CampaignOutcome:
-    """One point's result, QC verdict and (for frames) sequence stats."""
+    """One point's result and QC verdict."""
 
     point: CampaignPoint
     value: Any = None
     error: str | None = None
     verdict: str = "pass"
     violations: list[str] = field(default_factory=list)
-    #: Cross-frame prediction-cache stats for sequence frames:
-    #: lookups/hits/carried_hits/hit_rate/entries.
-    sequence: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -524,16 +518,6 @@ class CampaignResult:
     def executions_of(self, stage_name: str) -> int:
         return self.counters.executions.get(stage_name, 0)
 
-    def sequence_hit_rate(self) -> float:
-        """Carried-entry hit rate pooled over all sequence frames."""
-        lookups = sum(
-            o.sequence["lookups"] for o in self.outcomes if o.sequence
-        )
-        carried = sum(
-            o.sequence["carried_hits"] for o in self.outcomes if o.sequence
-        )
-        return carried / lookups if lookups else 0.0
-
 
 class CampaignPlanner:
     """Plans and executes campaigns as frame-ordered deduplicated waves.
@@ -543,9 +527,8 @@ class CampaignPlanner:
     :class:`~.sweep.SweepPlanner` DAG over the shared store — so two
     GPU configs of the same scene profile and quantize once, and work
     repeated across waves resolves as cache hits.  Between waves the
-    planner evaluates QC gates (failing or degrading downstream frames
-    of the same row) and threads the tracer's path-prediction cache
-    from each sequence frame into the next.
+    planner evaluates QC gates, failing or degrading downstream frames
+    of the same row.
 
     Args:
         store: shared artifact store (defaults to in-memory).
@@ -604,8 +587,6 @@ class CampaignPlanner:
         unique_nodes = 0
         #: Worst verdict seen so far along each (row, gpu) frame chain.
         chain_verdict: dict[tuple, str] = {}
-        #: Prediction-cache table carried to each chain's next frame.
-        chain_table: dict[tuple, dict] = {}
 
         for frame_index in sorted(waves):
             runnable: list[int] = []
@@ -668,20 +649,6 @@ class CampaignPlanner:
                     sweep_result.outcomes[sweep_point],
                     chain_verdict.get(point.chain_key()),
                 )
-                if point.spec.kind == "frame" and outcome.verdict in (
-                    "pass", "degraded"
-                ):
-                    carry = self._sequence_pass(
-                        scenes[point.scene_token()],
-                        point,
-                        chain_table.get(point.chain_key()),
-                    )
-                    chain_table[point.chain_key()] = carry["table"]
-                    outcome.sequence = {
-                        key: value
-                        for key, value in carry.items()
-                        if key != "table"
-                    }
                 if point.spec.kind == "frame":
                     chain_verdict[point.chain_key()] = outcome.verdict
                 outcomes[index] = outcome
@@ -722,52 +689,3 @@ class CampaignPlanner:
             verdict=verdict,
             violations=violations,
         )
-
-    def _sequence_pass(
-        self, scene: Any, point: CampaignPoint, prev_table: dict | None
-    ) -> dict:
-        """Thread the path-prediction cache through one sequence frame.
-
-        Runs a record-free occlusion pass with the previous frame's
-        cache table rebound to this frame's BVH (the frame trace itself
-        always runs cache-off and stays byte-identical).  Memoized in
-        the artifact store: the frame spec embeds the whole sequence
-        definition and index, so the carried table — and therefore the
-        stats — are a pure function of the key.
-        """
-        key = stable_hash(
-            "campaign_seq_carry",
-            1,
-            point.spec.fingerprint(),
-            point.size,
-            point.spp,
-            point.seed,
-        )
-
-        def compute() -> dict:
-            from ...scene.bvh_packet import PathPredictionCache
-            from ...tracer.tracer import FunctionalTracer, RenderSettings
-
-            settings = RenderSettings(
-                width=point.size,
-                height=point.size,
-                samples_per_pixel=point.spp,
-                seed=point.seed,
-            )
-            cache = PathPredictionCache(scene.packed_bvh)
-            if prev_table:
-                cache.table = dict(prev_table)
-            FunctionalTracer(scene, settings).occlusion_pass(cache)
-            return {
-                "frame": point.spec.frame,
-                "lookups": cache.lookups,
-                "hits": cache.hits,
-                "mispredictions": cache.mispredictions,
-                "carried_hits": cache.carried_hits,
-                "carried_entries": len(cache._carried),
-                "hit_rate": cache.hit_rate,
-                "entries": len(cache.table),
-                "table": dict(cache.table),
-            }
-
-        return self.store.get_or_compute(key, compute, persist=False)

@@ -99,8 +99,6 @@ def campaign_report(result) -> dict:
                     name: [float(lo), float(hi)]
                     for name, (lo, hi) in intervals.items()
                 }
-        if outcome.sequence is not None:
-            entry["sequence_cache"] = dict(outcome.sequence)
         points.append(entry)
     return {
         "campaign": result.campaign.name,
@@ -118,7 +116,6 @@ def campaign_report(result) -> dict:
             "executions": dict(result.counters.executions),
             "cache_hits": dict(result.counters.cache_hits),
         },
-        "sequence_hit_rate": result.sequence_hit_rate(),
     }
 
 

@@ -230,7 +230,7 @@ class ServiceRunner:
         trace and stage artifact, so campaign points share work with
         served single predictions and CLI sweeps.  ``stats`` (a
         :class:`~repro.service.stats.ServiceStats`) picks up the
-        per-point and sequence-cache counters for ``GET /metrics``.
+        per-point counter for ``GET /metrics``.
         ``child`` runs the body in another process, as in
         :meth:`execute`.
         """
@@ -248,10 +248,4 @@ class ServiceRunner:
         report["host_seconds"] = time.perf_counter() - start
         if stats is not None:
             stats.campaign_points += len(result.outcomes)
-            for outcome in result.outcomes:
-                if outcome.sequence:
-                    stats.seq_cache_lookups += outcome.sequence["lookups"]
-                    stats.seq_cache_carried_hits += outcome.sequence[
-                        "carried_hits"
-                    ]
         return report

@@ -9,12 +9,9 @@ whole sequence definition plus its index, so a job process, a
 ``GroupExecutor`` worker or a cache key can rebuild frame k without any
 out-of-band sequence state.
 
-Sequences are what make cross-frame locality exploitable: consecutive
-frames share most of their geometry and ray distribution, so the
-campaign engine threads the tracer's
-:class:`~repro.scene.bvh_packet.PathPredictionCache` from frame k into
-frame k+1 (the ray-locality idea of "Hash-Based Ray Path Prediction")
-and reports the measured cross-frame hit rate.
+The campaign engine runs a sequence's frames in order, one wave per
+frame index, so a frame that fails its QC gates skips the rest of its
+row and a degraded one taints them.
 """
 
 from __future__ import annotations

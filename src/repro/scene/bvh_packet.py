@@ -46,20 +46,6 @@ rows are *compacted* into fresh, smaller arrays (origins, directions,
 inverse directions, t-range, flat stacks and a row-to-ray map), so late
 steps stop indexing finished rays.  Records carry batch ray ids, never
 row numbers, so compaction cannot reorder them.
-
-Path-prediction cache
----------------------
-
-:class:`PathPredictionCache` implements hash-based ray path prediction
-(Demoullin, Gubran, Aamodt): a quantized (origin, direction) key maps to
-the leaf that last terminated a matching ray.  A predicted leaf is
-*validated* by a direct any-hit test before being trusted; misses fall
-back to full traversal, which re-trains the entry.  Because a validated
-prediction skips the traversal walk entirely, it changes the node-visit
-*record* — so the cache is only consulted when no
-:class:`~repro.scene.bvh.TraversalRecord` collection was requested (e.g.
-``occluded()`` any-hit shadow rays during pure image rendering).  The
-occlusion *answer* is unchanged either way: a validated hit is a real hit.
 """
 
 from __future__ import annotations
@@ -72,10 +58,7 @@ import numpy as np
 from .bvh import BVH, TraversalRecord
 from .geometry import Ray
 
-__all__ = [
-    "PackedBVH", "BatchIntersection", "BatchOcclusion", "RayRecords",
-    "PathPredictionCache",
-]
+__all__ = ["PackedBVH", "BatchIntersection", "BatchOcclusion", "RayRecords"]
 
 _INF = float("inf")
 
@@ -134,18 +117,16 @@ class BatchOcclusion:
 
     ``occluded`` is a per-ray bool array; ``nodes``/``tris`` are
     :class:`RayRecords` as in :class:`BatchIntersection` (a triangle
-    record stops at the first hit); ``hit_leaf`` records, for occluded rays,
-    the leaf node whose triangle produced the hit (-1 otherwise) — the
-    training signal for :class:`PathPredictionCache`.
+    record stops at the first hit), or ``None`` when records were not
+    requested.
     """
 
-    __slots__ = ("occluded", "nodes", "tris", "hit_leaf")
+    __slots__ = ("occluded", "nodes", "tris")
 
-    def __init__(self, occluded, nodes, tris, hit_leaf) -> None:
+    def __init__(self, occluded, nodes, tris) -> None:
         self.occluded = occluded
         self.nodes = nodes
         self.tris = tris
-        self.hit_leaf = hit_leaf
 
 
 def _gather_rays(rays: list[Ray]):
@@ -523,42 +504,25 @@ class PackedBVH:
     # ------------------------------------------------------------------
 
     def occluded_batch(
-        self,
-        rays: list[Ray],
-        want_records: bool = True,
-        cache: "PathPredictionCache | None" = None,
+        self, rays: list[Ray], want_records: bool = True
     ) -> BatchOcclusion:
         """Any-hit traversal of a list of :class:`Ray` shadow rays."""
         origins, dirs, t_min, t_max = _gather_rays(rays)
         return self.occluded_arrays(
-            origins, dirs, t_min, t_max, want_records=want_records, cache=cache
+            origins, dirs, t_min, t_max, want_records=want_records
         )
 
     def occluded_arrays(
-        self,
-        origins,
-        dirs,
-        t_min,
-        t_max,
-        want_records: bool = True,
-        cache: "PathPredictionCache | None" = None,
+        self, origins, dirs, t_min, t_max, want_records: bool = True
     ) -> BatchOcclusion:
         """Any-hit traversal of a shadow-ray batch given as SoA arrays.
 
         With ``want_records`` the per-ray visit/test records are
         byte-identical to scalar :meth:`BVH.occluded` (including stopping
-        a leaf's triangle record at the first hit).  ``cache`` may only be
-        supplied when records are off: validated predictions skip the
-        traversal walk (identical occlusion answer, different walk).
+        a leaf's triangle record at the first hit).
         """
-        if cache is not None and want_records:
-            raise ValueError(
-                "the path-prediction cache changes node-visit records; "
-                "enable it only when records are not collected"
-            )
         n = origins.shape[0]
         occluded = np.zeros(n, dtype=bool)
-        hit_leaf = np.full(n, -1, dtype=np.int64)
         node_steps: list = []
         tri_steps: list = []
 
@@ -569,12 +533,9 @@ class PackedBVH:
                     origin=origins[i], direction=dirs[i],
                     t_min=float(t_min[i]), t_max=float(t_max[i]),
                 )
-                # Always recorded: the walk ends in the hitting leaf.
-                record = TraversalRecord()
-                if self.bvh.occluded(ray, record):
-                    occluded[i] = True
-                    hit_leaf[i] = record.nodes_visited[-1]
-                if want_records:
+                record = TraversalRecord() if want_records else None
+                occluded[i] = self.bvh.occluded(ray, record)
+                if record is not None:
                     nodes, tris = _scalar_steps(i, record)
                     node_steps.append(nodes)
                     tri_steps.append(tris)
@@ -582,57 +543,27 @@ class PackedBVH:
         else:
             pending = np.arange(n)
 
-        keys = None
-        if cache is not None and pending.size:
-            keys = cache.keys(origins[pending], dirs[pending])
-            predicted = cache.lookup(keys)
-            candidates = np.nonzero(predicted >= 0)[0]
-            if candidates.size:
-                hits = pending[candidates]
-                confirmed = self._leaf_any_hit(
-                    predicted[candidates],
-                    origins[hits],
-                    dirs[hits],
-                    t_min[hits],
-                    t_max[hits],
-                )
-                hit_rows = hits[confirmed]
-                occluded[hit_rows] = True
-                hit_leaf[hit_rows] = predicted[candidates[confirmed]]
-                cache.note_results(
-                    keys[candidates[confirmed]].tolist(),
-                    int(candidates.size - confirmed.sum()),
-                )
-                keep = np.ones(pending.size, dtype=bool)
-                keep[candidates[confirmed]] = False
-                pending = pending[keep]
-                keys = keys[keep]
-
         if pending.size:
-            occ_p, leaf_p, packet_nodes, packet_tris = self._traverse_any(
+            occ_p, packet_nodes, packet_tris = self._traverse_any(
                 origins[pending], dirs[pending], t_min[pending],
                 t_max[pending], want_records,
             )
             occluded[pending] = occ_p
-            hit_leaf[pending] = leaf_p
             # Packet ray ids are batch rows unless rays were set aside.
             rows = None if pending.size == n else pending
             node_steps += _batch_steps(packet_nodes, rows)
             tri_steps += _batch_steps(packet_tris, rows)
-            if cache is not None and keys is not None:
-                cache.train(keys, occ_p, leaf_p)
         if not want_records:
-            return BatchOcclusion(occluded, None, None, hit_leaf)
+            return BatchOcclusion(occluded, None, None)
         return BatchOcclusion(
             occluded, _assemble_records(node_steps, n),
-            _assemble_records(tri_steps, n), hit_leaf,
+            _assemble_records(tri_steps, n),
         )
 
     def _traverse_any(self, origins, dirs, t_min, t_max, want_records):
         """Any-hit packet core (scalar push order: right then left)."""
         n = origins.shape[0]
         occluded = np.zeros(n, dtype=bool)
-        hit_leaf = np.full(n, -1, dtype=np.int64)
         p = _Packet(origins, dirs, t_min, t_max, self._stack_depth)
         node_steps: list = []
         tri_steps: list = []
@@ -661,8 +592,9 @@ class PackedBVH:
 
             leaves = np.nonzero(passed & (count > 0))[0]
             if leaves.size:
-                nd = node[leaves]
-                c, pair, tri_idx = self._leaf_pairs(alive[leaves], nd)
+                c, pair, tri_idx = self._leaf_pairs(
+                    alive[leaves], node[leaves]
+                )
                 _, valid = self._moller_trumbore_pairs(tri_idx, *p.pairs(pair))
                 total = tri_idx.shape[0]
                 pair_pos = np.arange(total, dtype=np.int64)
@@ -679,140 +611,5 @@ class PackedBVH:
                 if hits.size:
                     winners = alive[leaves[hits]]
                     occluded[p.rid[winners]] = True
-                    hit_leaf[p.rid[winners]] = nd[hits]
                     p.sp[winners] = 0  # terminate: scalar returns immediately
-        return occluded, hit_leaf, node_steps, tri_steps
-
-    def _leaf_any_hit(self, leaf_nodes, origins, dirs, t_min, t_max):
-        """Any-hit test restricted to given leaf nodes (cache validation)."""
-        c, group, tri_idx = self._leaf_pairs(
-            np.arange(leaf_nodes.shape[0]), leaf_nodes
-        )
-        _, valid = self._moller_trumbore_pairs(
-            tri_idx, *_columns(origins[group]), *_columns(dirs[group]),
-            t_min[group], t_max[group],
-        )
-        starts = np.cumsum(c) - c
-        return np.maximum.reduceat(valid.astype(np.int8), starts) > 0
-
-
-class PathPredictionCache:
-    """Hash-based ray path prediction for any-hit queries.
-
-    Quantizes ray origin (relative to the scene's root bounds) and
-    direction into an integer key, and remembers the leaf that occluded
-    the last matching ray.  Predictions are always *validated* with a
-    direct leaf test before being trusted, so a stale or colliding entry
-    costs one extra leaf test and never a wrong answer.
-    """
-
-    def __init__(
-        self,
-        packed: PackedBVH,
-        origin_cells: int = 64,
-        direction_cells: int = 32,
-        max_entries: int = 1 << 18,
-    ) -> None:
-        self.packed = packed
-        self.origin_cells = origin_cells
-        self.direction_cells = direction_cells
-        self.max_entries = max_entries
-        root_lo = packed.node_lo[0]
-        root_hi = packed.node_hi[0]
-        extent = np.maximum(root_hi - root_lo, 1e-9)
-        self._lo = root_lo
-        self._inv_extent = 1.0 / extent
-        self.table: dict[int, int] = {}
-        self.lookups = 0
-        self.hits = 0
-        self.mispredictions = 0
-        #: Validated hits served by entries that were already in the
-        #: table at the last :meth:`rebind` — i.e. knowledge carried in
-        #: from a previous frame rather than learned within this one.
-        self.carried_hits = 0
-        self._carried: frozenset[int] = frozenset()
-
-    def keys(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """Quantized int64 keys for a batch of rays."""
-        oc = self.origin_cells
-        dc = self.direction_cells
-        cell = ((origins - self._lo) * self._inv_extent * oc).astype(np.int64)
-        np.clip(cell, 0, oc - 1, out=cell)
-        dq = ((dirs + 1.0) * 0.5 * dc).astype(np.int64)
-        np.clip(dq, 0, dc - 1, out=dq)
-        key = cell[:, 0]
-        key = key * oc + cell[:, 1]
-        key = key * oc + cell[:, 2]
-        key = key * dc + dq[:, 0]
-        key = key * dc + dq[:, 1]
-        key = key * dc + dq[:, 2]
-        return key
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Predicted leaf per key (-1 for cold entries)."""
-        table = self.table
-        self.lookups += keys.shape[0]
-        return np.array(
-            [table.get(k, -1) for k in keys.tolist()], dtype=np.int64
-        )
-
-    def train(
-        self, keys: np.ndarray, occluded: np.ndarray, hit_leaf: np.ndarray
-    ) -> None:
-        """Learn from full-traversal outcomes (and unlearn dead entries)."""
-        if len(self.table) >= self.max_entries:
-            self.table.clear()
-        table = self.table
-        for key, occ, leaf in zip(
-            keys.tolist(), occluded.tolist(), hit_leaf.tolist()
-        ):
-            if occ:
-                table[key] = leaf
-            else:
-                table.pop(key, None)
-
-    def note_results(self, confirmed_keys: list[int], rejected: int) -> None:
-        """Account a batch of validated predictions.
-
-        ``confirmed_keys`` are the keys whose predicted leaf passed the
-        direct leaf test; ``rejected`` counts the predictions that
-        failed it.  Hits on keys present at the last :meth:`rebind`
-        accrue to :attr:`carried_hits` — the cross-frame signal.
-        """
-        self.hits += len(confirmed_keys)
-        self.mispredictions += rejected
-        carried = self._carried
-        if carried:
-            self.carried_hits += sum(
-                1 for key in confirmed_keys if key in carried
-            )
-
-    def rebind(self, packed: PackedBVH) -> None:
-        """Re-anchor the cache to a (new frame's) BVH, keeping the table.
-
-        Consecutive frames of an animated sequence share most of their
-        ray/occluder structure, so carrying the table across frames pays
-        off ("Hash-Based Ray Path Prediction"-style frame coherence).
-        Entries whose leaf index no longer names a leaf of the new BVH
-        are pruned; surviving entries stay *predictions* — every lookup
-        is still validated with a direct leaf test, so a stale entry can
-        cost a misprediction but never a wrong occlusion answer.
-        """
-        n_nodes = packed.node_count.shape[0]
-        self.table = {
-            key: leaf
-            for key, leaf in self.table.items()
-            if 0 <= leaf < n_nodes and packed.node_count[leaf] > 0
-        }
-        self.packed = packed
-        root_lo = packed.node_lo[0]
-        root_hi = packed.node_hi[0]
-        extent = np.maximum(root_hi - root_lo, 1e-9)
-        self._lo = root_lo
-        self._inv_extent = 1.0 / extent
-        self._carried = frozenset(self.table)
-
-    @property
-    def hit_rate(self) -> float:
-        """Validated-hit fraction of all lookups."""
-        return self.hits / self.lookups if self.lookups else 0.0
+        return occluded, node_steps, tri_steps

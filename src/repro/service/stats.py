@@ -72,12 +72,6 @@ class ServiceStats(StatGroup):
     abandoned = Counter("hung jobs force-failed at the shutdown drain deadline")
     campaigns = Counter("POST /campaigns requests that passed validation")
     campaign_points = Counter("campaign points executed across all campaigns")
-    seq_cache_lookups = Counter(
-        "path-prediction cache lookups during sequence carry-over passes"
-    )
-    seq_cache_carried_hits = Counter(
-        "validated hits served by cache entries carried from a previous frame"
-    )
     dashboard_hits = Counter("GET /dashboard page loads")
     api_hits = Counter("dashboard JSON API requests (any /api/* route)")
     queue_peak = MaxGauge("high-water mark of queued + running jobs")

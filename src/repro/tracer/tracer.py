@@ -49,13 +49,6 @@ tracer kept with the tests (``tests/reference_tracer.py``):
   batch per closest-hit or shadow query, its records one flat buffer
   with offsets — and :func:`_wave_columns` re-lays them pixel by pixel,
   so no per-segment or per-ray object is built.
-
-The :class:`~repro.scene.bvh_packet.PathPredictionCache` is wired into
-the shadow batches only when traversal records are *not* collected
-(:meth:`FunctionalTracer.render_image` and
-:meth:`FunctionalTracer.occlusion_pass`): a validated cache hit skips the
-traversal walk, which would change the recorded node sequence but never
-the occlusion answer.
 """
 
 from __future__ import annotations
@@ -67,7 +60,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ..scene.bvh_packet import PathPredictionCache
 from ..scene.lights import DirectionalLight, PointLight
 from ..scene.scene import Scene
 from ..scene.vecmath import EPSILON, reflect
@@ -349,7 +341,6 @@ class FunctionalTracer:
         sample_list: list[int],
         collect_records: bool,
         compute_radiance: bool,
-        cache: PathPredictionCache | None,
     ):
         """Advance one wave of (pixel, sample) paths to termination.
 
@@ -470,7 +461,7 @@ class FunctionalTracer:
                 )
                 occ = packed.occluded_arrays(
                     offset_org, sdir, stmin, stmax,
-                    want_records=collect_records, cache=cache,
+                    want_records=collect_records,
                 )
                 occluded = occ.occluded
                 if collect_records:
@@ -611,9 +602,7 @@ class FunctionalTracer:
         Returns a sealed :class:`FrameTrace` whose pixels keep the order
         of ``pixels`` (a repeated pixel is traced once, at its first
         place); radiance values are not computed — use
-        :meth:`render_image` when colours are wanted.  Traversal records
-        are always collected, so the path-prediction cache stays off and
-        every record is the full walk.
+        :meth:`render_image` when colours are wanted.
         """
         settings = self.settings
         spp = settings.samples_per_pixel
@@ -625,7 +614,7 @@ class FunctionalTracer:
         for px_l, py_l, s_l in self._iter_waves(pixels):
             records, _ = self._trace_wave(
                 px_l, py_l, s_l,
-                collect_records=True, compute_radiance=False, cache=None,
+                collect_records=True, compute_radiance=False,
             )
             xs += px_l[::spp]
             ys += py_l[::spp]
@@ -639,50 +628,18 @@ class FunctionalTracer:
         )
         return FrameTrace.from_columns(columns, spp, self.scene.name)
 
-    def occlusion_pass(
-        self,
-        cache: "PathPredictionCache | None" = None,
-        pixels: list[tuple[int, int]] | None = None,
-    ) -> "PathPredictionCache":
-        """Run a record-free pass that exercises the prediction cache.
-
-        The sequence-aware simulate stages use this to *thread* a
-        :class:`PathPredictionCache` across the frames of an animated
-        sequence: pass the previous frame's cache and it is rebound to
-        this tracer's BVH (stale leaves pruned) before the waves run, so
-        coherent shadow rays hit entries learned one frame earlier.  The
-        (re)trained cache is returned for the next frame.  No traversal
-        records are collected, so the byte-identical ``trace_frame``
-        output is untouched.
-        """
-        if cache is None:
-            cache = PathPredictionCache(self.scene.packed_bvh)
-        else:
-            cache.rebind(self.scene.packed_bvh)
-        if pixels is None:
-            pixels = self.settings.all_pixels()
-        for px_l, py_l, s_l in self._iter_waves(pixels):
-            self._trace_wave(
-                px_l, py_l, s_l,
-                collect_records=False, compute_radiance=True, cache=cache,
-            )
-        return cache
-
     def render_image(self) -> np.ndarray:
         """Render the full plane to an ``(H, W, 3)`` float RGB image.
 
-        No traces are kept, so shadow batches may use the path-prediction
-        cache: validated hits skip whole traversal walks for coherent
-        shadow rays without changing any occlusion answer.
+        No traversal records are collected.
         """
         settings = self.settings
         spp = settings.samples_per_pixel
-        cache = PathPredictionCache(self.scene.packed_bvh)
         image = np.zeros((settings.height, settings.width, 3), dtype=np.float64)
         for px_l, py_l, s_l in self._iter_waves(settings.all_pixels()):
             _, colors = self._trace_wave(
                 px_l, py_l, s_l,
-                collect_records=False, compute_radiance=True, cache=cache,
+                collect_records=False, compute_radiance=True,
             )
             # Sum each pixel's samples sequentially (per-pixel accumulation
             # order), then average.

@@ -1,9 +1,8 @@
 """Regenerate render_golden.json: the image every library scene renders.
 
-``render_image`` runs without traversal records, so its shadow rays go
-through the path-prediction cache, which may skip a walk on a validated
-hit.  The trace fixtures never see that path; this one pins its output:
-per run, the SHA-256 of the rendered ``(H, W, 3)`` float64 image bytes.
+``render_image`` runs without traversal records and computes radiance,
+a path the trace fixtures never see; this one pins its output: per run,
+the SHA-256 of the rendered ``(H, W, 3)`` float64 image bytes.
 Values come from the scalar reference tracer (``tests/reference_tracer.py``),
 and the script checks that ``FunctionalTracer`` renders the same bytes
 before it writes.  Run only after an *intentional* tracer-model change,

@@ -1,9 +1,8 @@
 """Unit tests for the packet BVH kernels.
 
 Golden tracer-vs-reference *frame* equivalence lives in
-``test_wavefront_golden.py``; this module exercises the kernels and the
-path-prediction cache directly, plus scalar traversal's negative-zero
-direction regression.
+``test_wavefront_golden.py``; this module exercises the kernels directly,
+plus scalar traversal's negative-zero direction regression.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import pytest
 
 from repro.scene import bvh_packet
 from repro.scene.bvh import TraversalRecord
-from repro.scene.bvh_packet import PackedBVH, PathPredictionCache
+from repro.scene.bvh_packet import PackedBVH
 from repro.scene.geometry import Ray
 from repro.scene.library import make_scene
 from repro.scene.vecmath import normalize, vec3
@@ -95,15 +94,6 @@ class TestPacketKernels:
             assert (res.tri[i] == -1) == (hit is None)
             assert res.nodes[i] == record.nodes_visited
             assert res.tris[i] == record.tris_tested
-
-    def test_cache_with_records_rejected(self, packed):
-        cache = PathPredictionCache(packed)
-        with pytest.raises(ValueError):
-            packed.occluded_batch(
-                [Ray(origin=vec3(0, 1, 4), direction=normalize(vec3(0.1, 0.2, -1)))],
-                want_records=True,
-                cache=cache,
-            )
 
 
 def _random_batch(scene, size, seed, miss_share=0.0, zero_share=0.0):
@@ -201,36 +191,13 @@ class TestPacketMatchesScalarOnEdgeBatches:
         )
         if not want_records:
             assert res.nodes is None and res.tris is None
-        packet_rows = ~np.any(batch[1] == 0.0, axis=1)
         for i in range(size):
             record = TraversalRecord()
             occluded = edge_scene.bvh.occluded(_scalar_ray(*batch, i), record)
             assert bool(res.occluded[i]) == occluded
-            if packet_rows[i]:
-                # The scalar walk ends at the leaf that produced the hit.
-                leaf = record.nodes_visited[-1] if occluded else -1
-                assert res.hit_leaf[i] == leaf
             if want_records:
                 assert res.nodes[i] == record.nodes_visited
                 assert res.tris[i] == record.tris_tested
-
-    @pytest.mark.parametrize("want_records", [True, False])
-    def test_fallback_rows_report_the_hitting_leaf(self, edge_scene, want_records):
-        # Zero-direction rays take the scalar walk, which stops in the
-        # leaf whose triangle occludes the ray.
-        batch = _random_batch(edge_scene, 257, seed=77, zero_share=0.6)
-        res = edge_scene.packed_bvh.occluded_arrays(
-            *batch, want_records=want_records
-        )
-        fallback = np.nonzero(np.any(batch[1] == 0.0, axis=1))[0]
-        occluded_rows = 0
-        for i in fallback:
-            record = TraversalRecord()
-            occluded = edge_scene.bvh.occluded(_scalar_ray(*batch, i), record)
-            leaf = record.nodes_visited[-1] if occluded else -1
-            assert res.hit_leaf[i] == leaf
-            occluded_rows += occluded
-        assert occluded_rows > 0
 
     @pytest.mark.parametrize("kernel", ["intersect_arrays", "occluded_arrays"])
     def test_mostly_missing_batch_compacts(self, edge_scene, kernel, monkeypatch):
@@ -283,66 +250,3 @@ class TestNegativeZeroDirection:
         hit = small_scene.bvh.intersect(ray, record)
         assert hit is not None and res.tri[0] == hit.primitive_index
         assert res.nodes[0] == record.nodes_visited
-
-
-class TestPathPredictionCache:
-    def test_learns_and_validates(self, small_scene, packed):
-        cache = PathPredictionCache(packed)
-        # Occluded shadow rays: from under the light toward the sphere.
-        rays = []
-        for dx in np.linspace(-0.05, 0.05, 16):
-            rays.append(
-                Ray(
-                    origin=vec3(-0.8 + float(dx), -0.5, 0.0),
-                    direction=vec3(0.0, 1.0, 0.0),
-                    t_min=1e-4,
-                )
-            )
-        # Perturb directions slightly off-axis to stay on the packet path.
-        rays = [
-            Ray(origin=r.origin, direction=normalize(vec3(1e-6, 1.0, 1e-6)),
-                t_min=r.t_min)
-            for r in rays
-        ]
-        first = packed.occluded_batch(rays, want_records=False, cache=cache)
-        assert first.occluded.all()
-        assert cache.hits == 0 and len(cache.table) > 0
-        # Second identical batch: every ray should be answered by a
-        # validated prediction, with identical results.
-        second = packed.occluded_batch(rays, want_records=False, cache=cache)
-        assert np.array_equal(first.occluded, second.occluded)
-        # Quantization may fold several rays onto one key, so not every
-        # ray is guaranteed a validated hit — but some must be.
-        assert cache.hits > 0
-        assert cache.hit_rate > 0.0
-
-    def test_miss_unlearns(self, packed):
-        cache = PathPredictionCache(packed)
-        up = [Ray(origin=vec3(0.0, 20.0, 0.0),
-                  direction=normalize(vec3(1e-6, 1.0, 1e-6)), t_min=1e-4)]
-        packed.occluded_batch(up, want_records=False, cache=cache)
-        # An unoccluded ray never populates (or evicts) its key.
-        keys = cache.keys(
-            np.array([up[0].origin]), np.array([up[0].direction])
-        )
-        assert int(keys[0]) not in cache.table
-
-    def test_capacity_clears(self, packed):
-        cache = PathPredictionCache(packed, max_entries=2)
-        cache.table = {1: 0, 2: 0}
-        cache.train(
-            np.array([3], dtype=np.int64),
-            np.array([True]),
-            np.array([0], dtype=np.int64),
-        )
-        assert cache.table == {3: 0}
-
-    def test_image_identical_with_cache(self, small_scene):
-        # render_image (cache on) must match the scalar reference exactly.
-        from repro.tracer.tracer import FunctionalTracer, RenderSettings
-        from tests.reference_tracer import ReferenceTracer
-
-        settings = RenderSettings(width=16, height=16)
-        img_pk = FunctionalTracer(small_scene, settings).render_image()
-        img_sc = ReferenceTracer(small_scene, settings).render_image()
-        assert np.array_equal(img_pk, img_sc)

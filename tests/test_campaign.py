@@ -366,9 +366,6 @@ class TestCampaignExecution:
         result = CampaignPlanner().run(Campaign(name="seq", points=tuple(points)))
         assert result.waves == 3
         assert all(o.verdict == "pass" for o in result.outcomes)
-        # Every frame reports its carry stats.
-        assert all(o.sequence is not None for o in result.outcomes)
-        assert result.outcomes[0].sequence["carried_hits"] == 0
 
     def test_duplicate_points_share_all_stage_work(self):
         campaign = parse_samplesheet(
@@ -473,17 +470,6 @@ class TestAcceptanceCampaign:
         assert result.executions_of("downscale") == 2
         assert result.total_nodes > result.unique_nodes
 
-    def test_sequence_shows_cross_frame_cache_hits(self, acceptance):
-        _, result = acceptance
-        frames = [o for o in result.outcomes if o.sequence is not None]
-        # 4 frames x 2 GPU chains; carry stats are chain-independent
-        # (the pass is a scene/workload property, memoized by content).
-        assert len(frames) == 8
-        assert all(f.sequence["lookups"] > 0 for f in frames)
-        assert result.sequence_hit_rate() > 0.0
-        later = [f for f in frames if f.point.spec.frame > 0]
-        assert sum(f.sequence["carried_hits"] for f in later) > 0
-
     def test_campaign_report_is_json_able(self, acceptance):
         from repro.harness.reporting import campaign_report
 
@@ -494,11 +480,6 @@ class TestAcceptanceCampaign:
         assert encoded["campaign"] == "acceptance"
         assert len(encoded["points"]) == 16
         assert encoded["dag"]["deduplicated_nodes"] > 0
-        assert encoded["sequence_hit_rate"] > 0.0
-        sequence_entries = [
-            p for p in encoded["points"] if "sequence_cache" in p
-        ]
-        assert len(sequence_entries) == 8
 
 
 # ---------------------------------------------------------------------------

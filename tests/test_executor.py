@@ -6,6 +6,7 @@ generous kill deadlines.
 """
 
 import pickle
+import threading
 
 import pytest
 
@@ -131,6 +132,20 @@ class TestForkedExecution:
         policy = ExecutionPolicy(workers=2, retries=0, **FAST)
         report = GroupExecutor(policy, fault_plan=plan).run(square, 2)
         assert report.failures[0].error == "SimulationError"
+
+    def test_unpicklable_result_is_a_failure_record(self):
+        # The worker's result cannot cross the pipe; the send raises in
+        # the child, which reports it like any other exception.
+        def lock_for_one(index, attempt):  # noqa: ARG001 - task signature
+            return threading.Lock() if index == 1 else index * index
+
+        policy = ExecutionPolicy(workers=2, retries=1, **FAST)
+        report = GroupExecutor(policy).run(lock_for_one, 3)
+        assert report.results == {0: 0, 2: 4}
+        (record,) = report.failures
+        assert record.index == 1
+        assert record.error == "TypeError"
+        assert record.attempts == 2
 
 
 class TestCheckpointing:

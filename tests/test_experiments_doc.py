@@ -5,7 +5,8 @@ The "Measured" column of the Fig. 10 headline table is copied from
 ``benchmarks/bench_fig10_park_errors.py``); the baselines paragraph from
 ``results/baselines.txt`` (``bench_baselines.py``); the adaptive-control
 paragraph from ``results/extension_adaptive.txt``
-(``bench_extension_adaptive.py``).  These tests re-read both sides, so a
+(``bench_extension_adaptive.py``); the tuning paragraph from
+``results/table3_tuning.txt`` (``bench_table3_tuning.py``).  These tests re-read both sides, so a
 regenerated result file and stale prose cannot both be committed.
 """
 
@@ -107,3 +108,23 @@ def test_adaptive_paragraph_matches_results():
     assert {scene for scene, _, _ in claims} == {"SHIP", "BATH", "SPRNG", "PARK"}
     for scene, fixed, adaptive in claims:
         assert [fixed, adaptive] == rows[scene][0:2], scene
+
+
+def test_tuning_paragraph_matches_results():
+    text = _prose(_section("Tuning (Table III"))
+    results = (ROOT / "results" / "table3_tuning.txt").read_text()
+    # "Measured: SHIP 19.7%, WKND 13.5%, BUNNY 15.9%".
+    measured = text.split("Measured:", 1)[1]
+    claims = dict(re.findall(r"\b([A-Z]{3,5}) ([\d.]+)%", measured)[:3])
+    expected = dict(
+        re.findall(r"^([A-Z]{3,5}): best-combo MAE ([\d.]+)%$", results, re.M)
+    )
+    assert claims == expected
+    # "SHIP (coldest) is the worst-predicted scene".
+    assert "SHIP (coldest) is the worst-predicted" in text
+    assert max(expected, key=lambda scene: float(expected[scene])) == "SHIP"
+    # The paper's numbers are quoted the same way on both sides.
+    paper = text.split("Paper best-combo MAEs:", 1)[1].split("Measured:", 1)[0]
+    assert re.findall(r"\b([A-Z]{3,5}) ([\d.]+)%", paper) == re.findall(
+        r"\b([A-Z]{3,5}) ([\d.]+)%", results.split("(paper:", 1)[1]
+    )

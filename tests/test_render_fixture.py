@@ -3,9 +3,9 @@
 ``tests/data/render_golden.json`` holds, per run, the SHA-256 of
 ``FunctionalTracer.render_image()``'s float64 bytes: the 8 library
 scenes at 12x12 with 2 samples per pixel and seed 5, plus one
-single-sample run.  ``render_image`` is the one path that runs the
-path-prediction cache (records off), so the trace fixtures do not cover
-it.  The values were recorded with the scalar reference tracer.
+single-sample run.  ``render_image`` is the one path that computes
+radiance (records off), so the trace fixtures do not cover it.  The
+values were recorded with the scalar reference tracer.
 
 Regenerating (only after an *intentional* tracer-model change)::
 

@@ -45,8 +45,8 @@ class TestGoldenEquivalence:
         _assert_frames_identical(reference, traced)
 
     def test_images_identical(self, scene_name):
-        # render_image enables the path-prediction cache; images must
-        # still match the reference bit for bit.
+        # render_image runs records off and computes radiance; images
+        # must match the reference bit for bit.
         scene = make_scene(scene_name)
         img_ref = ReferenceTracer(scene, _settings()).render_image()
         img = FunctionalTracer(scene, _settings()).render_image()
