@@ -13,7 +13,10 @@ contract from the outside:
 3. the frames ran in order, one wave each, and no point carries a
    ``sequence_cache`` block; ``GET /metrics`` counts the campaign and
    both of its points;
-4. an invalid samplesheet is refused with 400 naming the bad row.
+4. the server runs campaigns with ``--exec-workers 2``, so each point
+   resolves in a forked task process, and the report still counts the
+   stages those processes ran;
+5. an invalid samplesheet is refused with 400 naming the bad row.
 
 Run locally with::
 
@@ -60,7 +63,8 @@ BAD_SHEET = {
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as cache_dir, SmokeServer(
-        "campaign-smoke", ["--cache-dir", cache_dir, "--workers", "1"]
+        "campaign-smoke",
+        ["--cache-dir", cache_dir, "--workers", "1", "--exec-workers", "2"],
     ) as server:
         base = server.base
 
@@ -87,14 +91,19 @@ def main() -> int:
         assert counters.get("service.campaigns") == 1, counters
         assert counters.get("service.campaign_points") == 2, counters
 
-        # 4. invalid samplesheets are refused loudly, naming the row
+        # 4. stage counters made in forked task processes reach the report
+        executions = report["stages"]["executions"]
+        assert executions.get("simulate_groups", 0) >= 1, report["stages"]
+
+        # 5. invalid samplesheets are refused loudly, naming the row
         status, error = http_post(base, "/campaigns", BAD_SHEET)
         assert status == 400, (status, error)
         assert "points[0]" in error["error"], error
 
         print(
             "campaign smoke OK: 2-frame sequence served in 2 waves, QC "
-            "gate degraded both frames as designed, 400 on bad samplesheet"
+            "gate degraded both frames as designed, forked stage counters "
+            "reported, 400 on bad samplesheet"
         )
         return 0
 

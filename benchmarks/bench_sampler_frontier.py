@@ -80,8 +80,8 @@ def test_sampler_frontier(benchmark, runner):
             title=(
                 "Sampler accuracy-vs-cost frontier (Mobile SoC, "
                 f"{REPLICATES} replicates); planner deduplicated "
-                f"{sweep.plan.deduplicated_nodes} of "
-                f"{sweep.plan.total_nodes} stages"
+                f"{sweep.deduplicated_nodes} of "
+                f"{sweep.total_nodes} stages"
             ),
             precision=1,
         )

@@ -64,7 +64,7 @@ def run_sampling_sweep(
 ) -> SamplingSweep:
     """Section IV-D's experiment: sample without downscaling, extrapolate.
 
-    The whole grid executes as one deduplicated stage DAG: every
+    The whole grid runs as one sweep over the runner's store: every
     percentage of a scene shares that scene's profile and quantization,
     so those stages run once per scene instead of once per point.
     """
@@ -117,8 +117,8 @@ def run_downscale_sweep(
 ) -> DownscaleSweep:
     """Section IV-E's experiment: groups on downscaled GPUs, no sampling.
 
-    Planned as one stage DAG: the (division, K) grid of a scene shares
-    one profile/quantize, and the two divisions share them too — only
+    Run as one sweep: the (division, K) grid of a scene shares one
+    profile/quantize, and the two divisions share them too — only
     partition/select/simulate/combine differ per cell.
     """
     from repro.core import valid_factors

@@ -12,7 +12,7 @@ Subcommands cover the workflows a downstream user runs most:
 ``predict``    run the Zatel pipeline (optionally validating against a
                full simulation)
 ``campaign``   run a TOML/JSON samplesheet of scene recipes x GPU grids
-               as one deduplicated DAG with QC gates (``campaign run``),
+               over one shared store with QC gates (``campaign run``),
                locally or against a service (``POST /campaigns``); poll a
                submitted job with ``campaign status``
 ``trace``      export a frame trace as a portable ``.ztrace`` file; with
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help=(
             "execute a TOML/JSON samplesheet (scene recipes x GPU grids "
-            "x samplers) as one deduplicated DAG with QC gates"
+            "x samplers) over one shared store with QC gates"
         ),
     )
     campaign_sub = campaign.add_subparsers(dest="action", required=True)

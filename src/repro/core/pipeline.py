@@ -375,9 +375,8 @@ class Zatel:
 
         Returns the graph and its terminal (:class:`~repro.core.stages.
         concrete.CombineStage`) node, whose resolved artifact is the
-        :class:`ZatelResult`.  Exposed so the sweep planner can merge
-        many predictions' graphs and deduplicate shared nodes by
-        fingerprint.
+        :class:`ZatelResult`.  Exposed so the sweep planner can resolve
+        many predictions' graphs over one shared store.
         """
         cfg = self.config
         graph = StageGraph()

@@ -1,11 +1,12 @@
 """Composable pipeline stages, content-addressed artifacts, sweeps.
 
 The seven-step Zatel pipeline decomposed into typed :class:`Stage` nodes
-with deterministic fingerprints, executed through a :class:`StageGraph`
-against a content-addressed :class:`ArtifactStore`, and planned at sweep
-scale by the :class:`SweepPlanner` (which deduplicates shared stages
-across sweep points before running them through the fault-tolerant
-group executor).
+with deterministic fingerprints, resolved from the sink by
+:meth:`StageGraph.resolve` against a content-addressed
+:class:`ArtifactStore`.  Every prediction runs through that one
+executor; the :class:`SweepPlanner` resolves each sweep point's sink as
+one task of the fault-tolerant group executor over a shared store, so
+points that share stages share their artifacts.
 """
 
 from .base import (
@@ -45,7 +46,7 @@ from .fingerprint import (
     stable_hash,
 )
 from .store import ArtifactStore, StoreStats
-from .sweep import SweepOutcome, SweepPlan, SweepPlanner, SweepPoint, SweepResult
+from .sweep import SweepOutcome, SweepPlanner, SweepPoint, SweepResult
 
 __all__ = [
     "Artifact",
@@ -71,7 +72,6 @@ __all__ = [
     "StageNode",
     "StoreStats",
     "SweepOutcome",
-    "SweepPlan",
     "SweepPlanner",
     "SweepPoint",
     "SweepResult",

@@ -82,6 +82,13 @@ class StageCounters:
     def record_hit(self, name: str) -> None:
         self.cache_hits[name] = self.cache_hits.get(name, 0) + 1
 
+    def fold(self, other: "StageCounters") -> None:
+        """Add ``other``'s counts, e.g. those one sweep task made."""
+        for name, count in other.executions.items():
+            self.executions[name] = self.executions.get(name, 0) + count
+        for name, count in other.cache_hits.items():
+            self.cache_hits[name] = self.cache_hits.get(name, 0) + count
+
     def total_executions(self) -> int:
         return sum(self.executions.values())
 
@@ -212,8 +219,8 @@ class StageNode:
         """This node's output key, computed without executing anything.
 
         Possible because fingerprints depend only on stage identities and
-        source keys — which is exactly what lets a planner dedup work
-        *before* running it.
+        source keys — which is what lets :meth:`StageGraph.resolve` probe
+        the store for a node *before* resolving its dependencies.
         """
         if cache is None:
             cache = {}

@@ -1,12 +1,12 @@
-"""Campaign engine: samplesheet-driven scene-recipe grids as one DAG.
+"""Campaign engine: samplesheet-driven scene-recipe grids over one store.
 
 A *campaign* generalizes the :class:`~.sweep.SweepPlanner` grid from
 "library scenes x GPU configs" to the full scene vocabulary of
 :class:`~repro.scene.spec.SceneSpec` — library names, procedural recipes
 with knobs and seeds, and frames of animated sequences — crossed with
 GPU configs, methodology configs and samplers, loaded from a
-declarative TOML/JSON *samplesheet* and executed as one deduplicated
-stage DAG over a shared artifact store.
+declarative TOML/JSON *samplesheet* and resolved point by point over a
+shared artifact store, so points that share a scene share its stages.
 
 Three things distinguish a campaign from a plain sweep:
 
@@ -494,9 +494,9 @@ class CampaignResult:
     campaign: Campaign
     outcomes: list[CampaignOutcome]
     counters: StageCounters
-    #: Naive stage invocations across all waves vs distinct fingerprints
-    #: planned per wave; cross-wave reuse additionally shows up as cache
-    #: hits in ``counters``.
+    #: Stage nodes of every point's graph vs distinct fingerprints per
+    #: wave, summed over waves; all sharing shows up as cache hits in
+    #: ``counters``.
     total_nodes: int
     unique_nodes: int
     waves: int
@@ -520,15 +520,14 @@ class CampaignResult:
 
 
 class CampaignPlanner:
-    """Plans and executes campaigns as frame-ordered deduplicated waves.
+    """Executes campaigns as frame-ordered waves of sweep points.
 
     Points are grouped by sequence frame index (non-sequence points are
-    frame 0) and each wave runs as one deduplicated
-    :class:`~.sweep.SweepPlanner` DAG over the shared store — so two
-    GPU configs of the same scene profile and quantize once, and work
-    repeated across waves resolves as cache hits.  Between waves the
-    planner evaluates QC gates, failing or degrading downstream frames
-    of the same row.
+    frame 0) and each wave runs as one :class:`~.sweep.SweepPlanner`
+    sweep over the shared store — so two GPU configs of the same scene
+    profile and quantize once, and work repeated across waves resolves
+    as cache hits.  Between waves the planner evaluates QC gates,
+    failing or degrading downstream frames of the same row.
 
     Args:
         store: shared artifact store (defaults to in-memory).
@@ -630,17 +629,10 @@ class CampaignPlanner:
                 stage_policy=self.stage_policy,
             )
             sweep_result = planner.run(sweep_points, scenes, frames)
-            for name, count in sweep_result.counters.executions.items():
-                counters.executions[name] = (
-                    counters.executions.get(name, 0) + count
-                )
-            for name, count in sweep_result.counters.cache_hits.items():
-                counters.cache_hits[name] = (
-                    counters.cache_hits.get(name, 0) + count
-                )
+            counters.fold(sweep_result.counters)
             failures.extend(sweep_result.failures)
-            total_nodes += sweep_result.plan.total_nodes
-            unique_nodes += sweep_result.plan.unique_nodes
+            total_nodes += sweep_result.total_nodes
+            unique_nodes += sweep_result.unique_nodes
 
             for index, sweep_point in zip(runnable, sweep_points):
                 point = campaign.points[index]

@@ -4,8 +4,8 @@ Every artifact in the stage graph is addressed by the fingerprint of the
 computation that produced it: stage name + stage code version + stage
 parameters + the fingerprints of its upstream artifacts.  Two sweep
 points whose profiling inputs coincide therefore resolve to the *same*
-heatmap key, which is what lets the :class:`~repro.core.stages.sweep.
-SweepPlanner` profile each scene exactly once.
+heatmap key: the first point to need it runs the profile stage and the
+others read it from the store, so a sweep profiles each scene once.
 
 :func:`stable_hash` is the single hashing primitive.  It canonicalizes a
 restricted value vocabulary (scalars, strings, bytes, sequences, sorted

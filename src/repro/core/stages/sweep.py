@@ -1,19 +1,20 @@
-"""Sweep planning: many predictions as one deduplicated stage DAG.
+"""Sweeps: many predictions over one shared artifact store.
 
 The evaluation sweeps (Figs. 13-20) run grids of (scene x GPU config x
-methodology variation).  Run naively, every sweep point re-profiles and
-re-quantizes its scene from scratch even though those artifacts depend
-only on the frame and a handful of knobs.  The :class:`SweepPlanner`
-merges every point's stage graph, deduplicates nodes by fingerprint
-*before executing anything* (fingerprints are static — see
-:meth:`~.base.StageNode.fingerprint_static`), and then runs the unique
-nodes level-by-level through the fault-tolerant
-:class:`~repro.core.executor.GroupExecutor`.
+methodology variation).  :class:`SweepPlanner` builds each point's stage
+graph and resolves its sink with :meth:`~.base.StageGraph.resolve`, the
+one executor every prediction uses.  Points that share a scene share
+its profile and quantize artifacts through the store: the first point
+to need one runs the stage and the others hit it, so a Fig 16-style
+sweep (one scene, many traced percentages) profiles and quantizes the
+scene exactly once.  A re-run over a persisted store probes each sink
+first and reads one combined result per point.
 
-A Fig 16-style sweep — one scene, many traced percentages — therefore
-profiles and quantizes the scene exactly once; only the simulate stages
-differ per point.  The per-stage execution/hit counters on the result
-make that auditable (and testable).
+Each distinct sink runs as one task of the fault-tolerant
+:class:`~repro.core.executor.GroupExecutor`, so a failing point becomes
+that point's failure outcome and leaves the others alone.  The
+per-stage execution/hit counters on the result make the sharing
+auditable (and testable).
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from typing import Any, Mapping
 
 from ...gpu.config import GPUConfig
 from ..executor import ExecutionPolicy, GroupExecutor
-from .base import Artifact, StageContext, StageCounters, StageNode
+from .base import StageContext, StageCounters, StageGraph, StageNode
 from .store import ArtifactStore
 
-__all__ = ["SweepPoint", "SweepPlan", "SweepOutcome", "SweepResult", "SweepPlanner"]
+__all__ = ["SweepPoint", "SweepOutcome", "SweepResult", "SweepPlanner"]
 
 
 @dataclass(frozen=True)
@@ -66,32 +67,6 @@ class SweepPoint:
 
 
 @dataclass
-class SweepPlan:
-    """A merged, deduplicated DAG ready to execute.
-
-    ``total_nodes`` counts stage invocations a naive point-by-point run
-    would make; ``unique`` holds one representative node per distinct
-    fingerprint.  The difference is work the planner eliminated before
-    running anything.
-    """
-
-    points: list[SweepPoint]
-    terminals: dict[SweepPoint, StageNode]
-    terminal_keys: dict[SweepPoint, str]
-    unique: dict[str, StageNode]
-    levels: list[list[str]]
-    total_nodes: int
-
-    @property
-    def unique_nodes(self) -> int:
-        return len(self.unique)
-
-    @property
-    def deduplicated_nodes(self) -> int:
-        return self.total_nodes - self.unique_nodes
-
-
-@dataclass
 class SweepOutcome:
     """One point's result — a value or an audited failure."""
 
@@ -106,12 +81,22 @@ class SweepOutcome:
 
 @dataclass
 class SweepResult:
-    """Everything a sweep execution produced and observed."""
+    """Everything a sweep execution produced and observed.
+
+    ``total_nodes`` counts the stage nodes of every point's graph;
+    ``unique_nodes`` counts their distinct fingerprints.  The difference
+    is stage work the shared store saves a point-by-point run.
+    """
 
     outcomes: dict[SweepPoint, SweepOutcome]
     counters: StageCounters
-    plan: SweepPlan
+    total_nodes: int
+    unique_nodes: int
     failures: list[Any] = field(default_factory=list)
+
+    @property
+    def deduplicated_nodes(self) -> int:
+        return self.total_nodes - self.unique_nodes
 
     def value(self, point: SweepPoint) -> Any:
         """The result for ``point``; raises if that point failed."""
@@ -131,16 +116,16 @@ class SweepResult:
 
 
 class SweepPlanner:
-    """Plans and executes sweep grids over a shared artifact store.
+    """Resolves sweep grids over a shared artifact store.
 
     Args:
         store: artifact store shared across the sweep (and, when backed
             by disk, across runs); defaults to an ephemeral in-memory
             store.
-        policy: execution policy for the *planner-level* task runs —
-            each DAG level's unique stages execute as indexed tasks
-            through :class:`~repro.core.executor.GroupExecutor` under
-            this policy (retries, timeouts, optional forked workers).
+        policy: execution policy for the per-point tasks — each distinct
+            sink resolves as one indexed task of
+            :class:`~repro.core.executor.GroupExecutor` under this policy
+            (retries, timeouts, optional forked workers).
         stage_policy: policy handed down to the per-group executor
             *inside* each simulate stage.
     """
@@ -155,196 +140,94 @@ class SweepPlanner:
         self.policy = policy if policy is not None else ExecutionPolicy()
         self.stage_policy = stage_policy
 
-    # ------------------------------------------------------------------
-    # planning
-    # ------------------------------------------------------------------
-
-    def plan(
-        self,
-        points: list[SweepPoint],
-        scenes: Mapping[str, Any],
-        frames: Mapping[str, Any],
-    ) -> SweepPlan:
-        """Merge every point's stage graph and deduplicate by fingerprint.
-
-        ``scenes``/``frames`` map scene names to the loaded
-        :class:`~repro.scene.scene.Scene` and full-plane
-        :class:`~repro.tracer.trace.FrameTrace` each point needs.
-        """
-        from ...models.sampling_only import SamplingPredictor
-        from ..pipeline import Zatel, ZatelConfig
-
-        terminals: dict[SweepPoint, StageNode] = {}
-        terminal_keys: dict[SweepPoint, str] = {}
-        unique: dict[str, StageNode] = {}
-        fp_cache: dict[int, str] = {}
-        total_nodes = 0
-
-        for point in points:
-            scene = scenes[point.scene]
-            frame = frames[point.scene]
-            config = point.config if point.config is not None else ZatelConfig()
-            if point.mode == "zatel":
-                predictor = Zatel(point.gpu, config)
-                graph, terminal = predictor.build_graph(scene, frame)
-            else:
-                predictor = SamplingPredictor(
-                    point.gpu,
-                    distribution=config.distribution,
-                    block_width=config.block_width,
-                    block_height=config.block_height,
-                    quantize_colors=config.quantize_colors,
-                    seed=config.seed,
-                )
-                graph, terminal = predictor.build_graph(
-                    scene, frame, point.fraction
-                )
-            terminals[point] = terminal
-            terminal_keys[point] = terminal.fingerprint_static(fp_cache)
-            total_nodes += len(graph.nodes)
-            for node in graph.nodes:
-                unique.setdefault(node.fingerprint_static(fp_cache), node)
-
-        return SweepPlan(
-            points=list(points),
-            terminals=terminals,
-            terminal_keys=terminal_keys,
-            unique=unique,
-            levels=self._levels(unique, fp_cache),
-            total_nodes=total_nodes,
-        )
-
-    @staticmethod
-    def _levels(
-        unique: dict[str, StageNode], fp_cache: dict[int, str]
-    ) -> list[list[str]]:
-        """Unique node keys grouped by dependency depth.
-
-        Depth is computed over *fingerprints* so equivalent nodes from
-        different points collapse to one scheduling slot.
-        """
-        depth: dict[str, int] = {}
-
-        def key_depth(key: str) -> int:
-            if key not in depth:
-                node = unique[key]
-                dep_keys = [
-                    dep.fingerprint_static(fp_cache)
-                    for dep in node.dependencies()
-                ]
-                depth[key] = (
-                    0 if not dep_keys else 1 + max(key_depth(k) for k in dep_keys)
-                )
-            return depth[key]
-
-        levels: dict[int, list[str]] = {}
-        for key in unique:
-            levels.setdefault(key_depth(key), []).append(key)
-        return [sorted(levels[d]) for d in sorted(levels)]
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-
     def run(
         self,
         points: list[SweepPoint],
         scenes: Mapping[str, Any],
         frames: Mapping[str, Any],
     ) -> SweepResult:
-        """Plan and execute in one call."""
-        return self.execute(self.plan(points, scenes, frames))
+        """Resolve every point's sink; never raises for a failed point.
 
-    def execute(self, plan: SweepPlan) -> SweepResult:
-        """Run the deduplicated DAG level-by-level through the executor.
-
-        Within a level no node depends on another, so a level's stages
-        run as independent indexed tasks under the planner's execution
-        policy — crash isolation, retries and failure auditing included.
-        A node whose upstream failed permanently is skipped, and every
-        sweep point depending on it reports a failure outcome instead of
-        poisoning the rest of the sweep.
+        ``scenes``/``frames`` map scene names to the loaded
+        :class:`~repro.scene.scene.Scene` and full-plane
+        :class:`~repro.tracer.trace.FrameTrace` each point needs.
+        Duplicate points share one task.  Under forked workers a stage
+        shared by points that run at the same time executes in each of
+        them; the counters report every execution.
         """
-        ctx = StageContext(
-            store=self.store,
-            counters=StageCounters(),
-            policy=self.stage_policy,
-        )
         fp_cache: dict[int, str] = {}
-        failed: dict[str, str] = {}
-        all_failures: list[Any] = []
+        sinks: dict[str, tuple[StageGraph, StageNode]] = {}
+        point_keys: list[str] = []
+        node_keys: set[str] = set()
+        total_nodes = 0
+        for point in points:
+            graph, sink = self._graph(
+                point, scenes[point.scene], frames[point.scene]
+            )
+            total_nodes += len(graph.nodes)
+            node_keys.update(
+                node.fingerprint_static(fp_cache) for node in graph.nodes
+            )
+            key = sink.fingerprint_static(fp_cache)
+            sinks.setdefault(key, (graph, sink))
+            point_keys.append(key)
+        tasks = list(sinks)
 
-        for level in plan.levels:
-            pending: list[str] = []
-            for key in level:
-                blocker = self._failed_upstream(plan.unique[key], failed, fp_cache)
-                if blocker is not None:
-                    failed[key] = blocker
-                    continue
-                pending.append(key)
-            if not pending:
-                continue
+        def task(index: int, attempt: int):  # noqa: ARG001
+            graph, sink = sinks[tasks[index]]
+            ctx = StageContext(store=self.store, policy=self.stage_policy)
+            return graph.resolve(sink, ctx).value, ctx.counters
 
-            def task(index: int, attempt: int):  # noqa: ARG001
-                key = pending[index]
-                node = plan.unique[key]
-                inputs = {
-                    name: self._resolve_input(upstream, fp_cache)
-                    for name, upstream in node.inputs.items()
-                }
-                artifact = node.stage.execute(ctx, inputs)
-                return artifact.value
-
-            executor = GroupExecutor(self.policy)
-            report = executor.run(task, len(pending))
-            for index, value in report.results.items():
-                key = pending[index]
-                node = plan.unique[key]
-                # Re-put covers forked workers, whose stage.execute wrote
-                # only to the child process's copy of the store.
-                ctx.store.put(
+        report = GroupExecutor(self.policy).run(task, len(tasks))
+        counters = StageCounters()
+        values: dict[str, Any] = {}
+        for index in sorted(report.results):
+            key = tasks[index]
+            value, task_counters = report.results[index]
+            counters.fold(task_counters)
+            values[key] = value
+            # A forked task wrote only to its child process's copy of the
+            # store; an in-process task already put its sink value here.
+            if not self.store.contains(key):
+                stage = sinks[key][1].stage
+                self.store.put(
                     key,
                     value,
-                    persist=node.stage.cacheable
-                    and node.stage.should_cache(value),
+                    persist=stage.cacheable and stage.should_cache(value),
                 )
-            for record in report.failures:
-                key = pending[record.index]
-                failed[key] = record.describe()
-                all_failures.append(record)
-
-        outcomes: dict[SweepPoint, SweepOutcome] = {}
-        for point in plan.points:
-            key = plan.terminal_keys[point]
-            if key in failed:
-                outcomes[point] = SweepOutcome(point, error=failed[key])
-            else:
-                outcomes[point] = SweepOutcome(point, value=ctx.store.get(key))
+        errors = {
+            tasks[record.index]: record.describe() for record in report.failures
+        }
         return SweepResult(
-            outcomes=outcomes,
-            counters=ctx.counters,
-            plan=plan,
-            failures=all_failures,
+            outcomes={
+                point: SweepOutcome(
+                    point, value=values.get(key), error=errors.get(key)
+                )
+                for point, key in zip(points, point_keys)
+            },
+            counters=counters,
+            total_nodes=total_nodes,
+            unique_nodes=len(node_keys),
+            failures=report.failures,
         )
 
-    # ------------------------------------------------------------------
+    @staticmethod
+    def _graph(
+        point: SweepPoint, scene: Any, frame: Any
+    ) -> tuple[StageGraph, StageNode]:
+        """``point``'s stage graph and its sink node."""
+        from ...models.sampling_only import SamplingPredictor
+        from ..pipeline import Zatel, ZatelConfig
 
-    def _resolve_input(
-        self, upstream: StageNode | Artifact, fp_cache: dict[int, str]
-    ) -> Artifact:
-        if isinstance(upstream, Artifact):
-            return upstream
-        key = upstream.fingerprint_static(fp_cache)
-        return Artifact(key, self.store.get(key))
-
-    def _failed_upstream(
-        self,
-        node: StageNode,
-        failed: dict[str, str],
-        fp_cache: dict[int, str],
-    ) -> str | None:
-        for dep in node.dependencies():
-            key = dep.fingerprint_static(fp_cache)
-            if key in failed:
-                return f"upstream stage {dep.stage.name} failed: {failed[key]}"
-        return None
+        config = point.config if point.config is not None else ZatelConfig()
+        if point.mode == "zatel":
+            return Zatel(point.gpu, config).build_graph(scene, frame)
+        predictor = SamplingPredictor(
+            point.gpu,
+            distribution=config.distribution,
+            block_width=config.block_width,
+            block_height=config.block_height,
+            quantize_colors=config.quantize_colors,
+            seed=config.seed,
+        )
+        return predictor.build_graph(scene, frame, point.fraction)

@@ -58,9 +58,8 @@ def campaign_report(result) -> dict:
     Everything a CI job or reviewer needs to audit the run: per-point QC
     verdicts with their violations, the predicted metrics (plus coverage
     and confidence intervals when the result carries them), the
-    cross-frame prediction-cache stats for sequence frames, and the
-    DAG-level dedup accounting.  Pure data — safe to ``json.dumps`` and
-    diff across runs.
+    stage-node dedup accounting and the stage counters.  Pure data —
+    safe to ``json.dumps`` and diff across runs.
     """
     points = []
     for outcome in result.outcomes:

@@ -10,11 +10,11 @@ hashes the *entire* :class:`~repro.gpu.config.GPUConfig` (not just its
 name), so editing a config under an unchanged name can never serve a
 stale simulation.
 
-The runner is also the convenient entry into sweep planning:
-:meth:`Runner.sweep` executes a grid of
-:class:`~repro.core.stages.sweep.SweepPoint`\\ s as a deduplicated stage
-DAG over the shared store, so overlapping points (same scene, same
-profiling knobs) profile and quantize exactly once.
+The runner is also the convenient entry into sweeps:
+:meth:`Runner.sweep` resolves a grid of
+:class:`~repro.core.stages.sweep.SweepPoint`\\ s over the shared store,
+so overlapping points (same scene, same profiling knobs) profile and
+quantize exactly once.
 
 The canonical experiment plane is
 :data:`DEFAULT_WIDTH` x :data:`DEFAULT_HEIGHT` (the paper uses 512x512 on a
@@ -219,12 +219,12 @@ class Runner:
         width: int = DEFAULT_WIDTH,
         height: int = DEFAULT_HEIGHT,
     ) -> SweepResult:
-        """Execute a sweep grid as a deduplicated stage DAG.
+        """Execute a sweep grid over the runner's shared store.
 
         Loads each point's scene and frame through the runner's caches,
-        then plans and runs the merged graph over the shared store — so
+        then resolves every point's graph over the shared store — so
         shared profiling/quantization work executes exactly once per
-        scene, and repeated sweeps reuse on-disk artifacts.
+        scene, and a repeated sweep reads one persisted result per point.
         """
         names = sorted({point.scene for point in points})
         scenes = {name: self.scene(name) for name in names}

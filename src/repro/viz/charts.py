@@ -8,6 +8,7 @@ plot.  Pure text, fixed-width, no dependencies.
 from __future__ import annotations
 
 import math
+import string
 
 __all__ = ["line_chart", "bar_chart", "sparkline"]
 
@@ -71,7 +72,9 @@ def line_chart(
 ) -> str:
     """Multi-series scatter/line chart on a character grid.
 
-    Each series is plotted with its own marker (first letter of its name).
+    Each series is plotted with its own marker: the first character of
+    its name that no earlier series took (a letter or digit outside the
+    name when every character of it is taken).
     ``log_y`` plots log10(y), useful for the exponential error decays the
     paper's figures show.
 
@@ -100,9 +103,18 @@ def line_chart(
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
 
+    markers: dict[str, str] = {}
+    for name in series:
+        taken = set(markers.values())
+        markers[name] = next(
+            c
+            for c in name + string.ascii_letters + string.digits
+            if not c.isspace() and c not in taken
+        )
+
     grid = [[" "] * width for _ in range(height)]
     for name, ys in points.items():
-        marker = name[0]
+        marker = markers[name]
         for x, y in zip(xs, ys):
             if not math.isfinite(y):
                 continue
@@ -120,6 +132,6 @@ def line_chart(
     axis = f"{'':>{gutter}} +{'-' * width}"
     lines.append(axis)
     lines.append(f"{'':>{gutter}}  {x_lo:<10.4g}{'':^{max(0, width - 22)}}{x_hi:>10.4g}")
-    legend = "   ".join(f"{name[0]}={name}" for name in series)
+    legend = "   ".join(f"{markers[name]}={name}" for name in series)
     lines.append(f"{'':>{gutter}}  {legend}")
     return "\n".join(lines)

@@ -377,6 +377,65 @@ class TestCampaignExecution:
         # The two points collapse to one set of DAG nodes.
         assert result.total_nodes == 2 * result.unique_nodes
 
+    def test_rerun_over_reopened_store_runs_no_stage(self, tmp_path):
+        from repro.harness import Runner
+
+        campaign = parse_samplesheet(
+            _sheet([{"scene": "SPRNG", "gpus": ["mobile", "rtx2060"]}], size=16)
+        )
+        first = Runner(cache_dir=tmp_path).campaign(campaign)
+        assert first.counters.total_executions() > 0
+        again = Runner(cache_dir=tmp_path).campaign(campaign)
+        assert again.counters.total_executions() == 0
+        assert again.counters.cache_hits == {"combine": len(campaign.points)}
+        assert [o.verdict for o in again.outcomes] == ["pass", "pass"]
+
+    def test_forked_workers_report_the_same_stage_executions(self):
+        """Counters made in forked task processes reach the result.  The
+        two points share no stage: under forked workers a stage shared
+        by two points that run at the same time executes in each."""
+        from repro.core.executor import ExecutionPolicy
+
+        campaign = parse_samplesheet(
+            _sheet(
+                [
+                    {"scene": "SPRNG", "gpu": "mobile"},
+                    {"scene": "BUNNY", "gpu": "rtx2060"},
+                ],
+                size=16,
+            )
+        )
+        serial = CampaignPlanner(policy=ExecutionPolicy(workers=1)).run(campaign)
+        forked = CampaignPlanner(policy=ExecutionPolicy(workers=2)).run(campaign)
+        assert len(serial.counters.executions) == 7
+        assert forked.counters.executions == serial.counters.executions
+
+    def test_failing_point_fails_alone(self, monkeypatch):
+        from repro.core.stages import SamplingSimulateStage
+
+        run = SamplingSimulateStage.run
+
+        def flaky(self, ctx, **inputs):
+            if self.fraction == 0.4:
+                raise RuntimeError("injected stage failure")
+            return run(self, ctx, **inputs)
+
+        monkeypatch.setattr(SamplingSimulateStage, "run", flaky)
+        campaign = parse_samplesheet(
+            _sheet(
+                [
+                    {"scene": "SPRNG", "mode": "sampling", "fraction": f}
+                    for f in (0.2, 0.4, 0.6)
+                ],
+                size=10,
+            )
+        )
+        result = CampaignPlanner().run(campaign)
+        assert [o.verdict for o in result.outcomes] == ["pass", "failed", "pass"]
+        assert "injected stage failure" in result.outcomes[1].error
+        assert len(result.failures) == 1
+        assert not result.succeeded
+
     def test_scene_token_separates_workload_coordinates(self):
         spec = SceneSpec.library("SPRNG")
         a = CampaignPoint(spec=spec, gpu=MOBILE_SOC, size=10, seed=0)

@@ -11,6 +11,7 @@ regenerated result file and stale prose cannot both be committed.
 """
 
 import re
+import statistics
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,4 +128,127 @@ def test_tuning_paragraph_matches_results():
     paper = text.split("Paper best-combo MAEs:", 1)[1].split("Measured:", 1)[0]
     assert re.findall(r"\b([A-Z]{3,5}) ([\d.]+)%", paper) == re.findall(
         r"\b([A-Z]{3,5}) ([\d.]+)%", results.split("(paper:", 1)[1]
+    )
+
+
+def _tables(name: str) -> list[dict[str, list[float]]]:
+    """Every table of a ``results/`` file: first cell -> numeric cells.
+
+    A table starts after its ``-----`` rule and ends at a blank line or
+    at a line that is not a row of numbers.  A row is keyed by its cells
+    before the first decimal one, joined by one space (``fine 6``);
+    thousands separators are dropped.
+    """
+    tables: list[dict[str, list[float]]] = []
+    rows = None
+    for line in (ROOT / "results" / name).read_text().splitlines():
+        if line.startswith("-----"):
+            rows = {}
+            tables.append(rows)
+        elif rows is not None and line.strip():
+            cells = line.split()
+            first = next(i for i, cell in enumerate(cells) if "." in cell)
+            try:
+                rows[" ".join(cells[:first])] = [
+                    float(cell.replace(",", "")) for cell in cells[first:]
+                ]
+            except ValueError:
+                rows = None
+        else:
+            rows = None
+    return tables
+
+
+def _column(table: dict[str, list[float]], index: int) -> dict[str, float]:
+    return {row: cells[index] for row, cells in table.items()}
+
+
+def test_sampling_sweep_paragraph_matches_results():
+    text = _prose(_section("Sampling sweep"))
+    rtx, mobile = _tables("fig13_cycles_error.txt")
+    # "(BATH 56.7% … SHIP 457.0%)": the best and worst scene at 10%.
+    spread = re.search(
+        r"At 10% on the RTX 2060 .*?\(([A-Z]+) ([\d.]+)% … ([A-Z]+) ([\d.]+)%\)",
+        text,
+    ).groups()
+    at10 = _column(rtx, 0)
+    low, high = min(at10, key=at10.get), max(at10, key=at10.get)
+    assert spread == (low, f"{at10[low]:.1f}", high, f"{at10[high]:.1f}")
+    # "at most 8.7% at 90% (PARK)".
+    at90 = _column(rtx, 8)
+    worst = max(at90, key=at90.get)
+    assert re.search(r"at most ([\d.]+)% at 90% \(([A-Z]+)\)", text).groups() == (
+        f"{at90[worst]:.1f}",
+        worst,
+    )
+    # "SPRNG shows >100% error at 10% (303.5%)".
+    sprng = re.search(r"SPRNG shows >100% error at 10% \(([\d.]+)%\)", text)
+    assert float(sprng.group(1)) == at10["SPRNG"] > 100.0
+    # "SPNZA is the best-predicted scene at 20% (9.4%)" on the Mobile SoC.
+    best = re.search(
+        r"On the Mobile SoC, ([A-Z]+) is the best-predicted scene at 20% "
+        r"\(([\d.]+)%\)",
+        text,
+    ).groups()
+    at20 = _column(mobile, 1)
+    assert best == (min(at20, key=at20.get), f"{min(at20.values()):.1f}")
+
+    # Fig. 14: "corr > 0.95 per scene", and BATH's 90% cost against SPNZA's.
+    (cost,) = _tables("fig14_running_time.txt")
+    percs = list(range(10, 100, 10))
+    for scene, cells in cost.items():
+        assert statistics.correlation(percs, cells[:9]) > 0.95, scene
+    assert max(cost, key=lambda scene: cost[scene][8]) == "BATH"
+    claimed = re.search(
+        r"\(([\d,]+) kilo work-units at 90% against SPNZA's ([\d,]+)\)", text
+    ).groups()
+    assert claimed == (f"{cost['BATH'][8]:,.0f}", f"{cost['SPNZA'][8]:,.0f}")
+
+    # Fig. 15: the 90% speedup range and the fitted power law.
+    (speedup,) = _tables("fig15_speedup.txt")
+    at90 = [cells[8] for row, cells in speedup.items() if row.isupper()]
+    assert re.search(r"fall to ([\d.]+)-([\d.]+)x at 90%", text).groups() == (
+        f"{min(at90):.2f}",
+        f"{max(at90):.2f}",
+    )
+    fit = (ROOT / "results" / "fig15_speedup.txt").read_text()
+    law = r"([\d.]+) \* perc\^(-[\d.]+)"
+    ours, paper = re.findall(law, fit)
+    assert re.findall(law, text) == [ours, paper]
+
+    # Fig. 16: "L1D MAE ≤ 4pp at every percentage".
+    mae = (ROOT / "results" / "fig16_metric_mae.txt").read_text()
+    l1d = re.search(r"^\s*l1d_miss_rate\s+(.*)$", mae, re.M).group(1)
+    means = [int(cell) for cell in re.findall(r"(\d+) \[", l1d)]
+    bound = re.search(r"L1D MAE ≤ (\d+)pp at every percentage", text).group(1)
+    assert len(means) == 9 and max(means) == int(bound)
+
+
+def test_downscaling_sweep_paragraph_matches_results():
+    text = _prose(_section("Downscaling sweep"))
+    # Columns after "division K": ipc, cycles, l1d, l2, rt, dram, bw.
+    (subset,) = _tables("fig17_downscale_error_subset.txt")
+    ipc, cycles, dram = (subset["fine 6"][i] for i in (0, 1, 5))
+    assert re.search(r"even at K=6 \(([\d.]+)%\)", text).group(1) == f"{cycles}"
+    assert cycles < 12.0
+    assert re.search(r"IPC error stays moderate \(([\d.]+)%\)", text).group(1) == (
+        f"{ipc}"
+    )
+    assert re.search(r"DRAM efficiency degrades to ([\d.]+)pp", text).group(1) == (
+        f"{dram}"
+    )
+
+    (every,) = _tables("fig18_downscale_error_all.txt")
+    coarse = re.search(
+        r"\(IPC ([\d.]+)% at K=2 to ([\d.]+)% at K=6\)", text
+    ).groups()
+    assert coarse == (f"{every['coarse 2'][0]}", f"{every['coarse 6'][0]}")
+    fine = max(cells[0] for row, cells in every.items() if row.startswith("fine"))
+    assert re.search(r"\(IPC at most ([\d.]+)%\)", text).group(1) == f"{fine}"
+
+    (speedup,) = _tables("fig19_downscale_speedup.txt")
+    k6 = [cells[2] for cells in speedup.values()]
+    assert re.search(r"K=6 → ([\d.]+)-([\d.]+)x", text).groups() == (
+        f"{min(k6):.1f}",
+        f"{max(k6):.1f}",
     )

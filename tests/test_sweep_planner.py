@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SweepPlanner, SweepPoint, ZatelConfig
+from repro.core import ExecutionPolicy, SweepPlanner, SweepPoint, ZatelConfig
 from repro.core.stages import ArtifactStore
 from repro.gpu import MOBILE_SOC, RTX_2060
 from repro.harness import Runner
@@ -43,10 +43,10 @@ class TestPerPointDedup:
         assert result.executions_of("profile") == 1
         assert result.executions_of("quantize") == 1
         assert result.executions_of("sampling_simulate") == 2
-        # Per-point graphs carry 3 stages each; 2 were planned away.
-        assert result.plan.total_nodes == 6
-        assert result.plan.unique_nodes == 4
-        assert result.plan.deduplicated_nodes == 2
+        # Per-point graphs carry 3 stages each; 2 are shared.
+        assert result.total_nodes == 6
+        assert result.unique_nodes == 4
+        assert result.deduplicated_nodes == 2
         # Distinct fractions give distinct predictions.
         low, high = (result.value(p) for p in points)
         assert low.fraction == 0.2 and high.fraction == 0.4
@@ -90,30 +90,65 @@ class TestPerPointDedup:
         )
         assert result.succeeded
         assert result.counters.total_executions() == 7  # one full pipeline
-        assert result.plan.unique_nodes == 7
+        assert result.unique_nodes == 7
 
     def test_shared_store_carries_across_sweeps(
         self, small_scene, small_frame, tmp_path
     ):
-        """A second sweep over a re-opened disk store re-executes none of
-        the expensive (cacheable) stages, and the persisted combine
-        result is a hit too; only the cheap memory-only ones (downscale,
-        partition, select) recompute, since the planner runs by levels
-        rather than probing from the sink."""
+        """A second sweep over a re-opened disk store runs no stage: each
+        point's sink is probed first and its persisted combine result is
+        the one hit."""
         store = ArtifactStore(tmp_path)
-        points = [SweepPoint("small", MOBILE_SOC)]
+        points = [SweepPoint("small", MOBILE_SOC), SweepPoint("small", RTX_2060)]
         first = SweepPlanner(store=store).run(
             points, {"small": small_scene}, {"small": small_frame}
         )
-        assert first.counters.total_executions() == 7
+        assert first.succeeded
+        # Two full pipelines that share profile and quantize.
+        assert first.counters.total_executions() == 12
         again = SweepPlanner(store=ArtifactStore(tmp_path)).run(
             points, {"small": small_scene}, {"small": small_frame}
         )
         assert again.succeeded
-        for expensive in ("profile", "quantize", "simulate_groups"):
-            assert again.executions_of(expensive) == 0
-            assert again.counters.cache_hits[expensive] == 1
-        assert again.value(points[0]).metrics == first.value(points[0]).metrics
+        assert again.counters.total_executions() == 0
+        assert again.counters.cache_hits == {"combine": len(points)}
+        for point in points:
+            assert again.value(point).metrics == first.value(point).metrics
+
+
+class TestPointIsolation:
+    def test_failing_point_fails_alone(
+        self, small_scene, small_frame, monkeypatch
+    ):
+        """One point's stage raises: that point's outcome carries the
+        error and one FailureRecord; the other points succeed."""
+        from repro.core.stages import SamplingSimulateStage
+
+        run = SamplingSimulateStage.run
+
+        def flaky(self, ctx, **inputs):
+            if self.fraction == 0.4:
+                raise RuntimeError("injected stage failure")
+            return run(self, ctx, **inputs)
+
+        monkeypatch.setattr(SamplingSimulateStage, "run", flaky)
+        points = [
+            SweepPoint("small", MOBILE_SOC, mode="sampling", fraction=f)
+            for f in (0.2, 0.4, 0.6)
+        ]
+        result = SweepPlanner(
+            policy=ExecutionPolicy(retries=0)
+        ).run(points, {"small": small_scene}, {"small": small_frame})
+        assert not result.succeeded
+        assert len(result.failures) == 1
+        assert result.failures[0].error == "RuntimeError"
+        failed = result.outcomes[points[1]]
+        assert "injected stage failure" in failed.error
+        with pytest.raises(RuntimeError, match="failed"):
+            result.value(points[1])
+        for point in (points[0], points[2]):
+            assert result.outcomes[point].ok
+            assert result.value(point).fraction == point.fraction
 
 
 class TestRunnerSweep:

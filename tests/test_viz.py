@@ -96,6 +96,17 @@ class TestLineChart:
         assert "a" in chart and "b" in chart
         assert "a=alpha" in chart
 
+    def test_series_sharing_a_first_letter_get_distinct_markers(self):
+        chart = line_chart(
+            [1, 2, 3],
+            {"SPRNG": [1, 2, 3], "BUNNY": [3, 2, 1], "BATH": [2, 2, 2]},
+            height=6,
+            width=20,
+        )
+        legend = chart.splitlines()[-1].split()
+        assert legend == ["S=SPRNG", "B=BUNNY", "A=BATH"]
+        assert "A" in "".join(chart.splitlines()[:-3])
+
     def test_log_scale_handles_decay(self):
         xs = [10, 20, 40, 80]
         ys = [1000.0, 100.0, 10.0, 1.0]
