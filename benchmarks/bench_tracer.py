@@ -8,8 +8,10 @@ best-of-3 ``build_bvh`` seconds, its best-of-3 ``scene_seconds`` (a whole
 fresh scene build, meshes and BVH, plus its ``packed_bvh``: what
 ``make_scene`` costs on a cache miss before the first trace) and
 ``frame_bytes_per_entry``: the bytes a traced frame retains (tracemalloc)
-per node or triangle record entry.  tracemalloc counts repeat exactly on
-one interpreter, so ``check_bench_regression.py`` gates that figure.
+per node or triangle record entry, and ``trace_peak_bytes_per_entry``:
+the tracemalloc peak while ``trace_frame`` runs, per entry likewise (the
+tracer's transient working set).  tracemalloc counts repeat exactly on
+one interpreter, so ``check_bench_regression.py`` gates both figures.
 Results are written to ``BENCH_tracer.json``; timings sit under each
 entry's ``packet`` key (the tracer's batched packet kernels), the key
 the committed baseline has always used.
@@ -21,8 +23,9 @@ Run as a script (what CI's bench-regression job does):
     PYTHONPATH=src python benchmarks/bench_tracer.py --quick
 
 The script never fails on speed; ``check_bench_regression.py`` gates the
-payload's exact ray counts, prediction metrics and frame bytes per entry
-against the committed baseline.  Byte identity with the scalar reference tracer is a test
+payload's exact ray counts, prediction metrics, frame bytes per entry
+and trace peak bytes per entry against the committed baseline.  Byte
+identity with the scalar reference tracer is a test
 (``tests/test_wavefront_golden.py``), not part of this benchmark.
 """
 
@@ -59,12 +62,14 @@ def _settings(size: int) -> RenderSettings:
     return RenderSettings(width=size, height=size, samples_per_pixel=1, seed=0)
 
 
-def _frame_bytes_per_entry(scene, size: int) -> float:
-    """Bytes a traced frame retains per node or triangle entry.
+def _frame_memory_per_entry(scene, size: int) -> tuple[float, float]:
+    """Bytes a traced frame retains, and bytes its trace peaks at, per entry.
 
-    Measured with tracemalloc after ``gc.collect()``; the scene's packed
-    BVH must already be built, and the settings' cached plane coordinates
-    are built first (every frame shares them, none retains them).
+    Both are tracemalloc figures per node or triangle record entry: what
+    is still allocated after the trace and a ``gc.collect()``, and the
+    peak while ``trace_frame`` ran.  The scene's packed BVH must already
+    be built, and the settings' cached plane coordinates are built first
+    (every frame shares them, none retains them).
     """
     tracer = FunctionalTracer(scene, _settings(size))
     tracer.settings.all_pixels()
@@ -73,10 +78,11 @@ def _frame_bytes_per_entry(scene, size: int) -> float:
     try:
         frame = tracer.trace_frame()
         gc.collect()
-        retained, _ = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return retained / frame.columns().entry_count()
+    entries = frame.columns().entry_count()
+    return retained / entries, peak / entries
 
 
 def bench_scene(name: str, size: int, repeats: int) -> dict:
@@ -96,7 +102,9 @@ def bench_scene(name: str, size: int, repeats: int) -> dict:
         build_scene(name).packed_bvh
         scene_best = min(scene_best, time.perf_counter() - t0)
     entry["scene_seconds"] = scene_best
-    entry["frame_bytes_per_entry"] = _frame_bytes_per_entry(scene, size)
+    (
+        entry["frame_bytes_per_entry"], entry["trace_peak_bytes_per_entry"]
+    ) = _frame_memory_per_entry(scene, size)
     tracer = FunctionalTracer(scene, _settings(size))
     gc.collect()
     trace_best = float("inf")
@@ -159,7 +167,8 @@ def _report(payload: dict) -> str:
             f"render {e['packet']['render_seconds'] * 1e3:.1f} ms; "
             f"build_bvh {e['build_seconds'] * 1e3:.1f} ms, "
             f"scene {e['scene_seconds'] * 1e3:.1f} ms; "
-            f"frame {e['frame_bytes_per_entry']:.1f} B/entry"
+            f"frame {e['frame_bytes_per_entry']:.1f} B/entry, "
+            f"trace peak {e['trace_peak_bytes_per_entry']:.1f} B/entry"
         )
     p = payload["predict"]
     lines.append(

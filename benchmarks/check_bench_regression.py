@@ -26,10 +26,12 @@ noise:
   numbers, on any machine);
 * ray-count drift — the traced workload itself changed size;
 * frame-memory growth — a scene's ``frame_bytes_per_entry`` (the bytes
-  a traced frame retains per record entry, tracemalloc) exceeds
-  :data:`FRAME_BYTES_LIMIT` times the baseline's.  tracemalloc counts
-  repeat exactly on one interpreter; the slack covers other Python and
-  NumPy builds, not a return of per-segment objects (about 7x).
+  a traced frame retains per record entry, tracemalloc) or its
+  ``trace_peak_bytes_per_entry`` (the tracemalloc peak while the frame
+  is traced, per entry) exceeds :data:`FRAME_BYTES_LIMIT` times the
+  baseline's.  tracemalloc counts repeat exactly on one interpreter; the
+  slack covers other Python and NumPy builds, not a return of
+  per-segment objects (about 7x) or of per-path generator states.
 
 **Non-gating (warning only):** each scene's ``build_vs_baseline``
 (baseline ``build_bvh`` seconds over the run's; a WARN line below
@@ -56,9 +58,15 @@ from pathlib import Path
 BASELINE_DIR = Path(__file__).parent / "baselines"
 DEFAULT_BASELINE = BASELINE_DIR / "BENCH_tracer.baseline.json"
 
-#: Largest allowed ratio of a run's ``frame_bytes_per_entry`` to the
-#: baseline's.
+#: Largest allowed ratio of a run's ``frame_bytes_per_entry`` or
+#: ``trace_peak_bytes_per_entry`` to the baseline's.
 FRAME_BYTES_LIMIT = 1.25
+
+#: Gated per-entry memory fields, with how a report line names each.
+_MEMORY_FIELDS = (
+    ("frame_bytes_per_entry", "frame retains"),
+    ("trace_peak_bytes_per_entry", "trace peaks at"),
+)
 
 #: ``benchmark`` field -> committed baseline for that payload kind.
 BASELINES_BY_KIND = {
@@ -121,16 +129,18 @@ def compare(current: dict, baseline: dict) -> _Report:
             _warn_ratio(
                 report, f"{name} trace_vs_baseline", base_trace / trace, 1.0
             )
-        if "frame_bytes_per_entry" in entry and "frame_bytes_per_entry" in base:
-            ours = entry["frame_bytes_per_entry"]
-            limit = FRAME_BYTES_LIMIT * base["frame_bytes_per_entry"]
+        for field, label in _MEMORY_FIELDS:
+            if field not in entry or field not in base:
+                continue
+            ours = entry[field]
+            limit = FRAME_BYTES_LIMIT * base[field]
             if ours > limit:
                 report.fail(
-                    f"{name}: frame retains {ours:.2f} B/entry, above "
+                    f"{name}: {label} {ours:.2f} B/entry, above "
                     f"{limit:.2f} ({FRAME_BYTES_LIMIT}x baseline)"
                 )
             else:
-                report.ok(f"{name}: frame retains {ours:.2f} B/entry "
+                report.ok(f"{name}: {label} {ours:.2f} B/entry "
                           f"(limit {limit:.2f})")
 
     predict, base_predict = current.get("predict"), baseline.get("predict")

@@ -11,7 +11,12 @@ tasks with:
 * **per-attempt timeouts** — a hung worker is killed and charged a
   :class:`~repro.errors.GroupTimeoutError`;
 * **bounded retries** — exponential backoff with deterministic seeded
-  jitter (no wall-clock or PID entropy, so schedules are reproducible);
+  jitter (no wall-clock or PID entropy, so schedules are reproducible).
+  Only what a second attempt can change is retried: a crash, a timeout,
+  a lost worker or a :class:`~repro.errors.SimulationError`.  A task's
+  ``ValueError``, ``KeyError`` or ``TypeError`` comes from its inputs,
+  so it fails on its first attempt with a non-retryable
+  :class:`~repro.errors.FailureRecord`;
 * **checkpointing** — each completed group's result is pickled
   atomically under ``checkpoint_dir``, and ``resume=True`` reloads
   completed groups instead of recomputing them.  Corrupt checkpoints
@@ -57,6 +62,9 @@ from ..errors import (
 __all__ = ["ExecutionPolicy", "ExecutionReport", "GroupExecutor", "default_quorum"]
 
 logger = logging.getLogger("repro.executor")
+
+#: Task errors a second attempt cannot change: they fail at once.
+_DETERMINISTIC_ERRORS = (ValueError, KeyError, TypeError)
 
 #: Unpickling failure modes treated as "corrupt file, recompute".
 _CORRUPT_PICKLE_ERRORS = (
@@ -291,6 +299,8 @@ class GroupExecutor:
                     result = task(index, attempt)
                 except Exception as error:  # noqa: BLE001 - isolation boundary
                     last_error = error
+                    if isinstance(error, _DETERMINISTIC_ERRORS):
+                        break
                     continue
                 report.results[index] = result
                 self._store_checkpoint(index, result)
@@ -303,6 +313,9 @@ class GroupExecutor:
                         error=type(last_error).__name__,
                         message=str(last_error),
                         attempts=report.attempts[index],
+                        retryable=not isinstance(
+                            last_error, _DETERMINISTIC_ERRORS
+                        ),
                     )
                 )
 
@@ -370,19 +383,21 @@ class GroupExecutor:
                 if kind == "ok":
                     report.results[index] = payload
                     self._store_checkpoint(index, payload)
-                elif attempt < self.policy.retries:
+                    continue
+                error_name, message, retryable = payload
+                if retryable and attempt < self.policy.retries:
                     not_before = now + self.policy.backoff_delay(
                         index, attempt + 1
                     )
                     waiting.append((not_before, index, attempt + 1))
                 else:
-                    error_name, message = payload
                     report.failures.append(
                         FailureRecord(
                             index=index,
                             error=error_name,
                             message=message,
                             attempts=report.attempts[index],
+                            retryable=retryable,
                         )
                     )
 
@@ -395,7 +410,8 @@ class GroupExecutor:
         now: float,
     ) -> tuple[str, Any] | None:
         """One worker's state: ``None`` if still running, else an
-        ``("ok", result)`` or ``("failed", (error_name, message))`` pair."""
+        ``("ok", result)`` or ``("failed", (error_name, message,
+        retryable))`` pair."""
         if recv.poll():
             try:
                 message = recv.recv()
@@ -405,13 +421,14 @@ class GroupExecutor:
             if message is not None and message[0] == "ok":
                 return ("ok", message[1])
             if message is not None:
-                return ("failed", (message[1], message[2]))
+                return ("failed", message[1:])
             return (
                 "failed",
                 (
                     WorkerCrashError.__name__,
                     f"worker for group {index} closed its pipe without a "
                     f"result (exit code {process.exitcode})",
+                    True,
                 ),
             )
         if deadline is not None and now > deadline:
@@ -422,6 +439,7 @@ class GroupExecutor:
                     GroupTimeoutError.__name__,
                     f"group {index} exceeded the {self.policy.timeout:g}s "
                     "per-attempt timeout; worker killed",
+                    True,
                 ),
             )
         if not process.is_alive():
@@ -434,6 +452,7 @@ class GroupExecutor:
                     WorkerCrashError.__name__,
                     f"worker for group {index} died with exit code "
                     f"{process.exitcode} before reporting a result",
+                    True,
                 ),
             )
         return None
@@ -462,7 +481,10 @@ def _worker_main(conn, task, index: int, attempt: int, fault_plan) -> None:
         conn.close()
     except BaseException as error:  # noqa: BLE001 - process boundary
         try:
-            conn.send(("error", type(error).__name__, str(error)))
+            conn.send((
+                "error", type(error).__name__, str(error),
+                not isinstance(error, _DETERMINISTIC_ERRORS),
+            ))
             conn.close()
         except Exception:
             pass

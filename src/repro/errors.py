@@ -63,6 +63,9 @@ class FailureRecord:
         attempts: total attempts spent (first try + retries).
         pixel_count: pixels the group covered; lets degraded combines
             and reports quantify lost plane coverage.
+        retryable: ``False`` when the error is one a second attempt
+            cannot change (a ``ValueError``, ``KeyError`` or
+            ``TypeError`` from the task), so it was not retried.
     """
 
     index: int
@@ -70,11 +73,13 @@ class FailureRecord:
     message: str
     attempts: int
     pixel_count: int = 0
+    retryable: bool = True
 
     def describe(self) -> str:
         """One-line human-readable summary."""
         return (
             f"group {self.index}: {self.error} after "
             f"{self.attempts} attempt{'s' if self.attempts != 1 else ''}"
+            f"{'' if self.retryable else ' (not retried)'}"
             f" — {self.message}"
         )

@@ -31,24 +31,32 @@ tracer kept with the tests (``tests/reference_tracer.py``):
   same operand order and grouping (camera ray setup, hit-point and
   normal finalization, shadow-ray construction, sky/shading radiance),
   so each lane computes the exact IEEE doubles a per-ray loop would;
-* each path owns its own Mersenne Twister, seeded from (seed, pixel,
-  sample), and consumes draws in a fixed order (jitter, then per depth
-  the reflectivity / roulette / bounce draws).  Paths never share RNG
-  state, so interleaving them across a wavefront cannot perturb any
-  draw.  RNGs are created *lazily* — a path that never draws (the common
-  case at one sample per pixel) never pays Mersenne seeding — and as
-  ``_random.Random(key)``: the C generator ``random.Random`` wraps,
-  seeded through the same ``init_by_array`` without the pure-Python
-  ``seed`` wrapper, so the streams are the reference's;
+* each path owns its own Mersenne Twister stream, seeded from (seed,
+  pixel, sample), and consumes draws in a fixed order (jitter, then per
+  depth the reflectivity / roulette / bounce draws).  Paths never share
+  RNG state, so interleaving them across a wavefront cannot perturb any
+  draw.  A stream is *pre-drawn* (:func:`_path_stream`) when its path
+  first needs one — at once for a jittered sample, at its first
+  continuation otherwise, so a path that never draws (the common case at
+  one sample per pixel) never pays Mersenne seeding: the most values the
+  path can consume (``2 + 4 * max_bounces`` when jittered, else 4 per
+  remaining depth) are drawn from ``_random.Random(key)`` into a short
+  list and the generator is dropped.  ``_random.Random`` is the C
+  generator ``random.Random`` wraps, seeded through the same
+  ``init_by_array`` without the pure-Python ``seed`` wrapper, so the
+  values are the reference's, while a wave holds a few hundred bytes
+  per path instead of a 2.5 KB generator state;
 * diffuse bounce directions are computed on Python floats with
   ``vecmath.spherical_direction``'s operations in its order, so they
   carry its bits;
 * each pixel's segments are laid out in path order (samples in order;
   per sample: primary/continuation segment, then one shadow segment per
   light).  A wave records its segments batch by batch as columns — one
-  batch per closest-hit or shadow query, its records one flat buffer
-  with offsets — and :func:`_wave_columns` re-lays them pixel by pixel,
-  so no per-segment or per-ray object is built.
+  batch per closest-hit or shadow query, its records one flat uint32
+  buffer with offsets — and :func:`_wave_columns` re-lays them pixel by
+  pixel in bounded chunks, freeing each batch once re-laid, so no
+  per-segment or per-ray object and no int64 array the size of the
+  records is built.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ import _random
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -77,6 +86,10 @@ _CONTINUATION_COST = 8
 #: Paths advanced per wavefront; bounds the packet kernels' working set.
 _DEFAULT_WAVE_SIZE = 16384
 
+#: Record entries scattered per step when a wave is re-laid pixel by
+#: pixel; bounds that scatter's int64 temporaries at a few MB.
+_RELAYOUT_CHUNK = 1 << 17
+
 #: The two ends of the environment's vertical sky gradient.
 _SKY_LOW = np.array([0.9, 0.9, 0.95], dtype=np.float64)
 _SKY_HIGH = np.array([0.4, 0.6, 0.9], dtype=np.float64)
@@ -90,14 +103,17 @@ _REFLECTION = KIND_CODES[SegmentKind.REFLECTION]
 _BOUNCE = KIND_CODES[SegmentKind.BOUNCE]
 
 
-def _ordered_records(records, order: np.ndarray):
+def _ordered_records(records: list, order: np.ndarray):
     """Batches' per-ray records, re-laid in segment order ``order``.
 
     ``records`` are the batches' :class:`~repro.scene.bvh_packet.RayRecords`
     in emission order (one segment per ray); ``order`` lists emission
     indices in frame order.  Returns the per-segment counts in frame order
     and one uint32 buffer: each batch's flat buffer is scattered to its
-    segments' destinations, so no per-ray array is ever built.
+    segments' destinations, so no per-ray array is ever built.  The
+    scatter runs in chunks of about :data:`_RELAYOUT_CHUNK` entries, and
+    ``records`` is emptied as it goes, so a batch's buffer is freed once
+    scattered.
     """
     counts = np.concatenate([r.counts() for r in records])
     ordered = counts[order]
@@ -105,21 +121,29 @@ def _ordered_records(records, order: np.ndarray):
     starts[order] = np.cumsum(ordered) - ordered
     out = np.empty(int(ordered.sum()), dtype=np.uint32)
     base = 0
-    for r in records:
+    records.reverse()
+    while records:
+        r = records.pop()
         rays = len(r)
-        if r.flat.size:
-            # Entry j of ray i lands at starts[i] + (j - offsets[i]).
-            dest = np.repeat(
-                starts[base:base + rays] - r.offsets[:-1],
-                counts[base:base + rays],
-            )
-            dest += np.arange(r.flat.size)
-            out[dest] = r.flat
+        offsets = r.offsets
+        # Entry j of ray i lands at starts[i] + (j - offsets[i]).
+        shift = starts[base:base + rays] - offsets[:-1]
+        cuts = np.searchsorted(
+            offsets, range(_RELAYOUT_CHUNK, r.flat.size, _RELAYOUT_CHUNK)
+        ).tolist()
+        for first, last in zip([0, *cuts], [*cuts, rays]):
+            lo, hi = offsets[first], offsets[last]
+            if lo < hi:
+                dest = np.repeat(
+                    shift[first:last], counts[base + first:base + last]
+                )
+                dest += np.arange(lo, hi)
+                out[dest] = r.flat[lo:hi]
         base += rays
     return ordered, out
 
 
-def _wave_columns(batches, paths: int, spp: int) -> tuple:
+def _wave_columns(batches: list, paths: int, spp: int) -> tuple:
     """A wave's segment batches as frame columns, pixel by pixel.
 
     Each batch is ``(path ids, kind codes, hit, shade, node records,
@@ -129,7 +153,8 @@ def _wave_columns(batches, paths: int, spp: int) -> tuple:
     id lists each path's segments in order, and a pixel's ``spp`` paths
     are consecutive.  Returns segments per pixel, then the per-segment
     kind, hit and shade columns, node counts, nodes, triangle counts and
-    triangles.
+    triangles.  ``batches`` is emptied, so each record buffer is freed
+    as soon as it is re-laid.
     """
     path_ids = np.concatenate([b[0] for b in batches])
     order = np.argsort(path_ids, kind="stable")
@@ -138,21 +163,36 @@ def _wave_columns(batches, paths: int, spp: int) -> tuple:
         per_pixel = per_pixel.reshape(-1, spp).sum(axis=1)
     kind = np.concatenate(
         [np.broadcast_to(np.uint8(b[1]), b[0].shape) for b in batches]
-    )
-    node_counts, nodes = _ordered_records([b[4] for b in batches], order)
-    tri_counts, tris = _ordered_records([b[5] for b in batches], order)
+    )[order]
+    hit = np.concatenate([b[2] for b in batches])[order]
+    shade = np.concatenate([b[3] for b in batches])[order]
+    node_records = [b[4] for b in batches]
+    tri_records = [b[5] for b in batches]
+    batches.clear()
+    node_counts, nodes = _ordered_records(node_records, order)
+    tri_counts, tris = _ordered_records(tri_records, order)
     return (
-        per_pixel,
-        kind[order],
-        np.concatenate([b[2] for b in batches])[order],
-        np.concatenate([b[3] for b in batches])[order],
-        node_counts, nodes, tri_counts, tris,
+        per_pixel, kind, hit, shade, node_counts, nodes, tri_counts, tris,
     )
 
 
 def _concat(parts: list):
     """One array of ``parts``, without a copy when there is one part."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _path_stream(key: int, draws: int) -> list[float]:
+    """One path's uniform draws: the first ``draws`` of its Mersenne Twister.
+
+    The values are drawn from ``_random.Random(key)`` up front and the
+    generator is dropped.  They are stored last-first, so ``pop()`` hands
+    them out in the generator's order; popping past the pre-drawn bound
+    raises :class:`IndexError`, so an undercounted bound cannot yield a
+    value that is not the generator's.
+    """
+    stream = list(starmap(_random.Random(key).random, repeat((), draws)))
+    stream.reverse()
+    return stream
 
 
 def _cosine_direction(
@@ -360,13 +400,14 @@ class FunctionalTracer:
         # every path starts PRIMARY (code 0).
         batches: list = []
         path_kinds = np.zeros(n, dtype=np.uint8)
-        rngs: list[_random.Random | None] = [None] * n
+        streams: list[list[float] | None] = [None] * n
         colors = np.zeros((n, 3)) if compute_radiance else None
         throughput = np.ones((n, 3)) if compute_radiance else None
 
-        # Jittered samples draw their jitter first from their RNG; sample
-        # 0 stays at (0.5, 0.5) and leaves its RNG uncreated until a
-        # continuation needs it.
+        # Jittered samples draw their jitter first from their stream; sample
+        # 0 stays at (0.5, 0.5) and leaves its stream uncreated until a
+        # continuation needs it.  A path draws at most 4 values per
+        # continuation (reflect test, roulette, two direction draws).
         pxs = np.array(px_list, dtype=np.float64)
         pys = np.array(py_list, dtype=np.float64)
         if self.settings.samples_per_pixel > 1:
@@ -374,15 +415,16 @@ class FunctionalTracer:
             jy = np.full(n, 0.5)
             for i, sample in enumerate(sample_list):
                 if sample != 0:
-                    rng = _random.Random(
+                    stream = _path_stream(
                         (seed << 48)
                         ^ (py_list[i] << 28)
                         ^ (px_list[i] << 8)
-                        ^ sample
+                        ^ sample,
+                        2 + 4 * max_bounces,
                     )
-                    rngs[i] = rng
-                    jx[i] = rng.random()
-                    jy[i] = rng.random()
+                    streams[i] = stream
+                    jx[i] = stream.pop()
+                    jy[i] = stream.pop()
         else:
             jx = 0.5
             jy = 0.5
@@ -498,7 +540,8 @@ class FunctionalTracer:
             if depth == max_bounces:
                 break
 
-            # Continuations: scalar RNG decisions, same draw order per path.
+            # Continuations: scalar decisions on each path's stream, same draw
+            # order per path; at most 4 draws per remaining depth.
             reflectivity = tables.reflectivity
             survive_tab = tables.survive
             albedo_tab = tables.albedo
@@ -506,31 +549,33 @@ class FunctionalTracer:
             next_dirs: list = []
             next_pids: list[int] = []
             nrm_l = nrm.tolist()
+            draws = 4 * (max_bounces - depth)
             for k, r in enumerate(hit_rows_l):
                 pid = pid_list[r]
                 m = mids[k]
                 refl = reflectivity[m]
-                rng = rngs[pid]
+                stream = streams[pid]
                 if refl > 0.0 or max_bounces >= 2:
-                    if rng is None:
-                        rng = _random.Random(
+                    if stream is None:
+                        stream = _path_stream(
                             (seed << 48)
                             ^ (py_list[pid] << 28)
                             ^ (px_list[pid] << 8)
-                            ^ sample_list[pid]
+                            ^ sample_list[pid],
+                            draws,
                         )
-                        rngs[pid] = rng
-                if refl > 0.0 and rng.random() < refl:
+                        streams[pid] = stream
+                if refl > 0.0 and stream.pop() < refl:
                     direction = reflect(dirs[r], nrm[k])
                     path_kinds[pid] = _REFLECTION
                     if compute_radiance:
                         throughput[pid] = throughput[pid] * albedo_tab[m]
                 elif max_bounces >= 2:
                     survive = survive_tab[m]
-                    if rng.random() >= survive:
+                    if stream.pop() >= survive:
                         continue
                     direction = _cosine_direction(
-                        rng.random(), rng.random(), *nrm_l[k]
+                        stream.pop(), stream.pop(), *nrm_l[k]
                     )
                     path_kinds[pid] = _BOUNCE
                     if compute_radiance:
@@ -561,6 +606,8 @@ class FunctionalTracer:
             t_min = np.full(m2, _RAY_T_MIN)
             t_max = np.full(m2, _INF)
 
+        # The streams are spent; free them before the re-layout's peak.
+        del streams
         if not collect_records:
             return None, colors
         return (

@@ -141,6 +141,23 @@ def test_frame_bytes_above_limit_fails(baseline, factor, fails):
     )
 
 
+@pytest.mark.parametrize(
+    "factor, fails", [(0.5, False), (1.0, False), (1.25, False), (1.3, True), (3.0, True)]
+)
+def test_trace_peak_bytes_above_limit_fails(baseline, factor, fails):
+    name = baseline["scenes"][0]["scene"]
+    base = baseline["scenes"][0]["trace_peak_bytes_per_entry"]
+    assert base > 0
+    current = copy.deepcopy(baseline)
+    current["scenes"][0]["trace_peak_bytes_per_entry"] = base * factor
+    report = checker.compare(current, baseline)
+    assert report.failed is fails
+    prefix = "FAIL" if fails else "PASS"
+    assert f"{prefix}  {name}: trace peaks at {base * factor:.2f} B/entry" in (
+        "\n".join(report.lines)
+    )
+
+
 @pytest.fixture()
 def sim_baseline() -> dict:
     return json.loads(checker.BASELINES_BY_KIND["cycle_sim"].read_text())

@@ -27,6 +27,17 @@ def square(index, attempt):  # noqa: ARG001 - executor task signature
     return index * index
 
 
+def _raises_on_one(error):
+    """A task that raises ``error`` for group 1 and squares the others."""
+
+    def task(index, attempt):  # noqa: ARG001 - executor task signature
+        if index == 1:
+            raise error
+        return index * index
+
+    return task
+
+
 class TestPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -83,6 +94,19 @@ class TestSerialExecution:
         assert record.error == "SimulationError"
         assert record.attempts == 3  # first try + 2 retries
         assert "injected" in record.message
+
+    @pytest.mark.parametrize(
+        "error", [ValueError("empty group"), KeyError("gpu"), TypeError("bad")]
+    )
+    def test_deterministic_error_is_not_retried(self, error):
+        policy = ExecutionPolicy(retries=2, **FAST)
+        report = GroupExecutor(policy).run(_raises_on_one(error), 3)
+        assert report.results == {0: 0, 2: 4}
+        (record,) = report.failures
+        assert record.error == type(error).__name__
+        assert record.attempts == 1
+        assert record.retryable is False
+        assert "(not retried)" in record.describe()
 
     def test_crash_fault_degrades_to_exception_in_process(self):
         # A real os._exit in serial mode would kill the test runner; the
@@ -145,7 +169,27 @@ class TestForkedExecution:
         (record,) = report.failures
         assert record.index == 1
         assert record.error == "TypeError"
-        assert record.attempts == 2
+        # A TypeError cannot change on a second attempt: it is not retried.
+        assert record.attempts == 1
+        assert record.retryable is False
+
+    def test_deterministic_error_is_not_retried(self):
+        policy = ExecutionPolicy(workers=2, retries=2, **FAST)
+        report = GroupExecutor(policy).run(_raises_on_one(ValueError("no")), 3)
+        assert report.results == {0: 0, 2: 4}
+        (record,) = report.failures
+        assert (record.error, record.attempts, record.retryable) == (
+            "ValueError", 1, False,
+        )
+
+    def test_injected_fault_is_still_retried(self):
+        plan = FaultPlan([exception(1, attempts=ALWAYS)])
+        policy = ExecutionPolicy(workers=2, retries=2, **FAST)
+        report = GroupExecutor(policy, fault_plan=plan).run(square, 3)
+        (record,) = report.failures
+        assert (record.error, record.attempts, record.retryable) == (
+            "SimulationError", 3, True,
+        )
 
 
 class TestCheckpointing:

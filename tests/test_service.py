@@ -733,6 +733,29 @@ class TestJobProcesses:
         # The job process survives a job's exception.
         assert service._children[0].process.is_alive()
 
+    def test_child_memo_stays_bounded_over_distinct_jobs(
+        self, monkeypatch, service_factory
+    ):
+        from repro.service.server import _JOB_MEMO_ENTRIES
+
+        def body(self, spec, stats=None):
+            store = self.runner.store
+            before = len(store._memo)
+            for i in range(10):
+                store.put(f"job{spec.size}-{i}", bytes(64), persist=False)
+            return {"memo_before": before}
+
+        monkeypatch.setattr(ServiceRunner, "execute_local", body)
+        service, base = service_factory(use_cache=False)
+        seen = []
+        for size in range(1, 41):
+            status, served, _ = _post(base, {"scene": "SPRNG", "size": size})
+            assert status == 200
+            seen.append(served["memo_before"])
+        # Each job adds 10 entries; the job process trims back after each.
+        assert max(seen[1:]) <= _JOB_MEMO_ENTRIES
+        assert seen[-1] == _JOB_MEMO_ENTRIES
+
     def test_hung_child_is_killed_at_drain_deadline(self, monkeypatch, tmp_path):
         self._patch_body(monkeypatch, lambda spec: time.sleep(60))
         service = ZatelService(
