@@ -31,7 +31,10 @@ noise:
   is traced, per entry) exceeds :data:`FRAME_BYTES_LIMIT` times the
   baseline's.  tracemalloc counts repeat exactly on one interpreter; the
   slack covers other Python and NumPy builds, not a return of
-  per-segment objects (about 7x) or of per-path generator states.
+  per-segment objects (about 7x the frame bytes) or of the per-path
+  generator states and int64 record temporaries a trace once held
+  (about 2.3x BUNNY's trace peak; SPRNG's peak is the packet kernels'
+  per-ray columns and barely moves with its few records).
 
 **Non-gating (warning only):** each scene's ``build_vs_baseline``
 (baseline ``build_bvh`` seconds over the run's; a WARN line below

@@ -119,7 +119,6 @@ class ArtifactStore:
         A warm predict does not recompute the cheap ones either: it reads
         the persisted combined result and resolves nothing upstream.
         """
-        self._memo.pop(key, None)
         self._memo[key] = value
         self.stats.writes += 1
         if self.root is None or not persist:
@@ -155,23 +154,12 @@ class ArtifactStore:
         """Drop the in-process memo (disk entries survive)."""
         self._memo.clear()
 
-    def trim_memory(self, keep: int) -> None:
-        """Drop all but the ``keep`` most recently used memo entries.
-
-        Disk entries survive: a dropped artifact that was persisted is
-        re-read when next asked for, and any other is recomputed.
-        """
-        for key in list(self._memo)[:max(0, len(self._memo) - keep)]:
-            del self._memo[key]
-
     # ------------------------------------------------------------------
 
     def _lookup(self, key: str, count: bool = True) -> Any:
         if key in self._memo:
             self.stats.memory_hits += count
-            # Re-insert: the memo's order is least recently used first.
-            value = self._memo[key] = self._memo.pop(key)
-            return value
+            return self._memo[key]
         if self.root is None:
             self.stats.misses += count
             return _MISSING

@@ -141,22 +141,29 @@ def _gather_rays(rays: list[Ray]):
 def _assemble_records(steps: list, ray_count: int) -> RayRecords:
     """Turn per-step (ray_ids, values) arrays into per-ray records.
 
-    Steps log int32 ray ids and uint32 values, the record's own width.
-    They were appended in traversal order and each ray contributes its
+    Steps were appended in traversal order and each ray contributes its
     values in-order within a step, so a stable sort by ray id yields every
-    ray's scalar-identical visit sequence.  Each step's ids ascend, so the
-    ids are a concatenation of sorted runs, which NumPy's stable (timsort)
-    sort merges faster than a radix sort would order them.  ``steps`` is
-    emptied once concatenated and the ids are freed before the gather, so
-    the only int64 arrays the size of the log are the sort's order and,
-    just before it, ``bincount``'s intp copy of the ids.  No per-ray
+    ray's scalar-identical visit sequence.  Each step's ids ascend, so
+    the ids are a concatenation of sorted runs, which NumPy's stable
+    (timsort) sort merges faster than a ``uint16`` radix sort would order
+    them.  The traversal loops log ids and values as they compute them;
+    they are narrowed once here, as they are concatenated, to int32 ids
+    and the record's uint32 values.  ``steps`` is emptied once
+    concatenated and the ids are freed before the gather, so the only
+    int64 arrays the size of the record are the sort's order and, just
+    before it, ``bincount``'s copy of the ids.  The sorted values stay
+    one uint32 buffer; the per-ray counts become its offsets.  No per-ray
     object is built.
     """
     offsets = np.zeros(ray_count + 1, dtype=np.int64)
     if not steps:
         return RayRecords(np.empty(0, dtype=np.uint32), offsets)
-    ray_ids = np.concatenate([s[0] for s in steps])
-    values = np.concatenate([s[1] for s in steps])
+    ray_ids = np.concatenate(
+        [s[0] for s in steps], dtype=np.int32, casting="unsafe"
+    )
+    values = np.concatenate(
+        [s[1] for s in steps], dtype=np.uint32, casting="unsafe"
+    )
     steps.clear()
     np.cumsum(np.bincount(ray_ids, minlength=ray_count), out=offsets[1:])
     order = np.argsort(ray_ids, kind="stable")
@@ -167,8 +174,7 @@ def _assemble_records(steps: list, ray_count: int) -> RayRecords:
 def _scalar_steps(ray: int, record: TraversalRecord) -> tuple:
     """A scalar walk's node and triangle records as one step each."""
     return tuple(
-        (np.full(len(values), ray, dtype=np.int32),
-         np.frombuffer(values, np.uint32))
+        (np.full(len(values), ray), np.frombuffer(values, np.uint32))
         for values in (record.nodes_visited, record.tris_tested)
     )
 
@@ -177,7 +183,6 @@ def _batch_steps(steps, rows: np.ndarray | None) -> list:
     """Packet steps with their ray ids mapped to batch rows ``rows``."""
     if rows is None:
         return steps
-    rows = rows.astype(np.int32)
     return [(rows[ids], values) for ids, values in steps]
 
 
@@ -196,24 +201,23 @@ def _columns(a: np.ndarray) -> list[np.ndarray]:
 class _Packet:
     """Per-row state of one packet traversal, one contiguous column each.
 
-    Row ``r`` carries batch ray ``rid[r]`` (also kept as int32 in
-    ``rid32``, the width records log it at): origin, direction and
-    inverse direction per axis, its ``[lo, hi]`` t-range, its sign
-    octant (bit ``k`` set when direction ``k`` is non-negative) and its
-    traversal stack, ``depth`` slots starting at ``stack[r * depth]`` of
-    which the first ``sp[r]`` are live.  :meth:`compact` gathers the live
-    rows into smaller arrays once most rows are done, so late traversal
-    steps stop indexing finished rays.
+    Row ``r`` carries batch ray ``rid[r]``: origin, direction and inverse
+    direction per axis, its ``[lo, hi]`` t-range, its sign octant (bit
+    ``k`` set when direction ``k`` is non-negative) and its traversal
+    stack, ``depth`` slots starting at ``stack[r * depth]`` of which the
+    first ``sp[r]`` are live.  :meth:`compact` gathers the live rows into
+    smaller arrays once most rows are done, so late traversal steps stop
+    indexing finished rays.
     """
 
     __slots__ = (
-        "rows", "depth", "rid", "rid32", "ox", "oy", "oz", "dx", "dy", "dz",
+        "rows", "depth", "rid", "ox", "oy", "oz", "dx", "dy", "dz",
         "ix", "iy", "iz", "octant", "lo", "hi", "stack", "sp",
     )
 
     #: Row columns gathered together by :meth:`compact`.
     _ROW_COLUMNS = (
-        "rid", "rid32", "ox", "oy", "oz", "dx", "dy", "dz",
+        "rid", "ox", "oy", "oz", "dx", "dy", "dz",
         "ix", "iy", "iz", "octant", "lo", "hi", "sp",
     )
 
@@ -222,7 +226,6 @@ class _Packet:
         self.rows = n
         self.depth = depth
         self.rid = np.arange(n)
-        self.rid32 = np.arange(n, dtype=np.int32)
         self.ox, self.oy, self.oz = _columns(origins)
         self.dx, self.dy, self.dz = _columns(dirs)
         self.ix = 1.0 / self.dx
@@ -471,7 +474,7 @@ class PackedBVH:
                 alive = np.arange(p.rows)
             node, passed = self._pop_slab(p, alive)
             if want_records:
-                node_steps.append((p.rid32[alive], node.astype(np.uint32)))
+                node_steps.append((p.rid[alive], node))
             count = self.node_count[node]
 
             interior = np.nonzero(passed & (count == 0))[0]
@@ -488,7 +491,7 @@ class PackedBVH:
             if leaves.size:
                 c, pair, tri_idx = self._leaf_pairs(alive[leaves], node[leaves])
                 if want_records:
-                    tri_steps.append((p.rid32[pair], tri_idx.astype(np.uint32)))
+                    tri_steps.append((p.rid[pair], tri_idx))
                 t, valid = self._moller_trumbore_pairs(tri_idx, *p.pairs(pair))
                 tval = np.where(valid, t, _INF)
                 starts = np.cumsum(c) - c
@@ -586,7 +589,7 @@ class PackedBVH:
                 alive = np.arange(p.rows)
             node, passed = self._pop_slab(p, alive)
             if want_records:
-                node_steps.append((p.rid32[alive], node.astype(np.uint32)))
+                node_steps.append((p.rid[alive], node))
             count = self.node_count[node]
 
             interior = np.nonzero(passed & (count == 0))[0]
@@ -615,9 +618,7 @@ class PackedBVH:
                 )
                 if want_records:
                     keep = pair_pos <= np.repeat(first_hit, c)
-                    tri_steps.append(
-                        (p.rid32[pair[keep]], tri_idx[keep].astype(np.uint32))
-                    )
+                    tri_steps.append((p.rid[pair[keep]], tri_idx[keep]))
                 hits = np.nonzero(first_hit < total)[0]
                 if hits.size:
                     winners = alive[leaves[hits]]

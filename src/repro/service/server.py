@@ -873,19 +873,12 @@ class _JobChild:
             self.kill()
 
 
-#: Artifacts a job process keeps in its store's memo between jobs, least
-#: recently used dropped first.  One miss adds about eight, so a fresh
-#: pair's second miss still finds its frame and upstream stages in
-#: memory; anything older is re-read from disk when asked for again.
-_JOB_MEMO_ENTRIES = 16
-
-
 def _child_main(conn, service_runner: ServiceRunner) -> None:
     """Job-process entry: run jobs from ``conn`` until it reaches EOF.
 
-    After each reply the store's memo is trimmed to
-    :data:`_JOB_MEMO_ENTRIES`, so the process's memory stays bounded
-    however many distinct jobs it runs.
+    After each reply the store's memo is dropped, so the process's
+    memory stays bounded however many distinct jobs it runs; a later job
+    re-reads what it needs from the on-disk store.
     """
     # The server's SIGTERM handler would drain a loop this process does
     # not run, and Ctrl-C is the server's to handle.
@@ -915,7 +908,7 @@ def _child_main(conn, service_runner: ServiceRunner) -> None:
             conn.send(reply)
         except OSError:  # the server is gone
             return
-        store.trim_memory(_JOB_MEMO_ENTRIES)
+        store.clear_memory()
 
 
 def _remote_error(name: str, message: str) -> Exception:

@@ -128,10 +128,14 @@ def _ordered_records(records: list, order: np.ndarray):
         offsets = r.offsets
         # Entry j of ray i lands at starts[i] + (j - offsets[i]).
         shift = starts[base:base + rays] - offsets[:-1]
-        cuts = np.searchsorted(
-            offsets, range(_RELAYOUT_CHUNK, r.flat.size, _RELAYOUT_CHUNK)
-        ).tolist()
-        for first, last in zip([0, *cuts], [*cuts, rays]):
+        if r.flat.size > _RELAYOUT_CHUNK:
+            cuts = np.searchsorted(
+                offsets, range(_RELAYOUT_CHUNK, r.flat.size, _RELAYOUT_CHUNK)
+            ).tolist()
+            spans = zip([0, *cuts], [*cuts, rays])
+        else:
+            spans = ((0, rays),)
+        for first, last in spans:
             lo, hi = offsets[first], offsets[last]
             if lo < hi:
                 dest = np.repeat(

@@ -736,8 +736,6 @@ class TestJobProcesses:
     def test_child_memo_stays_bounded_over_distinct_jobs(
         self, monkeypatch, service_factory
     ):
-        from repro.service.server import _JOB_MEMO_ENTRIES
-
         def body(self, spec, stats=None):
             store = self.runner.store
             before = len(store._memo)
@@ -752,9 +750,8 @@ class TestJobProcesses:
             status, served, _ = _post(base, {"scene": "SPRNG", "size": size})
             assert status == 200
             seen.append(served["memo_before"])
-        # Each job adds 10 entries; the job process trims back after each.
-        assert max(seen[1:]) <= _JOB_MEMO_ENTRIES
-        assert seen[-1] == _JOB_MEMO_ENTRIES
+        # Each job adds 10 entries; the job process drops them after each.
+        assert seen == [0] * len(seen)
 
     def test_hung_child_is_killed_at_drain_deadline(self, monkeypatch, tmp_path):
         self._patch_body(monkeypatch, lambda spec: time.sleep(60))

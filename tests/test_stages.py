@@ -119,20 +119,6 @@ class TestArtifactStore:
         assert not store.path_for("k").exists()
 
 
-    def test_trim_memory_keeps_the_most_recently_used(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        for i in range(6):
-            store.put(f"k{i}", i)
-        assert store.get("k0") == 0  # k0 is now the most recently used
-        store.trim_memory(3)
-        assert list(store._memo) == ["k4", "k5", "k0"]
-        # Trimmed entries are re-read from disk, not lost.
-        assert store.get("k1") == 1
-        assert store.stats.disk_hits == 1
-        store.trim_memory(0)
-        assert not store._memo
-
-
 class TestFingerprintStability:
     """Same inputs → same key; any methodology change → different key."""
 
